@@ -228,8 +228,16 @@ fn main() {
     }
 
     let quiet = arg_flag("--quiet");
+    // Where the generator ran: latency over loopback on a shared two-core
+    // box and over a network between idle machines are different numbers.
+    let host = format!(
+        "{} {}, {} cpus",
+        std::env::consts::OS,
+        std::env::consts::ARCH,
+        std::thread::available_parallelism().map_or(0, |n| n.get()),
+    );
     let json = format!(
-        "{{\n  \"schema\": \"odt-bench-net/v1\",\n  \"addr\": \"{addr}\",\n  \"conns\": {conns},\n  \"secs\": {secs},\n  \"deadline_ms\": {},\n  \"seed\": {seed},\n  \"zipf_s\": {zipf_s},\n  \"center_drift\": {center_drift},\n  \"runs\": [\n{}\n  ],\n  \"pass\": {all_ok}\n}}\n",
+        "{{\n  \"schema\": \"odt-bench-net/v1\",\n  \"host\": \"{host}\",\n  \"addr\": \"{addr}\",\n  \"conns\": {conns},\n  \"secs\": {secs},\n  \"deadline_ms\": {},\n  \"seed\": {seed},\n  \"zipf_s\": {zipf_s},\n  \"center_drift\": {center_drift},\n  \"runs\": [\n{}\n  ],\n  \"pass\": {all_ok}\n}}\n",
         deadline_ms
             .map(|d| d.to_string())
             .unwrap_or_else(|| "null".to_string()),

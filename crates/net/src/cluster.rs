@@ -52,7 +52,7 @@ use crate::loadgen::Region;
 use crate::server::{instance_name, ConnStatsSnapshot, NetBackend, NetRequest};
 use crate::shard::ShardMap;
 use crate::wire::{
-    write_frame, FrameRead, WireErrorCode, WireQuery, WireRequest, WireResponse,
+    tune_stream, FrameRead, WireErrorCode, WireQuery, WireRequest, WireResponse,
     DEFAULT_MAX_FRAME_BYTES, FRAME_HEADER_BYTES,
 };
 use odt_obs::json::push_str_escaped;
@@ -497,6 +497,8 @@ struct ReplicaClient {
     request_timeout: Duration,
     max_frame_bytes: usize,
     stream: Option<TcpStream>,
+    /// Request frame under construction, reused across calls.
+    frame: Vec<u8>,
 }
 
 impl ReplicaClient {
@@ -507,6 +509,7 @@ impl ReplicaClient {
             request_timeout: Duration::from_millis(cfg.request_timeout_ms.max(1)),
             max_frame_bytes: cfg.max_frame_bytes,
             stream: None,
+            frame: Vec::new(),
         }
     }
 
@@ -516,7 +519,7 @@ impl ReplicaClient {
         }
         let addr = resolve(&self.addr)?;
         let s = TcpStream::connect_timeout(&addr, self.connect_timeout)?;
-        let _ = s.set_nodelay(true);
+        let _ = tune_stream(&s);
         s.set_read_timeout(Some(self.request_timeout.min(Duration::from_millis(50))))?;
         s.set_write_timeout(Some(self.request_timeout))?;
         self.stream = Some(s);
@@ -530,7 +533,9 @@ impl ReplicaClient {
         let deadline = Instant::now() + self.request_timeout;
         let outcome = (|| {
             let stream = self.stream.as_mut().expect("connected above");
-            write_frame(stream, &req.to_json())?;
+            self.frame.clear();
+            req.encode_frame_into(&mut self.frame);
+            stream.write_all(&self.frame)?;
             match read_frame_deadline(stream, self.max_frame_bytes, deadline)? {
                 FrameRead::Payload(p) => WireResponse::from_json(&p)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)),

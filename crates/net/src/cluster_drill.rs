@@ -32,7 +32,7 @@ use crate::cluster::{
 use crate::loadgen::Region;
 use crate::server::{start, ConnStatsSnapshot, EchoBackend, ServerConfig, ServerHandle};
 use crate::wire::{
-    read_frame, write_frame, FrameRead, WireQuery, WireRequest, WireResponse,
+    read_frame, tune_stream, write_frame, FrameRead, WireQuery, WireRequest, WireResponse,
     DEFAULT_MAX_FRAME_BYTES,
 };
 use odt_obs::SplitMix64;
@@ -266,6 +266,7 @@ fn connect(addr: SocketAddr) -> Option<TcpStream> {
     loop {
         match TcpStream::connect(addr) {
             Ok(s) => {
+                tune_stream(&s).ok()?;
                 s.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
                 return Some(s);
             }

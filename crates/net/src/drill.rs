@@ -17,8 +17,8 @@
 use crate::loadgen::Region;
 use crate::server::{start_with, ConnStatsSnapshot, NetBackend, ServerConfig};
 use crate::wire::{
-    read_frame, write_frame, FrameRead, WireErrorCode, WireQuery, WireRequest, WireResponse,
-    DEFAULT_MAX_FRAME_BYTES,
+    read_frame, tune_stream, write_frame, FrameRead, WireErrorCode, WireQuery, WireRequest,
+    WireResponse, DEFAULT_MAX_FRAME_BYTES,
 };
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -274,6 +274,7 @@ fn drill_request(region: &Region, id: u64, trace_seq: &AtomicU64) -> WireRequest
 
 fn connect(addr: SocketAddr) -> Option<TcpStream> {
     let s = TcpStream::connect(addr).ok()?;
+    tune_stream(&s).ok()?;
     s.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
     Some(s)
 }
@@ -296,7 +297,7 @@ fn exchange(s: &mut TcpStream, req: &WireRequest) -> Option<WireResponse> {
 fn wait_ready(addr: SocketAddr, region: &Region) -> bool {
     let give_up = Instant::now() + Duration::from_secs(120);
     loop {
-        if let Ok(mut s) = TcpStream::connect(addr) {
+        if let Some(mut s) = connect(addr) {
             let _ = s.set_read_timeout(Some(Duration::from_secs(120)));
             let req = WireRequest {
                 id: 0,

@@ -67,6 +67,6 @@ pub use server::{
 };
 pub use shard::ShardMap;
 pub use wire::{
-    read_frame, write_frame, FrameError, FrameRead, WireErrorCode, WireQuery, WireRequest,
-    WireResponse, WIRE_SCHEMA,
+    read_frame, tune_stream, write_frame, FrameError, FrameRead, WireErrorCode, WireQuery,
+    WireRequest, WireResponse, WIRE_SCHEMA,
 };

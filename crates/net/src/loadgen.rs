@@ -32,11 +32,11 @@
 //! workload the server actually saw, not just the knobs requested.
 
 use crate::wire::{
-    read_frame, write_frame, FrameRead, WireErrorCode, WireQuery, WireRequest, WireResponse,
+    read_frame, tune_stream, FrameRead, WireErrorCode, WireQuery, WireRequest, WireResponse,
 };
 use odt_obs::{SplitMix64, TraceId};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -168,7 +168,10 @@ fn connect_with_retry(cfg: &LoadConfig) -> io::Result<(TcpStream, u64)> {
     let mut retries = 0u64;
     loop {
         match TcpStream::connect(&cfg.addr) {
-            Ok(s) => return Ok((s, retries)),
+            Ok(s) => {
+                tune_stream(&s)?;
+                return Ok((s, retries));
+            }
             Err(e) => {
                 let retryable = matches!(
                     e.kind(),
@@ -651,11 +654,14 @@ fn closed_loop(cfg: &LoadConfig, conn_idx: usize, next_trace: &AtomicU64) -> io:
     tally.connect_retries = connect_retries;
     let t0 = Instant::now();
     let mut id = 1u64;
+    let mut frame = Vec::with_capacity(256);
     while t0.elapsed() < cfg.duration {
         let req = make_request(id, &mut mixer, cfg, next_trace, &mut tally);
         id += 1;
         let sent_at = Instant::now();
-        if write_frame(&mut stream, &req.to_json()).is_err() {
+        frame.clear();
+        req.encode_frame_into(&mut frame);
+        if stream.write_all(&frame).is_err() {
             break;
         }
         tally.sent += 1;
@@ -776,6 +782,7 @@ fn open_loop(
     // Sender: walks the schedule, never skipping a slot (late sends are
     // recorded as lag, not dropped — dropping would be coordinated
     // omission by another name).
+    let mut frame = Vec::with_capacity(256);
     for (i, due) in schedule.iter().enumerate() {
         let now = epoch.elapsed();
         if *due > now {
@@ -786,7 +793,9 @@ fn open_loop(
         let sched_at = epoch + *due;
         let lag = epoch.elapsed().saturating_sub(*due);
         inflight.lock().unwrap().insert(id, sched_at);
-        if write_frame(&mut wstream, &req.to_json()).is_err() {
+        frame.clear();
+        req.encode_frame_into(&mut frame);
+        if wstream.write_all(&frame).is_err() {
             inflight.lock().unwrap().remove(&id);
             break;
         }

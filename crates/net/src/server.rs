@@ -49,12 +49,12 @@
 //! and reports how many connections it had to cut.
 
 use crate::wire::{
-    write_frame, WireErrorCode, WireRequest, WireResponse, DEFAULT_MAX_FRAME_BYTES,
+    tune_stream, WireErrorCode, WireRequest, WireResponse, DEFAULT_MAX_FRAME_BYTES,
     FRAME_HEADER_BYTES,
 };
 use odt_obs::{event, Level};
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -286,9 +286,20 @@ impl Shared {
 struct WorkItem {
     req: WireRequest,
     received: Instant,
+    origin: Origin,
+}
+
+/// What stays with the dispatcher when a request moves on to the backend:
+/// its id, where its reply goes and whose inflight count it holds.
+struct Origin {
+    id: u64,
     reply: SyncSender<WireResponse>,
     conn_inflight: Arc<AtomicI64>,
 }
+
+/// A writer stops adding replies to a burst once it is this long; what is
+/// left in the channel goes out with the next write.
+const MAX_BURST_BYTES: usize = 16 * 1024;
 
 /// RAII guard for one admitted connection: increments `active` on
 /// creation, decrements (and counts `closed`) on drop — whatever path
@@ -561,9 +572,11 @@ fn acceptor_main(listener: TcpListener, shared: Arc<Shared>) {
 
 /// Best-effort typed refusal on a connection that never gets a thread.
 fn refuse(mut stream: TcpStream, code: WireErrorCode, detail: &str) {
+    let _ = tune_stream(&stream);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-    let resp = WireResponse::error(0, code, detail);
-    let _ = write_frame(&mut stream, &resp.to_json());
+    let mut frame = Vec::new();
+    WireResponse::error(0, code, detail).encode_frame_into(&mut frame);
+    let _ = stream.write_all(&frame);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
@@ -627,6 +640,8 @@ fn conn_main(
 ) {
     let _guard = guard;
     let cfg = &shared.cfg;
+    // A connection still answers if the option is refused, only slower.
+    let _ = tune_stream(&stream);
     if stream
         .set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))))
         .is_err()
@@ -667,26 +682,47 @@ fn conn_main(
     let _ = stream.shutdown(Shutdown::Both);
 }
 
+/// Write replies as they arrive, a burst at a time: after the blocking
+/// `recv` everything already queued is encoded behind the first reply and
+/// the lot goes out in one `write`. With `TCP_NODELAY` on, that write is
+/// the only batching a pipelining client gets.
 fn writer_main(
     mut stream: TcpStream,
     rx: Receiver<WireResponse>,
     shared: Arc<Shared>,
     dead: Arc<AtomicBool>,
 ) {
-    while let Ok(resp) = rx.recv() {
+    let frames_out = odt_obs::counter("net.frames.out");
+    let mut burst: Vec<u8> = Vec::with_capacity(4096);
+    while let Ok(first) = rx.recv() {
+        burst.clear();
+        first.encode_frame_into(&mut burst);
+        let mut frames = 1u64;
+        while burst.len() < MAX_BURST_BYTES {
+            let Ok(next) = rx.try_recv() else { break };
+            next.encode_frame_into(&mut burst);
+            frames += 1;
+        }
         if dead.load(Ordering::Relaxed) || shared.state() == STOPPED {
             // Connection is unusable (or the server force-stopped):
             // drain the channel so senders never block, write nothing.
-            shared.stats.reply_drops.fetch_add(1, Ordering::Relaxed);
+            shared
+                .stats
+                .reply_drops
+                .fetch_add(frames, Ordering::Relaxed);
             continue;
         }
-        match write_frame(&mut stream, &resp.to_json()) {
+        match stream.write_all(&burst) {
             Ok(()) => {
-                shared.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-                odt_obs::counter("net.frames.out").inc();
+                shared.stats.frames_out.fetch_add(frames, Ordering::Relaxed);
+                frames_out.add(frames);
             }
             Err(_) => {
                 shared.stats.write_errors.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .stats
+                    .reply_drops
+                    .fetch_add(frames - 1, Ordering::Relaxed);
                 odt_obs::counter("net.errors.write").inc();
                 dead.store(true, Ordering::Relaxed);
                 let _ = stream.shutdown(Shutdown::Both);
@@ -709,7 +745,11 @@ fn reader_loop(
     let idle_timeout = Duration::from_millis(cfg.idle_timeout_ms.max(1));
     let max_inflight = cfg.max_inflight_per_conn.max(1) as i64;
 
+    let frames_in = odt_obs::counter("net.frames.in");
+    // Bytes read and not yet consumed are `acc[head..]`; frames are parsed
+    // where they lie and the consumed prefix is dropped once per read.
     let mut acc: Vec<u8> = Vec::with_capacity(4096);
+    let mut head = 0usize;
     let mut frame_started: Option<Instant> = None;
     let mut last_activity = Instant::now();
     let mut stalled = false;
@@ -745,10 +785,10 @@ fn reader_loop(
             if inflight.load(Ordering::Relaxed) >= max_inflight {
                 break;
             }
-            if acc.len() < FRAME_HEADER_BYTES {
+            let Some((header, rest)) = acc[head..].split_first_chunk::<FRAME_HEADER_BYTES>() else {
                 break;
-            }
-            let declared = u32::from_be_bytes([acc[0], acc[1], acc[2], acc[3]]) as usize;
+            };
+            let declared = u32::from_be_bytes(*header) as usize;
             if declared > cfg.max_frame_bytes {
                 shared.stats.too_large.fetch_add(1, Ordering::Relaxed);
                 odt_obs::counter("net.errors.too_large").inc();
@@ -762,24 +802,23 @@ fn reader_loop(
                 );
                 return; // cannot resync; close
             }
-            if acc.len() < FRAME_HEADER_BYTES + declared {
+            let Some(payload) = rest.get(..declared) else {
                 break;
-            }
-            let payload: Vec<u8> = acc
-                .drain(..FRAME_HEADER_BYTES + declared)
-                .skip(FRAME_HEADER_BYTES)
-                .collect();
-            frame_started = if acc.is_empty() {
+            };
+            head += FRAME_HEADER_BYTES + declared;
+            frame_started = if head == acc.len() {
                 None
             } else {
                 Some(Instant::now())
             };
             shared.stats.frames_in.fetch_add(1, Ordering::Relaxed);
-            odt_obs::counter("net.frames.in").inc();
+            frames_in.inc();
             if !handle_payload(payload, shared, dispatch, reply_tx, inflight, &reader_error) {
                 return;
             }
         }
+        acc.drain(..head);
+        head = 0;
 
         if inflight.load(Ordering::Relaxed) >= max_inflight {
             if !stalled {
@@ -844,14 +883,14 @@ fn reader_loop(
 /// Parse and dispatch one payload. Returns `false` when the connection
 /// must close.
 fn handle_payload(
-    payload: Vec<u8>,
+    payload: &[u8],
     shared: &Arc<Shared>,
     dispatch: &SyncSender<WorkItem>,
     reply_tx: &SyncSender<WireResponse>,
     inflight: &Arc<AtomicI64>,
     reader_error: &impl Fn(u64, WireErrorCode, String),
 ) -> bool {
-    let text = match String::from_utf8(payload) {
+    let text = match std::str::from_utf8(payload) {
         Ok(t) => t,
         Err(_) => {
             shared.stats.malformed.fetch_add(1, Ordering::Relaxed);
@@ -864,7 +903,7 @@ fn handle_payload(
             return true; // frame boundary intact; keep the connection
         }
     };
-    let req = match WireRequest::from_json(&text) {
+    let req = match WireRequest::from_json(text) {
         Ok(r) => r,
         Err((id, detail)) => {
             shared.stats.malformed.fetch_add(1, Ordering::Relaxed);
@@ -879,8 +918,11 @@ fn handle_payload(
     let item = WorkItem {
         req,
         received: Instant::now(),
-        reply: reply_tx.clone(),
-        conn_inflight: Arc::clone(inflight),
+        origin: Origin {
+            id,
+            reply: reply_tx.clone(),
+            conn_inflight: Arc::clone(inflight),
+        },
     };
     match dispatch.try_send(item) {
         Ok(()) => true,
@@ -930,42 +972,41 @@ fn dispatcher_main<B: NetBackend>(mut backend: B, rx: Receiver<WorkItem>, shared
                 Err(_) => break,
             }
         }
-        let batch: Vec<NetRequest> = items
-            .iter()
-            .map(|it| NetRequest {
-                req: it.req.clone(),
-                age_us: it.received.elapsed().as_micros() as u64,
+        let (batch, origins): (Vec<NetRequest>, Vec<Origin>) = items
+            .into_iter()
+            .map(|it| {
+                let age_us = it.received.elapsed().as_micros() as u64;
+                let req = it.req;
+                (NetRequest { req, age_us }, it.origin)
             })
-            .collect();
+            .unzip();
         let replies = backend.process(batch);
-        let mut answered = vec![false; items.len()];
+        let mut answered = vec![false; origins.len()];
         for (idx, resp) in replies {
-            if idx >= items.len() || answered[idx] {
+            if idx >= origins.len() || answered[idx] {
                 continue; // backend bug guard: never double-answer
             }
             answered[idx] = true;
-            if items[idx].reply.try_send(resp).is_err() {
+            if origins[idx].reply.try_send(resp).is_err() {
                 shared.stats.reply_drops.fetch_add(1, Ordering::Relaxed);
             }
         }
-        for (idx, done) in answered.iter().enumerate() {
-            if !done {
-                let id = items[idx].req.id;
-                if items[idx]
+        for (done, origin) in answered.iter().zip(&origins) {
+            if !done
+                && origin
                     .reply
                     .try_send(WireResponse::error(
-                        id,
+                        origin.id,
                         WireErrorCode::Internal,
                         "backend returned no reply",
                     ))
                     .is_err()
-                {
-                    shared.stats.reply_drops.fetch_add(1, Ordering::Relaxed);
-                }
+            {
+                shared.stats.reply_drops.fetch_add(1, Ordering::Relaxed);
             }
         }
-        for item in items {
-            item.conn_inflight.fetch_sub(1, Ordering::Relaxed);
+        for origin in origins {
+            origin.conn_inflight.fetch_sub(1, Ordering::Relaxed);
             shared.inflight.fetch_sub(1, Ordering::Relaxed);
         }
         backend.on_tick();
@@ -974,7 +1015,7 @@ fn dispatcher_main<B: NetBackend>(mut backend: B, rx: Receiver<WorkItem>, shared
     // must balance (graceful drain never reaches here with a non-empty
     // queue — disconnection implies empty).
     while let Ok(item) = rx.try_recv() {
-        item.conn_inflight.fetch_sub(1, Ordering::Relaxed);
+        item.origin.conn_inflight.fetch_sub(1, Ordering::Relaxed);
         shared.inflight.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -1291,7 +1332,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{read_frame, FrameError, FrameRead, WireQuery};
+    use crate::wire::{read_frame, write_frame, FrameError, FrameRead, WireQuery};
 
     fn test_cfg() -> ServerConfig {
         ServerConfig {
@@ -1318,8 +1359,19 @@ mod tests {
 
     fn connect(addr: SocketAddr) -> TcpStream {
         let s = TcpStream::connect(addr).expect("connect");
+        tune_stream(&s).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         s
+    }
+
+    fn plain_req(id: u64) -> WireRequest {
+        WireRequest {
+            id,
+            query: q(116.0),
+            deadline_ms: None,
+            trace: None,
+            parent_span: None,
+        }
     }
 
     fn send_req(s: &mut TcpStream, req: &WireRequest) {
@@ -1370,6 +1422,88 @@ mod tests {
         assert_eq!(report.stats.active, 0, "leaked connections: {report:?}");
         assert_eq!(report.stats.frames_in, 5);
         assert_eq!(report.stats.frames_out, 5);
+    }
+
+    #[test]
+    fn sequential_round_trips_never_wait_for_a_kernel_timer() {
+        let h = start(test_cfg(), EchoBackend::instant()).unwrap();
+        let mut s = connect(h.addr());
+        let mut rtts: Vec<Duration> = (1..=200u64)
+            .map(|id| {
+                let t0 = Instant::now();
+                send_req(&mut s, &plain_req(id));
+                assert_eq!(recv_resp(&mut s).id(), id);
+                t0.elapsed()
+            })
+            .collect();
+        rtts.sort();
+        // A reply split over two writes to a Nagle socket waits for the
+        // client's delayed ACK: 40 ms per round trip, every round trip.
+        let median = rtts[rtts.len() / 2];
+        assert!(median < Duration::from_millis(5), "median {median:?}");
+        drop(s);
+        assert_eq!(h.drain().stats.frames_out, 200);
+    }
+
+    #[test]
+    fn a_pipelined_burst_is_answered_in_order_frame_for_frame() {
+        let h = start(test_cfg(), EchoBackend::instant()).unwrap();
+        let mut s = connect(h.addr());
+        // One write, so the 32 requests reach the server together and its
+        // replies queue up behind each other for the writer to coalesce.
+        let mut burst = Vec::new();
+        for id in 1..=32u64 {
+            plain_req(id).encode_frame_into(&mut burst);
+        }
+        s.write_all(&burst).unwrap();
+        for id in 1..=32u64 {
+            match recv_resp(&mut s) {
+                WireResponse::Ok { id: got, .. } => assert_eq!(got, id),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        drop(s);
+        let report = h.drain();
+        assert!(report.clean, "{report:?}");
+        assert_eq!(report.stats.frames_in, 32);
+        assert_eq!(report.stats.frames_out, 32);
+        assert_eq!(report.stats.reply_drops, 0);
+    }
+
+    #[test]
+    fn frames_parse_however_the_bytes_are_cut_into_reads() {
+        let h = start(test_cfg(), EchoBackend::instant()).unwrap();
+        let mut s = connect(h.addr());
+        // Longer than the server's 5 ms read tick, so each piece is a read
+        // of its own.
+        let gap = Duration::from_millis(15);
+        let mut frame = Vec::new();
+        plain_req(1).encode_frame_into(&mut frame);
+        // Header in 2 + 2 bytes, payload in two pieces.
+        let mid = FRAME_HEADER_BYTES + (frame.len() - FRAME_HEADER_BYTES) / 2;
+        for piece in [&frame[..2], &frame[2..4], &frame[4..mid], &frame[mid..]] {
+            s.write_all(piece).unwrap();
+            thread::sleep(gap);
+        }
+        assert_eq!(recv_resp(&mut s).id(), 1);
+        // Two frames and the head of a third in one read; its tail later.
+        let mut three = Vec::new();
+        for id in 2..=4u64 {
+            plain_req(id).encode_frame_into(&mut three);
+        }
+        let cut = three.len() - 7;
+        s.write_all(&three[..cut]).unwrap();
+        assert_eq!(recv_resp(&mut s).id(), 2);
+        assert_eq!(recv_resp(&mut s).id(), 3);
+        thread::sleep(gap);
+        s.write_all(&three[cut..]).unwrap();
+        assert_eq!(recv_resp(&mut s).id(), 4);
+        drop(s);
+        let report = h.drain();
+        assert_eq!(report.stats.frames_in, 4);
+        assert_eq!(report.stats.malformed, 0);
+        assert_eq!(report.stats.timeouts_frame, 0);
+        assert_eq!(report.stats.active, 0);
     }
 
     #[test]

@@ -53,9 +53,12 @@
 //! | `malformed_frame` | payload not valid `odt-wire/v1` JSON                 |
 //! | `server_draining` | server is draining; retry against another replica    |
 
-use crate::json::{escape_into, JsonValue};
+use crate::json::JsonValue;
+use odt_obs::json::{write_f64, write_str_escaped};
 use odt_obs::TraceId;
+use std::fmt;
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
 
 /// Protocol identifier carried in every payload's `v` field.
 pub const WIRE_SCHEMA: &str = "odt-wire/v1";
@@ -230,6 +233,19 @@ impl WireResponse {
     /// Serialize to an `odt-wire/v1` payload.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(160);
+        self.write_json(&mut s)
+            .expect("writing into a String cannot fail");
+        s
+    }
+
+    /// Append this response to `buf` as one complete frame (length prefix
+    /// + payload), encoding the JSON straight into `buf`. Appending is
+    /// what lets a writer coalesce a burst of replies into one `write`.
+    pub fn encode_frame_into(&self, buf: &mut Vec<u8>) {
+        frame_into(buf, |w| self.write_json(w));
+    }
+
+    fn write_json<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
         match self {
             WireResponse::Ok {
                 id,
@@ -241,44 +257,34 @@ impl WireResponse {
                 trace,
                 served_by,
             } => {
-                s.push_str("{\"v\":\"");
-                s.push_str(WIRE_SCHEMA);
-                s.push_str("\",\"id\":");
-                s.push_str(&id.to_string());
-                s.push_str(",\"seconds\":");
-                s.push_str(&fmt_f64(*seconds));
-                s.push_str(",\"rung\":");
-                escape_into(&mut s, rung);
-                s.push_str(",\"queue_wait_us\":");
-                s.push_str(&queue_wait_us.to_string());
-                s.push_str(",\"service_us\":");
-                s.push_str(&service_us.to_string());
-                s.push_str(",\"deadline_met\":");
-                s.push_str(if *deadline_met { "true" } else { "false" });
+                write!(w, "{{\"v\":\"{WIRE_SCHEMA}\",\"id\":{id},\"seconds\":")?;
+                write_f64(w, *seconds)?;
+                w.write_str(",\"rung\":")?;
+                write_str_escaped(w, rung)?;
+                write!(
+                    w,
+                    ",\"queue_wait_us\":{queue_wait_us},\"service_us\":{service_us},\
+                     \"deadline_met\":{deadline_met}"
+                )?;
                 if let Some(t) = trace {
-                    s.push_str(",\"trace\":\"");
-                    s.push_str(&t.to_hex());
-                    s.push('"');
+                    write!(w, ",\"trace\":\"{t}\"")?;
                 }
                 if let Some(by) = served_by {
-                    s.push_str(",\"served_by\":");
-                    escape_into(&mut s, by);
+                    w.write_str(",\"served_by\":")?;
+                    write_str_escaped(w, by)?;
                 }
-                s.push('}');
+                w.write_char('}')
             }
             WireResponse::Err { id, code, detail } => {
-                s.push_str("{\"v\":\"");
-                s.push_str(WIRE_SCHEMA);
-                s.push_str("\",\"id\":");
-                s.push_str(&id.to_string());
-                s.push_str(",\"error\":{\"code\":\"");
-                s.push_str(code.name());
-                s.push_str("\",\"detail\":");
-                escape_into(&mut s, detail);
-                s.push_str("}}");
+                write!(
+                    w,
+                    "{{\"v\":\"{WIRE_SCHEMA}\",\"id\":{id},\"error\":{{\"code\":\"{}\",\"detail\":",
+                    code.name()
+                )?;
+                write_str_escaped(w, detail)?;
+                w.write_str("}}")
             }
         }
-        s
     }
 
     /// Parse a response payload (client side).
@@ -338,35 +344,39 @@ impl WireRequest {
     /// Serialize to an `odt-wire/v1` payload (client side).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(160);
-        s.push_str("{\"v\":\"");
-        s.push_str(WIRE_SCHEMA);
-        s.push_str("\",\"id\":");
-        s.push_str(&self.id.to_string());
-        s.push_str(",\"o\":[");
-        s.push_str(&fmt_f64(self.query.o_lng));
-        s.push(',');
-        s.push_str(&fmt_f64(self.query.o_lat));
-        s.push_str("],\"d\":[");
-        s.push_str(&fmt_f64(self.query.d_lng));
-        s.push(',');
-        s.push_str(&fmt_f64(self.query.d_lat));
-        s.push_str("],\"t_dep\":");
-        s.push_str(&fmt_f64(self.query.t_dep));
+        self.write_json(&mut s)
+            .expect("writing into a String cannot fail");
+        s
+    }
+
+    /// Append this request to `buf` as one complete frame (length prefix
+    /// + payload), encoding the JSON straight into `buf`.
+    pub fn encode_frame_into(&self, buf: &mut Vec<u8>) {
+        frame_into(buf, |w| self.write_json(w));
+    }
+
+    fn write_json<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
+        let q = &self.query;
+        write!(w, "{{\"v\":\"{WIRE_SCHEMA}\",\"id\":{},\"o\":[", self.id)?;
+        write_f64(w, q.o_lng)?;
+        w.write_char(',')?;
+        write_f64(w, q.o_lat)?;
+        w.write_str("],\"d\":[")?;
+        write_f64(w, q.d_lng)?;
+        w.write_char(',')?;
+        write_f64(w, q.d_lat)?;
+        w.write_str("],\"t_dep\":")?;
+        write_f64(w, q.t_dep)?;
         if let Some(ms) = self.deadline_ms {
-            s.push_str(",\"deadline_ms\":");
-            s.push_str(&ms.to_string());
+            write!(w, ",\"deadline_ms\":{ms}")?;
         }
         if let Some(t) = self.trace {
-            s.push_str(",\"trace\":\"");
-            s.push_str(&t.to_hex());
-            s.push('"');
+            write!(w, ",\"trace\":\"{t}\"")?;
             if let Some(p) = self.parent_span {
-                s.push_str(",\"parent_span\":");
-                s.push_str(&p.to_string());
+                write!(w, ",\"parent_span\":{p}")?;
             }
         }
-        s.push('}');
-        s
+        w.write_char('}')
     }
 
     /// Parse a request payload (server side). Errors are human-readable
@@ -439,25 +449,49 @@ impl WireRequest {
     }
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        let s = format!("{x}");
-        // `{}` on f64 never prints exponent-free integers with a dot;
-        // that's fine for JSON, but NaN/inf must never leak.
-        s
-    } else {
-        "null".to_string()
+/// The tail of a frame buffer as a formatter sink: the JSON encoders write
+/// through this, so a frame is built in place with no intermediate `String`.
+struct FrameTail<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for FrameTail<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
     }
 }
 
-/// Write one frame (length prefix + payload). The payload must fit in
-/// `u32`; wire payloads are tiny so this is an assertion, not a path.
+/// Append one frame to `buf`: reserve the length prefix, let `payload`
+/// write the JSON behind it, then fill the prefix in.
+fn frame_into(buf: &mut Vec<u8>, payload: impl FnOnce(&mut FrameTail) -> fmt::Result) {
+    let start = buf.len();
+    buf.extend_from_slice(&[0u8; FRAME_HEADER_BYTES]);
+    payload(&mut FrameTail(buf)).expect("writing into a Vec cannot fail");
+    let len = u32::try_from(buf.len() - start - FRAME_HEADER_BYTES)
+        .expect("a wire payload fits the u32 length prefix");
+    buf[start..start + FRAME_HEADER_BYTES].copy_from_slice(&len.to_be_bytes());
+}
+
+/// Write one frame (length prefix + payload) with **one** `write`: a
+/// frame split over two writes leaves its second half waiting in the
+/// kernel for the peer's delayed ACK of the first (DESIGN.md §11). The
+/// payload must fit in `u32`.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "payload exceeds u32 length"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
+}
+
+/// Socket set-up for every stream that speaks `odt-wire`, either end:
+/// `TCP_NODELAY`. The protocol is request/reply with small frames, so
+/// Nagle's algorithm only ever adds the peer's delayed-ACK timer (40 ms on
+/// Linux) to a reply; batching is the sender's job (one write per frame,
+/// one write per burst).
+pub fn tune_stream(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)
 }
 
 /// Outcome of a blocking frame read.
@@ -705,6 +739,82 @@ mod tests {
         matches!(read_frame(&mut r, 1024).unwrap(), FrameRead::Closed)
             .then_some(())
             .unwrap();
+    }
+
+    /// Counts `write` calls; takes whatever it is given in one go, as a
+    /// socket with room in its send buffer does.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_whatever_its_size() {
+        let typical = WireResponse::Ok {
+            id: 7,
+            seconds: 512.3,
+            rung: "cached".to_string(),
+            queue_wait_us: 4,
+            service_us: 1,
+            deadline_met: true,
+            trace: None,
+            served_by: Some("pid-1".to_string()),
+        }
+        .to_json();
+        let largest = "x".repeat(DEFAULT_MAX_FRAME_BYTES);
+        for payload in ["", typical.as_str(), largest.as_str()] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "{} byte payload", payload.len());
+            match read_frame(&mut &w.bytes[..], DEFAULT_MAX_FRAME_BYTES).unwrap() {
+                FrameRead::Payload(p) => assert_eq!(p, payload),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn encode_frame_into_appends_the_frame_write_frame_would_send() {
+        let req = WireRequest {
+            id: 7,
+            query: rt_query(),
+            deadline_ms: Some(50),
+            trace: TraceId::from_hex("1f00ab34cd56ef78"),
+            parent_span: Some(3),
+        };
+        let resp = WireResponse::error(7, WireErrorCode::QueueFull, "queue at \"capacity\" 64\n");
+        let mut burst = Vec::new();
+        req.encode_frame_into(&mut burst);
+        resp.encode_frame_into(&mut burst);
+        let mut want = Vec::new();
+        write_frame(&mut want, &req.to_json()).unwrap();
+        write_frame(&mut want, &resp.to_json()).unwrap();
+        assert_eq!(burst, want);
+        // Non-finite numbers still never reach the wire.
+        let nan = WireResponse::Ok {
+            id: 1,
+            seconds: f64::NAN,
+            rung: "echo".to_string(),
+            queue_wait_us: 0,
+            service_us: 0,
+            deadline_met: false,
+            trace: None,
+            served_by: None,
+        };
+        assert!(nan.to_json().contains("\"seconds\":null"));
     }
 
     #[test]

@@ -5,32 +5,45 @@
 //! plane's `/varz`/`/tracez` renderers all build JSON through these two
 //! functions, so string escaping exists exactly once.
 
+use std::fmt;
+
 /// Append `s` to `out` as a JSON string literal, with escaping.
 pub fn push_str_escaped(out: &mut String, s: &str) {
-    out.push('"');
+    // Writing into a `String` cannot fail.
+    let _ = write_str_escaped(out, s);
+}
+
+/// [`push_str_escaped`] for any formatter sink (the wire encoders write
+/// straight into a frame buffer through this).
+pub fn write_str_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.push('"');
+    out.write_char('"')
 }
 
 /// Append a finite JSON number; non-finite floats become `null` (JSON has
 /// no NaN/Infinity).
 pub fn push_f64(out: &mut String, v: f64) {
+    // Writing into a `String` cannot fail.
+    let _ = write_f64(out, v);
+}
+
+/// [`push_f64`] for any formatter sink.
+pub fn write_f64<W: fmt::Write>(out: &mut W, v: f64) -> fmt::Result {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        write!(out, "{v}")
     } else {
-        out.push_str("null");
+        out.write_str("null")
     }
 }
 

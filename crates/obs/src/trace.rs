@@ -71,7 +71,7 @@ impl TraceId {
 
     /// 16-digit lower-case hex rendering, the canonical JSON form.
     pub fn to_hex(&self) -> String {
-        format!("{:016x}", self.0)
+        self.to_string()
     }
 
     /// Parse the canonical 16-hex-digit rendering (the wire form used by
@@ -96,6 +96,14 @@ impl TraceId {
         } else {
             Some(TraceId(raw))
         }
+    }
+}
+
+/// The canonical 16-hex-digit rendering, for writers that format straight
+/// into a buffer.
+impl std::fmt::Display for TraceId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:016x}", self.0)
     }
 }
 

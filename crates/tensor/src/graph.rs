@@ -7,12 +7,17 @@
 //! gradients that reach [`crate::Param`] leaves are added to the shared
 //! parameter storage that the optimizer reads.
 //!
-//! One graph is built per training step and discarded afterwards.
+//! One graph is built per training step and discarded afterwards. The
+//! backward sweep consumes the tape as it goes: each node's backward
+//! closure (and the activations it captured) and each interior gradient is
+//! freed as soon as the sweep has passed it, so the sweep's high-water mark
+//! is the forward tape plus the gradients still waiting to flow, not the
+//! tape plus every gradient. A tape can therefore be swept once.
 
 use crate::ops;
 use crate::param::Param;
 use crate::tensor::Tensor;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 /// Handle to a node on the tape.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -32,6 +37,8 @@ struct Node {
 #[derive(Default)]
 pub struct Graph {
     nodes: RefCell<Vec<Node>>,
+    /// Set by the backward sweep, which takes the closures with it.
+    swept: Cell<bool>,
 }
 
 impl Graph {
@@ -89,7 +96,10 @@ impl Graph {
         self.nodes.borrow()[v.0].value.shape().to_vec()
     }
 
-    /// Gradient accumulated at a node by the last [`Graph::backward`] call.
+    /// Gradient that [`Graph::backward`] left at a leaf ([`Graph::input`],
+    /// [`Graph::param`], [`Graph::detach`]). `None` for a leaf no gradient
+    /// reached, and for every node an op produced: the sweep frees interior
+    /// gradients as it passes them.
     pub fn grad(&self, v: Var) -> Option<Tensor> {
         self.nodes.borrow()[v.0].grad.clone()
     }
@@ -653,7 +663,15 @@ impl Graph {
     // ------------------------------------------------------------------
 
     /// Backpropagate from a scalar (`[1]`) loss node. Gradients accumulate
-    /// into every reachable node and into bound [`Param`] leaves.
+    /// into bound [`Param`] leaves and stay readable through
+    /// [`Graph::grad`] on leaves only; the sweep releases the tape's
+    /// closures and interior gradients behind it.
+    ///
+    /// # Panics
+    ///
+    /// On a second sweep of the same tape: nothing is left to propagate
+    /// through, so the gradients would silently be zero. Record a new
+    /// graph per backward pass.
     pub fn backward(&self, loss: Var) {
         let seed = {
             let nodes = self.nodes.borrow();
@@ -668,8 +686,13 @@ impl Graph {
         self.backward_with_grad(loss, seed);
     }
 
-    /// Backpropagate from `v` with an explicit upstream gradient.
+    /// Backpropagate from `v` with an explicit upstream gradient. Consumes
+    /// the tape like [`Graph::backward`], and panics on a second sweep.
     pub fn backward_with_grad(&self, v: Var, seed: Tensor) {
+        assert!(
+            !self.swept.replace(true),
+            "this tape was already swept by backward; record a new Graph per backward pass"
+        );
         let mut nodes = self.nodes.borrow_mut();
         assert_eq!(
             nodes[v.0].value.shape(),
@@ -678,31 +701,36 @@ impl Graph {
         );
         nodes[v.0].grad = Some(seed);
         for i in (0..=v.0).rev() {
-            let Some(grad) = nodes[i].grad.clone() else {
+            // Taken, so the closure and what it captured die with this
+            // iteration whether or not a gradient reached the node.
+            let back = nodes[i].backward.take();
+            let Some(grad) = nodes[i].grad.take() else {
                 continue;
             };
-            if let Some(back) = nodes[i].backward.as_ref() {
-                let parent_grads = back(&grad);
-                let parents = nodes[i].parents.clone();
-                assert_eq!(
-                    parent_grads.len(),
-                    parents.len(),
-                    "backward fn returned wrong arity"
-                );
-                for (p, pg) in parents.into_iter().zip(parent_grads) {
-                    debug_assert_eq!(
-                        nodes[p].value.shape(),
-                        pg.shape(),
-                        "gradient shape mismatch flowing into node {p}"
-                    );
-                    nodes[p].grad = Some(match nodes[p].grad.take() {
-                        Some(existing) => existing.add(&pg),
-                        None => pg,
-                    });
+            let Some(back) = back else {
+                if let Some(param) = nodes[i].param.as_ref() {
+                    param.accumulate_grad(&grad);
                 }
-            }
-            if let Some(param) = nodes[i].param.as_ref() {
-                param.accumulate_grad(&grad);
+                nodes[i].grad = Some(grad);
+                continue;
+            };
+            let parent_grads = back(&grad);
+            let parents = std::mem::take(&mut nodes[i].parents);
+            assert_eq!(
+                parent_grads.len(),
+                parents.len(),
+                "backward fn returned wrong arity"
+            );
+            for (p, pg) in parents.into_iter().zip(parent_grads) {
+                debug_assert_eq!(
+                    nodes[p].value.shape(),
+                    pg.shape(),
+                    "gradient shape mismatch flowing into node {p}"
+                );
+                nodes[p].grad = Some(match nodes[p].grad.take() {
+                    Some(existing) => existing.add(&pg),
+                    None => pg,
+                });
             }
         }
     }
@@ -1091,5 +1119,94 @@ mod tests {
         let g = Graph::new();
         let x = g.input(Tensor::zeros(vec![2]));
         g.backward(x);
+    }
+
+    #[test]
+    fn backward_keeps_leaf_grads_and_frees_interior_ones() {
+        let g = Graph::new();
+        let p = Param::new(rand_t(vec![3], 40), "w");
+        let x = g.input(rand_t(vec![3], 41));
+        let w = g.param(&p);
+        let untouched = g.input(Tensor::scalar(1.0));
+        let y = g.mul(x, w);
+        let loss = g.sum_all(y);
+        g.backward(loss);
+        assert!(g.grad(x).is_some());
+        assert_eq!(g.grad(w).unwrap().data(), p.grad().data());
+        assert!(g.grad(untouched).is_none(), "no gradient reached it");
+        assert!(g.grad(y).is_none(), "interior gradient kept");
+        assert!(g.grad(loss).is_none(), "seed gradient kept");
+        let nodes = g.nodes.borrow();
+        assert!(
+            nodes.iter().all(|n| n.backward.is_none()),
+            "a backward closure outlived the sweep"
+        );
+    }
+
+    /// The sweep as it was before it released anything: every gradient is
+    /// cloned and kept, every closure stays. Reads the tape only.
+    fn keep_everything_sweep(g: &Graph, loss: Var) -> Vec<Option<Tensor>> {
+        let nodes = g.nodes.borrow();
+        let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
+        grads[loss.0] = Some(Tensor::ones(nodes[loss.0].value.shape().to_vec()));
+        for i in (0..=loss.0).rev() {
+            let Some(grad) = grads[i].clone() else {
+                continue;
+            };
+            if let Some(back) = nodes[i].backward.as_ref() {
+                for (&p, pg) in nodes[i].parents.iter().zip(back(&grad)) {
+                    grads[p] = Some(match grads[p].take() {
+                        Some(existing) => existing.add(&pg),
+                        None => pg,
+                    });
+                }
+            }
+        }
+        grads
+    }
+
+    #[test]
+    fn releasing_sweep_matches_keep_everything_sweep_bit_for_bit() {
+        let conv_w = Param::new(rand_t(vec![3, 2, 3, 3], 50), "conv.w");
+        let conv_b = Param::new(rand_t(vec![3], 51), "conv.b");
+        let lin_w = Param::new(rand_t(vec![16, 5], 52), "lin.w");
+        let g = Graph::new();
+        let x = g.input(rand_t(vec![2, 2, 4, 4], 53));
+        let (cw, cb, lw) = (g.param(&conv_w), g.param(&conv_b), g.param(&lin_w));
+        let h = g.gelu(g.conv2d(x, cw, Some(cb), 1, 1));
+        // The conv weight is used twice, so its gradient is a sum.
+        let h = g.add(h, g.conv2d(x, cw, None, 1, 1));
+        let flat = g.reshape(h, vec![6, 16]);
+        let loss = g.sum_all(g.matmul(flat, lw));
+
+        let reference = keep_everything_sweep(&g, loss);
+        g.backward(loss);
+
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for (var, param) in [(cw, &conv_w), (cb, &conv_b), (lw, &lin_w)] {
+            let want = reference[var.0]
+                .as_ref()
+                .expect("reference reached the param");
+            assert!(want.data().iter().any(|&v| v != 0.0));
+            assert_eq!(bits(&param.grad()), bits(want));
+        }
+        assert_eq!(
+            bits(&g.grad(x).expect("input grad")),
+            bits(
+                reference[x.0]
+                    .as_ref()
+                    .expect("reference reached the input")
+            )
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "already swept")]
+    fn second_backward_on_a_swept_tape_panics() {
+        let g = Graph::new();
+        let x = g.input(Tensor::scalar(3.0));
+        let loss = g.square(x);
+        g.backward(loss);
+        g.backward(loss);
     }
 }
