@@ -7,6 +7,15 @@
 //! for any pool size. Parallelism is over disjoint row ranges of `C`;
 //! blocking over the inner dimension keeps the active panel of `B` hot in
 //! cache while a row chunk streams over it.
+//!
+//! The loop bodies of [`gemm_rows`] and [`gemm_at_b_rows`] are each
+//! compiled twice from one source: for the baseline target, and inside a
+//! `#[target_feature(enable = "avx2")]` wrapper chosen at run time on CPUs
+//! that have AVX2. Both compilations perform the same IEEE `f32` multiply
+//! then add per element in the same order — wider vectors only process more
+//! independent columns at once — so they give the same bits. FMA is
+//! deliberately not enabled and `mul_add` not used: fused rounding would
+//! make a result depend on the host CPU.
 
 use crate::pool::{num_threads, parallel_rows};
 
@@ -38,22 +47,75 @@ pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     });
 }
 
+/// `crow += av · brow`, one pass over the row.
+#[inline(always)]
+fn axpy(av: f32, brow: &[f32], crow: &mut [f32]) {
+    for (cv, &bv) in crow.iter_mut().zip(brow) {
+        *cv += av * bv;
+    }
+}
+
 /// The serial body of [`gemm`] for `mc` rows: k-blocked `ikj` with the
 /// skip-zero fast path. Public so batched callers that already parallelize
 /// over an outer dimension can reuse the blocked kernel inline.
+///
+/// Runs the AVX2 compilation of the one loop body when the CPU has AVX2
+/// and the baseline compilation otherwise; both give the same bits (see
+/// the [module docs](self)).
 pub fn gemm_rows(a: &[f32], b: &[f32], c: &mut [f32], mc: usize, k: usize, n: usize) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `gemm_rows_avx2` only requires that the running CPU
+        // supports AVX2, which the line above has just checked.
+        return unsafe { gemm_rows_avx2(a, b, c, mc, k, n) };
+    }
+    gemm_rows_body(a, b, c, mc, k, n);
+}
+
+/// [`gemm_rows_body`] compiled with 256-bit vectors.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_rows_avx2(a: &[f32], b: &[f32], c: &mut [f32], mc: usize, k: usize, n: usize) {
+    gemm_rows_body(a, b, c, mc, k, n);
+}
+
+/// The one loop body of [`gemm_rows`]. `p` is walked four at a time with
+/// the `C` element held in a register across the four updates
+/// (`v += a0·b0[j]; v += a1·b1[j]; …`): one load and one store of `C` per
+/// four multiply-adds instead of four, in the same ascending-`p` order. A
+/// group of four that contains a zero `a` takes the per-`p` skip-zero loop,
+/// as does the tail of a `k` that is not a multiple of four.
+#[inline(always)]
+fn gemm_rows_body(a: &[f32], b: &[f32], c: &mut [f32], mc: usize, k: usize, n: usize) {
     for p0 in (0..k).step_by(KB) {
         let p1 = (p0 + KB).min(k);
         for i in 0..mc {
-            let arow = &a[i * k..(i + 1) * k];
             let crow = &mut c[i * n..(i + 1) * n];
-            for (p, &av) in arow.iter().enumerate().take(p1).skip(p0) {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[p * n..(p + 1) * n];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += av * bv;
+            for (g, a4) in a[i * k + p0..i * k + p1].chunks(4).enumerate() {
+                let p = p0 + 4 * g;
+                match *a4 {
+                    [a0, a1, a2, a3] if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 => {
+                        let (b0, rest) = b[p * n..(p + 4) * n].split_at(n);
+                        let (b1, rest) = rest.split_at(n);
+                        let (b2, b3) = rest.split_at(n);
+                        for ((((cv, &x0), &x1), &x2), &x3) in
+                            crow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
+                        {
+                            let mut v = *cv;
+                            v += a0 * x0;
+                            v += a1 * x1;
+                            v += a2 * x2;
+                            v += a3 * x3;
+                            *cv = v;
+                        }
+                    }
+                    _ => {
+                        for (q, &av) in a4.iter().enumerate() {
+                            if av != 0.0 {
+                                axpy(av, &b[(p + q) * n..(p + q + 1) * n], crow);
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -77,9 +139,49 @@ pub fn gemm_at_b(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
 
 /// Serial body of [`gemm_at_b`] for output rows `i0..i0 + mc`: `p`-outer
 /// so each `B` row is loaded once per chunk pass, ascending `p` per output
-/// element (bit-identical to the naive kernel).
+/// element (bit-identical to the naive kernel). Dispatches between the two
+/// compilations of its body like [`gemm_rows`].
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_at_b_rows(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    mc: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `gemm_at_b_rows_avx2` only requires that the running CPU
+        // supports AVX2, which the line above has just checked.
+        return unsafe { gemm_at_b_rows_avx2(a, b, c, i0, mc, m, k, n) };
+    }
+    gemm_at_b_rows_body(a, b, c, i0, mc, m, k, n);
+}
+
+/// [`gemm_at_b_rows_body`] compiled with 256-bit vectors.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_at_b_rows_avx2(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    mc: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    gemm_at_b_rows_body(a, b, c, i0, mc, m, k, n);
+}
+
+/// The one loop body of [`gemm_at_b_rows`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_at_b_rows_body(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -93,12 +195,8 @@ pub fn gemm_at_b_rows(
         let arow = &a[p * m + i0..p * m + i0 + mc];
         let brow = &b[p * n..(p + 1) * n];
         for (ii, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let crow = &mut c[ii * n..(ii + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv += av * bv;
+            if av != 0.0 {
+                axpy(av, brow, &mut c[ii * n..(ii + 1) * n]);
             }
         }
     }
@@ -182,6 +280,75 @@ mod tests {
             run_sequential(|| gemm(&a, &b, &mut seq, m, k, n));
             assert_eq!(seq, want, "sequential gemm differs at {m}x{k}x{n}");
         }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn gemm_rows_both_compilations_bit_identical_to_naive() {
+        // k straddles the group-of-four and the KB = 64 block boundaries.
+        // Zero patterns in A: none; one per group of four; one whole group
+        // out of every three; both at once. B carries an inf and a NaN so a
+        // zero that was multiplied instead of skipped would show.
+        type Zero = fn(usize) -> bool;
+        let patterns: [(&str, Zero); 4] = [
+            ("none", |_| false),
+            ("one per group", |p| p % 4 == 1),
+            ("whole group", |p| (p / 4) % 3 == 1),
+            ("both", |p| p % 4 == 2 || (p / 4) % 3 == 0),
+        ];
+        for &k in &[1usize, 3, 4, 5, 63, 64, 65, 130] {
+            for &(m, n) in &[(1usize, 1usize), (3, 7), (5, 33)] {
+                for (name, is_zero) in &patterns {
+                    let mut a = pseudo(m * k, 3);
+                    for (idx, v) in a.iter_mut().enumerate() {
+                        if is_zero(idx % k) {
+                            *v = if idx % 2 == 0 { 0.0 } else { -0.0 };
+                        }
+                    }
+                    let mut b = pseudo(k * n, 5);
+                    b[0] = f32::INFINITY;
+                    b[k * n - 1] = f32::NAN;
+                    let start = pseudo(m * n, 7);
+                    let mut want = start.clone();
+                    naive_gemm(&a, &b, &mut want, m, k, n);
+                    let mut dispatched = start.clone();
+                    gemm_rows(&a, &b, &mut dispatched, m, k, n);
+                    let mut baseline = start.clone();
+                    gemm_rows_body(&a, &b, &mut baseline, m, k, n);
+                    let case = format!("m={m} k={k} n={n} zeros={name}");
+                    assert_eq!(bits(&dispatched), bits(&want), "dispatched, {case}");
+                    assert_eq!(bits(&baseline), bits(&want), "baseline, {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_at_b_rows_both_compilations_agree_on_a_row_range() {
+        let (m, k, n) = (19, 37, 11);
+        let mut a = pseudo(k * m, 7); // stored [k, m]
+        a.iter_mut().step_by(6).for_each(|v| *v = 0.0);
+        let b = pseudo(k * n, 9);
+        let (i0, mc) = (4, 9);
+        // Reference: rows i0..i0+mc of naive `Aᵀ @ B`.
+        let mut at = vec![0.0f32; m * k];
+        for p in 0..k {
+            for i in 0..m {
+                at[i * k + p] = a[p * m + i];
+            }
+        }
+        let mut full = vec![0.0f32; m * n];
+        naive_gemm(&at, &b, &mut full, m, k, n);
+        let want = &full[i0 * n..(i0 + mc) * n];
+        let mut dispatched = vec![0.0f32; mc * n];
+        gemm_at_b_rows(&a, &b, &mut dispatched, i0, mc, m, k, n);
+        let mut baseline = vec![0.0f32; mc * n];
+        gemm_at_b_rows_body(&a, &b, &mut baseline, i0, mc, m, k, n);
+        assert_eq!(bits(&dispatched), bits(want));
+        assert_eq!(bits(&baseline), bits(want));
     }
 
     #[test]

@@ -193,14 +193,16 @@ struct MidBlock {
 /// (latitude index), channel 1 = normalized column (longitude index),
 /// matching the normalization of the ODT-Input features.
 fn coordinate_channels(batch: usize, lg: usize) -> Tensor {
+    let coord = |i: usize| 2.0 * (i as f32 + 0.5) / lg as f32 - 1.0;
     let mut t = Tensor::zeros(vec![batch, 2, lg, lg]);
-    for b in 0..batch {
-        for row in 0..lg {
-            for col in 0..lg {
-                let rv = 2.0 * (row as f32 + 0.5) / lg as f32 - 1.0;
-                let cv = 2.0 * (col as f32 + 0.5) / lg as f32 - 1.0;
-                t.set(&[b, 0, row, col], rv);
-                t.set(&[b, 1, row, col], cv);
+    for sample in t.data_mut().chunks_mut(2 * lg * lg) {
+        let (row_map, col_map) = sample.split_at_mut(lg * lg);
+        for (row, line) in row_map.chunks_mut(lg).enumerate() {
+            line.fill(coord(row));
+        }
+        for line in col_map.chunks_mut(lg) {
+            for (col, v) in line.iter_mut().enumerate() {
+                *v = coord(col);
             }
         }
     }
@@ -441,6 +443,23 @@ mod tests {
         };
         let d = ConditionedDenoiser::new(&mut rng, cfg);
         (d, rng)
+    }
+
+    #[test]
+    fn coordinate_channels_hold_row_and_column_maps() {
+        let lg = 5;
+        let t = coordinate_channels(3, lg);
+        assert_eq!(t.shape(), &[3, 2, lg, lg]);
+        for b in 0..3 {
+            for row in 0..lg {
+                for col in 0..lg {
+                    let rv = 2.0 * (row as f32 + 0.5) / lg as f32 - 1.0;
+                    let cv = 2.0 * (col as f32 + 0.5) / lg as f32 - 1.0;
+                    assert_eq!(t.at(&[b, 0, row, col]).to_bits(), rv.to_bits());
+                    assert_eq!(t.at(&[b, 1, row, col]).to_bits(), cv.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -182,6 +182,18 @@ mod tests {
         assert_eq!(b.value().data()[0], 5.0);
     }
 
+    /// The checkpoint format: a tensor is its shape and a flat data array,
+    /// whatever holds the elements in memory.
+    #[test]
+    fn json_format_is_pinned() {
+        let a = Param::new(Tensor::from_vec(vec![1.0, -2.5], vec![2]), "a");
+        let b = Param::new(Tensor::from_vec(vec![0.5; 2], vec![1, 2]), "b");
+        assert_eq!(
+            state_dict(&[a, b]).to_json(),
+            r#"{"entries":{"a":{"shape":[2],"data":[1.0,-2.5]},"b":{"shape":[1,2],"data":[0.5,0.5]}}}"#
+        );
+    }
+
     #[test]
     #[should_panic(expected = "duplicate parameter name")]
     fn duplicate_names_rejected() {

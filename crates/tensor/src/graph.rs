@@ -1092,6 +1092,43 @@ mod tests {
     }
 
     #[test]
+    fn values_share_storage_but_keep_value_semantics() {
+        let g = Graph::new();
+        let x = g.input(Tensor::from_vec(
+            (0..6).map(|v| v as f32).collect(),
+            vec![2, 3],
+        ));
+        let r = g.reshape(x, vec![3, 2]);
+        // A reshape and a read are handles to the input's buffer...
+        assert_eq!(g.value(r).data().as_ptr(), g.value(x).data().as_ptr());
+        assert_eq!(g.value(r).shape(), &[3, 2]);
+        assert_eq!(g.value(r).at(&[2, 0]), 4.0);
+        // ...and writing through one of them leaves the tape alone.
+        let mut mine = g.value(r);
+        mine.data_mut()[0] = 99.0;
+        assert_eq!(g.value(x).data()[0], 0.0);
+        assert_eq!(g.value(r).data()[0], 0.0);
+    }
+
+    #[test]
+    fn param_update_is_not_seen_by_an_earlier_tape_node() {
+        let w = Param::new(Tensor::from_vec(vec![2.0, 3.0], vec![2]), "w");
+        let g = Graph::new();
+        let wv = g.param(&w);
+        let x = g.input(Tensor::from_vec(vec![10.0, 100.0], vec![2]));
+        let y = g.mul(wv, x);
+        // The optimizer steps between forward and backward.
+        w.set_value(Tensor::from_vec(vec![-1.0, -1.0], vec![2]));
+        assert_eq!(g.value(wv).data(), &[2.0, 3.0]);
+        assert_eq!(w.value().data(), &[-1.0, -1.0]);
+        let loss = g.sum_all(y);
+        g.backward(loss);
+        // d(w*x)/dx uses the recorded weight, not the stepped one.
+        assert_eq!(g.grad(x).unwrap().data(), &[2.0, 3.0]);
+        assert_eq!(w.grad().data(), &[10.0, 100.0]);
+    }
+
+    #[test]
     fn detach_blocks_gradient() {
         let g = Graph::new();
         let p = Param::new(Tensor::scalar(3.0), "w");

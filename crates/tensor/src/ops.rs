@@ -3,10 +3,13 @@
 //! upsampling. The autograd [`crate::Graph`] dispatches into these.
 //!
 //! The hot kernels run on [`odt_compute`]: matmul uses the cache-blocked,
-//! row-parallel GEMM; bmm fans out over all `batch × m` output rows; conv2d
-//! parallelizes over the batch (falling back to a row-parallel GEMM for the
-//! single-sample serving path) with a per-thread im2col scratch buffer so no
-//! call allocates a fresh `cols` matrix. Every parallel split writes disjoint
+//! row-parallel GEMM; bmm is that GEMM's serial body once per batch item,
+//! parallel over the batch; conv2d parallelizes over the batch (falling back
+//! to a row-parallel GEMM for the single-sample serving path) with a
+//! per-thread im2col scratch buffer so no call allocates a fresh `cols`
+//! matrix. im2col fills each output row as zero edge, straight copy, zero
+//! edge, with the valid range computed once per row rather than a bounds
+//! test per element. Every parallel split writes disjoint
 //! output rows and preserves each element's ascending-`p` accumulation order,
 //! so forward and grad-input results are **bit-identical** to the naive
 //! single-threaded kernels (kept below under `#[cfg(test)]` as oracles) for
@@ -79,8 +82,8 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Batched matmul: `[b, m, k] @ [b, k, n] -> [b, m, n]`, parallel over all
-/// `b × m` output rows.
+/// Batched matmul: `[b, m, k] @ [b, k, n] -> [b, m, n]`, parallel over the
+/// batch; each item is one [`pgemm::gemm_rows`] call.
 pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.rank(), 3, "bmm lhs must be 3-D");
     assert_eq!(b.rank(), 3, "bmm rhs must be 3-D");
@@ -95,22 +98,13 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
     }
     let ad = a.data();
     let bd = b.data();
-    let grain = (4096 / (k * n).max(1)).max(1);
-    odt_compute::parallel_rows(out.data_mut(), n, grain, |r0, rows| {
-        for (off, orow) in rows.chunks_mut(n).enumerate() {
-            let r = r0 + off;
-            let (t, i) = (r / m, r % m);
-            let arow = &ad[(t * m + i) * k..(t * m + i + 1) * k];
-            let bblk = &bd[t * k * n..(t + 1) * k * n];
-            for (p, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &bblk[p * n..(p + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
+    let grain = (4096 / (m * k * n).max(1)).max(1);
+    odt_compute::parallel_rows(out.data_mut(), m * n, grain, |first, items| {
+        for (off, o_item) in items.chunks_mut(m * n).enumerate() {
+            let t = first + off;
+            let a_item = &ad[t * m * k..(t + 1) * m * k];
+            let b_item = &bd[t * k * n..(t + 1) * k * n];
+            pgemm::gemm_rows(a_item, b_item, o_item, m, k, n);
         }
     });
     khist(&H_BMM, "kernel.bmm").record(t0.elapsed());
@@ -126,6 +120,12 @@ pub fn conv_out_size(input: usize, kernel: usize, stride: usize, pad: usize) -> 
 /// Unfold one NCHW sample into an im2col matrix `[c_in*kh*kw, ho*wo]`
 /// (row-major into `cols`; every entry is written, so `cols` need not be
 /// zeroed beforehand).
+///
+/// Each `(ci, ky, kx, oy)` picks one input row and one output row of `wo`
+/// entries. The `ox` whose tap falls inside the image form one range,
+/// computed once per row: the two edges are zero-filled and the middle is a
+/// straight copy at stride 1, or a gather with no bounds test per element
+/// otherwise.
 #[allow(clippy::too_many_arguments)]
 fn im2col(
     sample: &[f32],
@@ -145,22 +145,31 @@ fn im2col(
         for ky in 0..kh {
             for kx in 0..kw {
                 let row = ((ci * kh + ky) * kw + kx) * (ho * wo);
+                // `ox` is valid when `0 <= ox*stride + kx - pad < w`.
+                let ox_lo = pad.saturating_sub(kx).div_ceil(stride).min(wo);
+                let ox_hi = if w + pad > kx {
+                    ((w + pad - kx - 1) / stride + 1).clamp(ox_lo, wo)
+                } else {
+                    ox_lo
+                };
                 for oy in 0..ho {
+                    let dst = &mut cols[row + oy * wo..row + (oy + 1) * wo];
                     let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        for ox in 0..wo {
-                            cols[row + oy * wo + ox] = 0.0;
-                        }
+                    if iy < 0 || iy >= h as isize || ox_lo == ox_hi {
+                        dst.fill(0.0);
                         continue;
                     }
-                    let in_row = (ci * h + iy as usize) * w;
-                    for ox in 0..wo {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        cols[row + oy * wo + ox] = if ix < 0 || ix >= w as isize {
-                            0.0
-                        } else {
-                            sample[in_row + ix as usize]
-                        };
+                    dst[..ox_lo].fill(0.0);
+                    dst[ox_hi..].fill(0.0);
+                    // First valid tap of this row; non-negative by choice of `ox_lo`.
+                    let src = (ci * h + iy as usize) * w + ox_lo * stride + kx - pad;
+                    let mid = &mut dst[ox_lo..ox_hi];
+                    if stride == 1 {
+                        mid.copy_from_slice(&sample[src..src + mid.len()]);
+                    } else {
+                        for (j, d) in mid.iter_mut().enumerate() {
+                            *d = sample[src + j * stride];
+                        }
                     }
                 }
             }
@@ -531,6 +540,43 @@ pub fn upsample_nearest2_grad(grad_out: &Tensor) -> Tensor {
 pub(crate) mod reference {
     use super::*;
 
+    /// The per-element im2col (a bounds test per entry) that
+    /// [`super::im2col`] replaced.
+    #[allow(clippy::too_many_arguments)]
+    pub fn im2col_per_element(
+        sample: &[f32],
+        c_in: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+        ho: usize,
+        wo: usize,
+        cols: &mut [f32],
+    ) {
+        for ci in 0..c_in {
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let row = ((ci * kh + ky) * kw + kx) * (ho * wo);
+                    for oy in 0..ho {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        for ox in 0..wo {
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            let inside = iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize;
+                            cols[row + oy * wo + ox] = if inside {
+                                sample[(ci * h + iy as usize) * w + ix as usize]
+                            } else {
+                                0.0
+                            };
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// `C[m,n] += A[m,k] @ B[k,n]` on raw slices (ikj loop order).
     pub fn gemm_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
         for i in 0..m {
@@ -741,6 +787,10 @@ mod tests {
             .collect()
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn matmul_identity() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], vec![2, 2]);
@@ -781,22 +831,62 @@ mod tests {
 
     #[test]
     fn bmm_bit_identical_to_reference_gemm_per_batch() {
-        let (ba, m, k, n) = (3, 9, 17, 7);
-        let a = Tensor::from_vec(pseudo(ba * m * k, 21), vec![ba, m, k]);
-        let b = Tensor::from_vec(pseudo(ba * k * n, 23), vec![ba, k, n]);
-        let c = bmm(&a, &b);
-        let mut want = vec![0.0f32; ba * m * n];
-        for t in 0..ba {
-            reference::gemm_acc(
-                &a.data()[t * m * k..(t + 1) * m * k],
-                &b.data()[t * k * n..(t + 1) * k * n],
-                &mut want[t * m * n..(t + 1) * m * n],
-                m,
-                k,
-                n,
-            );
+        // k on both sides of the GEMM's group of four and of its k-block;
+        // every 5th entry of A is zero, so the fused and the per-p path run.
+        for &k in &[1usize, 3, 4, 5, 17, 63, 64, 65, 130] {
+            let (ba, m, n) = (3, 9, 7);
+            let mut av = pseudo(ba * m * k, 21);
+            av.iter_mut().step_by(5).for_each(|v| *v = 0.0);
+            let a = Tensor::from_vec(av, vec![ba, m, k]);
+            let b = Tensor::from_vec(pseudo(ba * k * n, 23), vec![ba, k, n]);
+            let c = bmm(&a, &b);
+            let mut want = vec![0.0f32; ba * m * n];
+            for t in 0..ba {
+                reference::gemm_acc(
+                    &a.data()[t * m * k..(t + 1) * m * k],
+                    &b.data()[t * k * n..(t + 1) * k * n],
+                    &mut want[t * m * n..(t + 1) * m * n],
+                    m,
+                    k,
+                    n,
+                );
+            }
+            assert_eq!(bits(c.data()), bits(&want), "k = {k}");
         }
-        assert_eq!(c.data(), &want[..]);
+    }
+
+    #[test]
+    fn im2col_bit_identical_to_per_element() {
+        // (h, w) includes inputs narrower than the kernel (legal once padded).
+        let sizes = [(7usize, 6usize), (5, 5), (4, 2), (2, 4), (1, 1), (3, 1)];
+        let c_in = 2;
+        for &(h, w) in &sizes {
+            for &kk in &[1usize, 3, 4] {
+                for &stride in &[1usize, 2] {
+                    for &pad in &[0usize, 1, 2] {
+                        if h + 2 * pad < kk || w + 2 * pad < kk {
+                            continue;
+                        }
+                        let ho = conv_out_size(h, kk, stride, pad);
+                        let wo = conv_out_size(w, kk, stride, pad);
+                        let sample = pseudo(c_in * h * w, 71);
+                        let len = c_in * kk * kk * ho * wo;
+                        // Poisoned, so an entry left unwritten shows.
+                        let mut got = vec![f32::NAN; len];
+                        let mut want = vec![f32::NAN; len];
+                        im2col(&sample, c_in, h, w, kk, kk, stride, pad, ho, wo, &mut got);
+                        reference::im2col_per_element(
+                            &sample, c_in, h, w, kk, kk, stride, pad, ho, wo, &mut want,
+                        );
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "h={h} w={w} k={kk} stride={stride} pad={pad}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,19 +1,57 @@
 //! The dense `f32` [`Tensor`] type and its forward math.
 //!
-//! Tensors are row-major and always contiguous; views are materialized.
-//! This keeps the autograd tape simple (every node owns its value) at the
-//! cost of some copies, which is acceptable at the model sizes the DOT
-//! pipeline uses (images of `L_G × L_G ≤ 30 × 30`, embeddings ≤ 256).
+//! Tensors are row-major and always contiguous; `permute`, `slice` and
+//! `concat` materialize their result. The element storage is reference
+//! counted: `clone` and `reshape` hand out a second handle to the same
+//! buffer, so the autograd tape, the backward closures and [`crate::Param`]
+//! share one copy of every activation and weight. Writing through
+//! [`Tensor::data_mut`] copies the buffer first if another handle still
+//! reads it (copy-on-write), so every handle keeps value semantics.
+//!
+//! Broadcasting binary ops do not walk an index odometer per element: output
+//! dims whose two stride patterns agree are coalesced and the innermost
+//! coalesced dim runs as one tight loop (see [`Tensor::zip_broadcast`]).
 
 use crate::shape::{broadcast_shapes, broadcast_strides, next_index, numel, strides_for};
 use crate::TensorError;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
-/// A dense, row-major, contiguous `f32` tensor.
+/// A dense, row-major, contiguous `f32` tensor. Cloning shares the element
+/// storage; see the [module docs](self).
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[serde(from = "TensorRepr", into = "TensorRepr")]
 pub struct Tensor {
     shape: Vec<usize>,
+    data: Arc<Vec<f32>>,
+}
+
+/// What a [`Tensor`] is serialized as: its shape and a flat data array,
+/// the checkpoint format since before the storage was shared. (serde only
+/// implements its traits for `Arc` behind its `rc` feature.)
+#[derive(Serialize, Deserialize)]
+#[serde(rename = "Tensor")]
+struct TensorRepr {
+    shape: Vec<usize>,
     data: Vec<f32>,
+}
+
+impl From<TensorRepr> for Tensor {
+    fn from(repr: TensorRepr) -> Self {
+        Tensor {
+            shape: repr.shape,
+            data: Arc::new(repr.data),
+        }
+    }
+}
+
+impl From<Tensor> for TensorRepr {
+    fn from(t: Tensor) -> Self {
+        TensorRepr {
+            data: t.data.to_vec(),
+            shape: t.shape,
+        }
+    }
 }
 
 impl std::fmt::Debug for Tensor {
@@ -24,18 +62,64 @@ impl std::fmt::Debug for Tensor {
     }
 }
 
+/// One loop level of a two-operand broadcast walk: its extent and the
+/// element stride of each operand (0 where that operand broadcasts).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct ZipDim {
+    len: usize,
+    ls: usize,
+    rs: usize,
+}
+
+/// Fold the output dims of a broadcast into the fewest loop levels,
+/// outermost first: size-1 dims vanish, and a dim merges into the one
+/// outside it when both operands step over the pair like one longer dim
+/// (`outer stride == inner stride × inner len`, for each operand). Never
+/// empty: an all-ones shape yields one level of length 1.
+fn coalesce_zip_dims(shape: &[usize], ls: &[usize], rs: &[usize]) -> Vec<ZipDim> {
+    let mut dims: Vec<ZipDim> = Vec::with_capacity(shape.len().max(1));
+    for ((&len, &ls), &rs) in shape.iter().zip(ls).zip(rs) {
+        if len == 1 {
+            continue;
+        }
+        match dims.last_mut() {
+            Some(outer) if outer.ls == ls * len && outer.rs == rs * len => {
+                *outer = ZipDim {
+                    len: outer.len * len,
+                    ls,
+                    rs,
+                };
+            }
+            _ => dims.push(ZipDim { len, ls, rs }),
+        }
+    }
+    if dims.is_empty() {
+        dims.push(ZipDim {
+            len: 1,
+            ls: 0,
+            rs: 0,
+        });
+    }
+    dims
+}
+
 impl Tensor {
     // ------------------------------------------------------------------
     // Constructors
     // ------------------------------------------------------------------
 
-    /// A tensor of zeros with the given shape.
-    pub fn zeros(shape: Vec<usize>) -> Self {
-        let n = numel(&shape);
+    /// Wrap freshly built data; the caller guarantees the length.
+    fn new(shape: Vec<usize>, data: Vec<f32>) -> Self {
+        debug_assert_eq!(numel(&shape), data.len());
         Tensor {
             shape,
-            data: vec![0.0; n],
+            data: Arc::new(data),
         }
+    }
+
+    /// A tensor of zeros with the given shape.
+    pub fn zeros(shape: Vec<usize>) -> Self {
+        Self::full(shape, 0.0)
     }
 
     /// A tensor of ones with the given shape.
@@ -46,18 +130,12 @@ impl Tensor {
     /// A tensor filled with `value`.
     pub fn full(shape: Vec<usize>, value: f32) -> Self {
         let n = numel(&shape);
-        Tensor {
-            shape,
-            data: vec![value; n],
-        }
+        Tensor::new(shape, vec![value; n])
     }
 
     /// A rank-0-like scalar stored as shape `[1]`.
     pub fn scalar(value: f32) -> Self {
-        Tensor {
-            shape: vec![1],
-            data: vec![value],
-        }
+        Tensor::new(vec![1], vec![value])
     }
 
     /// Build a tensor from raw data; errors if `data.len()` disagrees with
@@ -70,7 +148,7 @@ impl Tensor {
                 expected,
             });
         }
-        Ok(Tensor { shape, data })
+        Ok(Tensor::new(shape, data))
     }
 
     /// Build a tensor from raw data; panics on length mismatch.
@@ -83,10 +161,7 @@ impl Tensor {
         assert!(n >= 2, "linspace needs at least two points");
         let step = (end - start) / (n as f32 - 1.0);
         let data = (0..n).map(|i| start + step * i as f32).collect();
-        Tensor {
-            shape: vec![n],
-            data,
-        }
+        Tensor::new(vec![n], data)
     }
 
     // ------------------------------------------------------------------
@@ -113,30 +188,40 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable raw data slice (row-major).
+    /// Mutable raw data slice (row-major). Copies the storage first when
+    /// another handle shares it, so no other tensor sees the writes.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consume into the raw data vector.
+    /// Consume into the raw data vector; copies only when the storage is
+    /// still shared with another handle.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
+    }
+
+    /// Row-major flat offset of a multi-dimensional index, folded from the
+    /// last dim so no stride vector is built.
+    fn flat_index(&self, idx: &[usize]) -> usize {
+        debug_assert_eq!(idx.len(), self.shape.len());
+        let mut flat = 0;
+        let mut stride = 1;
+        for (&i, &dim) in idx.iter().zip(&self.shape).rev() {
+            flat += i * stride;
+            stride *= dim;
+        }
+        flat
     }
 
     /// Element at a multi-dimensional index.
     pub fn at(&self, idx: &[usize]) -> f32 {
-        debug_assert_eq!(idx.len(), self.shape.len());
-        let strides = strides_for(&self.shape);
-        let flat: usize = idx.iter().zip(&strides).map(|(i, s)| i * s).sum();
-        self.data[flat]
+        self.data[self.flat_index(idx)]
     }
 
     /// Set element at a multi-dimensional index.
     pub fn set(&mut self, idx: &[usize], value: f32) {
-        debug_assert_eq!(idx.len(), self.shape.len());
-        let strides = strides_for(&self.shape);
-        let flat: usize = idx.iter().zip(&strides).map(|(i, s)| i * s).sum();
-        self.data[flat] = value;
+        let flat = self.flat_index(idx);
+        self.data_mut()[flat] = value;
     }
 
     /// `true` if every element is finite (no NaN/inf).
@@ -168,7 +253,8 @@ impl Tensor {
     // Shape manipulation
     // ------------------------------------------------------------------
 
-    /// Reshape without copying semantics change; element count must match.
+    /// The same elements under a new shape (shares the storage); element
+    /// count must match.
     pub fn reshape(&self, shape: Vec<usize>) -> Self {
         assert_eq!(
             numel(&shape),
@@ -179,7 +265,7 @@ impl Tensor {
         );
         Tensor {
             shape,
-            data: self.data.clone(),
+            data: Arc::clone(&self.data),
         }
     }
 
@@ -193,25 +279,23 @@ impl Tensor {
         }
         let out_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
         let in_strides = strides_for(&self.shape);
-        let mut out = Tensor::zeros(out_shape.clone());
-        if out.data.is_empty() {
-            return out;
+        let mut data = Vec::with_capacity(self.data.len());
+        if self.data.is_empty() {
+            return Tensor::new(out_shape, data);
         }
         let mut idx = vec![0usize; out_shape.len()];
-        let mut flat = 0usize;
         loop {
             let src: usize = idx
                 .iter()
                 .enumerate()
                 .map(|(d, &i)| i * in_strides[perm[d]])
                 .sum();
-            out.data[flat] = self.data[src];
-            flat += 1;
+            data.push(self.data[src]);
             if !next_index(&mut idx, &out_shape) {
                 break;
             }
         }
-        out
+        Tensor::new(out_shape, data)
     }
 
     /// Transpose a 2-D tensor.
@@ -247,10 +331,7 @@ impl Tensor {
                 data.extend_from_slice(&t.data[start..start + a * inner]);
             }
         }
-        Tensor {
-            shape: out_shape,
-            data,
-        }
+        Tensor::new(out_shape, data)
     }
 
     /// Slice `[start, end)` along `axis`.
@@ -270,10 +351,7 @@ impl Tensor {
             let base = o * a * inner;
             data.extend_from_slice(&self.data[base + start * inner..base + end * inner]);
         }
-        Tensor {
-            shape: out_shape,
-            data,
-        }
+        Tensor::new(out_shape, data)
     }
 
     /// Select rows (axis 0) by index, producing shape `[indices.len(), rest…]`.
@@ -292,10 +370,7 @@ impl Tensor {
             );
             data.extend_from_slice(&self.data[i * row..(i + 1) * row]);
         }
-        Tensor {
-            shape: out_shape,
-            data,
-        }
+        Tensor::new(out_shape, data)
     }
 
     /// Scatter-add rows into a zero tensor of `dim0` rows: the reverse of
@@ -313,14 +388,14 @@ impl Tensor {
         };
         let mut out_shape = self.shape.clone();
         out_shape[0] = dim0;
-        let mut out = Tensor::zeros(out_shape);
+        let mut data = vec![0.0; numel(&out_shape)];
         for (r, &i) in indices.iter().enumerate() {
             assert!(i < dim0, "index {i} out of bounds for dim {dim0}");
             for c in 0..row {
-                out.data[i * row + c] += self.data[r * row + c];
+                data[i * row + c] += self.data[r * row + c];
             }
         }
-        out
+        Tensor::new(out_shape, data)
     }
 
     // ------------------------------------------------------------------
@@ -329,47 +404,108 @@ impl Tensor {
 
     /// Apply `f` elementwise.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&v| f(v)).collect(),
-        }
+        Tensor::new(
+            self.shape.clone(),
+            self.data.iter().map(|&v| f(v)).collect(),
+        )
     }
 
     /// Broadcasting binary op: `f(self, rhs)` elementwise over the broadcast
     /// shape. Panics on incompatible shapes.
+    ///
+    /// Adjacent output dims over which both operands step like one longer
+    /// dim are coalesced ([`coalesce_zip_dims`]); the innermost coalesced dim
+    /// runs as a tight loop specialised on its two strides and only the
+    /// outer dims are walked by an odometer. `[b,c,h,w] ∘ [c,1,1]` is `b·c`
+    /// runs of `h·w` elements against one scalar.
     pub fn zip_broadcast(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32) -> Self {
         if self.shape == rhs.shape {
             // Fast path: same shape, no stride juggling.
             let data = self
                 .data
                 .iter()
-                .zip(&rhs.data)
+                .zip(rhs.data.iter())
                 .map(|(&a, &b)| f(a, b))
                 .collect();
-            return Tensor {
-                shape: self.shape.clone(),
-                data,
-            };
+            return Tensor::new(self.shape.clone(), data);
         }
+        let out_shape = broadcast_shapes(&self.shape, &rhs.shape).unwrap_or_else(|e| panic!("{e}"));
+        let n = numel(&out_shape);
+        let mut data = Vec::with_capacity(n);
+        if n == 0 {
+            return Tensor::new(out_shape, data);
+        }
+        let ls = broadcast_strides(&self.shape, &out_shape);
+        let rs = broadcast_strides(&rhs.shape, &out_shape);
+        let mut dims = coalesce_zip_dims(&out_shape, &ls, &rs);
+        let inner = dims
+            .pop()
+            .expect("coalesce_zip_dims returns at least one dim");
+        let (l, r) = (&self.data[..], &rhs.data[..]);
+        // Outer dims: an odometer that carries the two flat offsets along.
+        let mut idx = vec![0usize; dims.len()];
+        let (mut lo, mut ro) = (0usize, 0usize);
+        loop {
+            match (inner.ls, inner.rs) {
+                (1, 1) => {
+                    let (lrun, rrun) = (&l[lo..lo + inner.len], &r[ro..ro + inner.len]);
+                    data.extend(lrun.iter().zip(rrun).map(|(&a, &b)| f(a, b)));
+                }
+                (1, 0) => {
+                    let b = r[ro];
+                    data.extend(l[lo..lo + inner.len].iter().map(|&a| f(a, b)));
+                }
+                (0, 1) => {
+                    let a = l[lo];
+                    data.extend(r[ro..ro + inner.len].iter().map(|&b| f(a, b)));
+                }
+                (sl, sr) => {
+                    data.extend((0..inner.len).map(|j| f(l[lo + j * sl], r[ro + j * sr])));
+                }
+            }
+            // Step the outer odometer, innermost outer dim first.
+            let mut d = dims.len();
+            loop {
+                if d == 0 {
+                    return Tensor::new(out_shape, data);
+                }
+                d -= 1;
+                idx[d] += 1;
+                lo += dims[d].ls;
+                ro += dims[d].rs;
+                if idx[d] < dims[d].len {
+                    break;
+                }
+                lo -= dims[d].ls * dims[d].len;
+                ro -= dims[d].rs * dims[d].len;
+                idx[d] = 0;
+            }
+        }
+    }
+
+    /// The per-element odometer walk that [`Tensor::zip_broadcast`] replaced,
+    /// kept as its test oracle.
+    #[cfg(test)]
+    fn zip_broadcast_odometer(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32) -> Self {
         let out_shape = broadcast_shapes(&self.shape, &rhs.shape).unwrap_or_else(|e| panic!("{e}"));
         let ls = broadcast_strides(&self.shape, &out_shape);
         let rs = broadcast_strides(&rhs.shape, &out_shape);
-        let mut out = Tensor::zeros(out_shape.clone());
-        if out.data.is_empty() {
-            return out;
+        let mut data = vec![0.0; numel(&out_shape)];
+        if data.is_empty() {
+            return Tensor::new(out_shape, data);
         }
         let mut idx = vec![0usize; out_shape.len()];
         let mut flat = 0usize;
         loop {
             let li: usize = idx.iter().zip(&ls).map(|(i, s)| i * s).sum();
             let ri: usize = idx.iter().zip(&rs).map(|(i, s)| i * s).sum();
-            out.data[flat] = f(self.data[li], rhs.data[ri]);
+            data[flat] = f(self.data[li], rhs.data[ri]);
             flat += 1;
             if !next_index(&mut idx, &out_shape) {
                 break;
             }
         }
-        out
+        Tensor::new(out_shape, data)
     }
 
     /// Elementwise (broadcasting) addition.
@@ -456,10 +592,7 @@ impl Tensor {
                 }
             }
         }
-        Tensor {
-            shape: out_shape,
-            data,
-        }
+        Tensor::new(out_shape, data)
     }
 
     /// Mean along `axis`, keeping the axis as size 1 when `keepdim`.
@@ -499,7 +632,7 @@ impl Tensor {
             return out;
         }
         let grain = (4096 / inner).max(1);
-        odt_compute::parallel_rows(&mut out.data, inner, grain, |_, rows| {
+        odt_compute::parallel_rows(out.data_mut(), inner, grain, |_, rows| {
             for row in rows.chunks_mut(inner) {
                 let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
                 let mut sum = 0.0;
@@ -587,6 +720,148 @@ mod tests {
         let a = Tensor::zeros(vec![2, 3]);
         let b = Tensor::zeros(vec![2, 4]);
         let _ = a.add(&b);
+    }
+
+    /// Deterministic values in [-1, 1] with a few exact zeros, no rand.
+    fn pseudo(shape: &[usize], seed: u32) -> Tensor {
+        let mut s = seed | 1;
+        let data = (0..numel(shape))
+            .map(|i| {
+                s ^= s << 13;
+                s ^= s >> 17;
+                s ^= s << 5;
+                if i % 11 == 7 {
+                    0.0
+                } else {
+                    (s as f32 / u32::MAX as f32) * 2.0 - 1.0
+                }
+            })
+            .collect();
+        Tensor::from_vec(data, shape.to_vec())
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn broadcast_bit_identical_to_odometer() {
+        // The shapes the model uses first, then the awkward ones: rank
+        // mismatch, size-1 middle dims, both sides broadcasting, dims of 1
+        // only, a zero-sized dim.
+        let cases: &[(&[usize], &[usize])] = &[
+            (&[3, 4, 25], &[3, 4, 1]),
+            (&[2, 6, 5, 5], &[6, 1, 1]),
+            (&[2, 6, 5, 5], &[2, 6, 1, 1]),
+            (&[7, 9], &[9]),
+            (&[9], &[7, 9]),
+            (&[2, 3, 4], &[4]),
+            (&[2, 3, 4], &[3, 1]),
+            (&[2, 1, 4], &[2, 3, 4]),
+            (&[2, 3, 1, 4], &[1, 3, 5, 1]),
+            (&[2, 1], &[1, 3]),
+            (&[4, 1, 3, 1], &[1, 5, 1, 2]),
+            (&[1, 1], &[1]),
+            (&[1], &[1, 1, 1]),
+            (&[5, 1], &[1]),
+            (&[2, 0, 3], &[3]),
+            (&[0, 1], &[1, 4]),
+        ];
+        for &(ls, rs) in cases {
+            let (l, r) = (pseudo(ls, 3), pseudo(rs, 5));
+            // Division exercises operand order and produces inf/NaN on the zeros.
+            let fs: [fn(f32, f32) -> f32; 4] =
+                [|a, b| a + b, |a, b| a - b, |a, b| a * b, |a, b| a / b];
+            for f in fs {
+                let got = l.zip_broadcast(&r, f);
+                let want = l.zip_broadcast_odometer(&r, f);
+                assert_eq!(got.shape(), want.shape(), "{ls:?} ∘ {rs:?}");
+                assert_eq!(bits(&got), bits(&want), "{ls:?} ∘ {rs:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn coalescing_folds_the_model_shapes() {
+        let fold = |l: &[usize], r: &[usize]| {
+            let out = broadcast_shapes(l, r).unwrap();
+            coalesce_zip_dims(
+                &out,
+                &broadcast_strides(l, &out),
+                &broadcast_strides(r, &out),
+            )
+            .iter()
+            .map(|d| (d.len, d.ls, d.rs))
+            .collect::<Vec<_>>()
+        };
+        // [b,c,h,w] ∘ [c,1,1]: b·c runs of h·w against one scalar.
+        assert_eq!(
+            fold(&[2, 6, 5, 5], &[6, 1, 1]),
+            vec![(2, 150, 0), (6, 25, 1), (25, 1, 0)]
+        );
+        // [b,c,h,w] ∘ [b,c,1,1]: b and c fold too.
+        assert_eq!(
+            fold(&[2, 6, 5, 5], &[2, 6, 1, 1]),
+            vec![(12, 25, 1), (25, 1, 0)]
+        );
+        assert_eq!(fold(&[7, 9], &[9]), vec![(7, 9, 0), (9, 1, 1)]);
+        assert_eq!(fold(&[2, 1], &[1, 3]), vec![(2, 1, 0), (3, 0, 1)]);
+        assert_eq!(fold(&[1, 1], &[1]), vec![(1, 0, 0)]);
+    }
+
+    #[test]
+    fn clone_shares_storage_until_written() {
+        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0], vec![3]);
+        let mut b = a.clone();
+        assert_eq!(a.data().as_ptr(), b.data().as_ptr());
+        let r = a.reshape(vec![1, 3]);
+        assert_eq!(a.data().as_ptr(), r.data().as_ptr());
+
+        b.data_mut()[0] = 9.0;
+        assert_ne!(a.data().as_ptr(), b.data().as_ptr());
+        assert_eq!(a.data(), &[1.0, 2.0, 3.0]);
+        assert_eq!(r.data(), &[1.0, 2.0, 3.0]);
+        assert_eq!(b.data(), &[9.0, 2.0, 3.0]);
+
+        // `set` goes through the same copy-on-write.
+        let mut c = a.clone();
+        c.set(&[2], -1.0);
+        assert_eq!(a.data(), &[1.0, 2.0, 3.0]);
+        assert_eq!(c.data(), &[1.0, 2.0, -1.0]);
+
+        // A unique handle is written in place.
+        let before = b.data().as_ptr();
+        b.data_mut()[1] = 8.0;
+        assert_eq!(b.data().as_ptr(), before);
+    }
+
+    #[test]
+    fn into_vec_copies_only_when_shared() {
+        let a = Tensor::from_vec(vec![1.0, 2.0], vec![2]);
+        let ptr = a.data().as_ptr();
+        let keep = a.clone();
+        let copied = a.into_vec();
+        assert_ne!(copied.as_ptr(), ptr);
+        assert_eq!(copied, vec![1.0, 2.0]);
+        assert_eq!(keep.data(), &[1.0, 2.0]);
+        // `keep` is now the only handle: its buffer moves out.
+        let moved = keep.into_vec();
+        assert_eq!(moved.as_ptr(), ptr);
+    }
+
+    #[test]
+    fn at_and_set_agree_with_strides() {
+        let mut t = Tensor::from_vec((0..24).map(|v| v as f32).collect(), vec![2, 3, 4]);
+        let st = strides_for(t.shape());
+        for i in 0..2 {
+            for j in 0..3 {
+                for k in 0..4 {
+                    assert_eq!(t.at(&[i, j, k]), (i * st[0] + j * st[1] + k * st[2]) as f32);
+                }
+            }
+        }
+        t.set(&[1, 0, 3], -5.0);
+        assert_eq!(t.data()[15], -5.0);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Unit tests of odt-net and odt-tensor without a crate registry.
+# Unit tests of the kernel, model and wire crates (odt-compute, odt-tensor,
+# odt-nn, odt-diffusion, odt-estimator, odt-net) without a crate registry.
 #
 #   scripts/offline_unit_tests.sh [test-name-filter]
 #
@@ -27,20 +28,29 @@ rlib() {
     echo "$found"
 }
 
-# unit_tests <crate dir> <crate name> <dependency>...
+# unit_tests <crate dir> <crate name> <dependency>... [-- <test binary option>...]
 unit_tests() {
     local dir="$1" name="$2"
     shift 2
     local externs=()
-    for dep in "$@"; do
-        externs+=(--extern "$dep=$(rlib "$dep")")
+    while [ $# -gt 0 ] && [ "$1" != "--" ]; do
+        externs+=(--extern "$1=$(rlib "$1")")
+        shift
     done
+    [ $# -eq 0 ] || shift
     rustc --edition 2021 -O --test "$root/crates/$dir/src/lib.rs" --crate-name "$name" \
         -L dependency="$deps" "${externs[@]}" -o "$out/$name"
     echo "== $name unit tests"
-    "$out/$name" ${filter:+"$filter"}
+    "$out/$name" ${filter:+"$filter"} "$@"
 }
 
 filter="${1:-}"
+unit_tests compute odt_compute odt_obs
 unit_tests tensor odt_tensor odt_compute odt_obs rand serde
+# The two skipped tests call StateDict::to_json/from_json, and the stand-in
+# serde_json returns Err from every call; they run in CI's `cargo test`.
+unit_tests nn odt_nn odt_tensor rand serde serde_json -- \
+    --skip serialize::tests::round_trip --skip serialize::tests::json_format_is_pinned
+unit_tests diffusion odt_diffusion odt_obs odt_compute odt_tensor odt_nn rand serde
+unit_tests estimator odt_estimator odt_obs odt_tensor odt_nn odt_traj odt_roadnet rand
 unit_tests net odt_net odt_obs odt_serve
