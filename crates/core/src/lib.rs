@@ -63,7 +63,8 @@ pub use guard::{
     sanitize_odt_strict, QueryRejectReason, RobustnessSnapshot, RobustnessStats, FALLBACK_CIRCUITY,
     FALLBACK_OVERHEAD_S, FALLBACK_SPEED_MPS, FAR_QUERY_SPANS, SATURATION_FRACTION,
 };
-pub use oracle::{pit_to_path_points, Dot, Estimate, PitSampler};
+pub use odt_diffusion::PitSampler;
+pub use oracle::{pit_to_path_points, Dot, Estimate};
 pub use persist::{PersistError, CHECKPOINT_VERSION};
 pub use registry::{ModelRegistry, RegistryError, CURRENT_FILE, REGISTRY_EXT};
 pub use train::{TrainCheckpoint, TrainHooks, TrainingReport};

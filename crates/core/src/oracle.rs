@@ -4,12 +4,12 @@
 use crate::config::DotConfig;
 use crate::guard::{self, RobustnessSnapshot, RobustnessStats};
 use crate::train::TrainingReport;
-use odt_diffusion::{ConditionedDenoiser, Ddpm};
+use odt_diffusion::{ConditionedDenoiser, Ddpm, PitSampler};
 use odt_estimator::PitEstimator;
 use odt_obs::{event, Level};
 use odt_roadnet::{Point, Projection};
 use odt_tensor::{Graph, Tensor};
-use odt_traj::{GridSpec, OdtInput, Pit};
+use odt_traj::{GridSpec, OdtInput, Pit, CHANNELS, CH_OFFSET};
 use rand::Rng;
 use std::time::{Duration, Instant};
 
@@ -26,34 +26,6 @@ fn record_query_latency(elapsed: Duration, fallback: bool) {
     };
     hist.record(elapsed);
     odt_obs::counter("serve.queries").inc();
-}
-
-/// Which reverse-diffusion sampler answers a query — the model-backed rungs
-/// of the serving degradation ladder (`odt-serve`). Each variant trades PiT
-/// fidelity for latency; the terminal (model-free) rung is
-/// [`Dot::estimate_prior`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum PitSampler {
-    /// Full stochastic DDPM over every trained step, with candidate
-    /// selection (Algorithm 1 — the highest-fidelity rung).
-    Ddpm,
-    /// Stochastic DDPM over an evenly strided subsequence of this many
-    /// steps ([`Ddpm::sample_clamped_strided`]).
-    DdpmStrided(usize),
-    /// Deterministic DDIM over this many strided steps
-    /// ([`Dot::infer_pits_fast`]).
-    Ddim(usize),
-}
-
-impl PitSampler {
-    /// Short tag for events and reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PitSampler::Ddpm => "ddpm",
-            PitSampler::DdpmStrided(_) => "ddpm_strided",
-            PitSampler::Ddim(_) => "ddim",
-        }
-    }
 }
 
 /// The output of the oracle: a travel time and the inferred PiT that
@@ -144,70 +116,91 @@ impl Dot {
     /// made explicit, guarding against the occasional saturated chain at
     /// reduced step counts (DESIGN.md §5).
     pub fn infer_pits(&self, odts: &[OdtInput], rng: &mut impl Rng) -> Vec<Pit> {
-        if odts.is_empty() {
-            return Vec::new();
-        }
-        let odts = self.sanitize_all(odts);
-        self.infer_pits_presanitized(&odts, rng)
-    }
-
-    /// [`Dot::infer_pits`] for queries already passed through
-    /// [`Dot::sanitize_all`] — the shared body that lets the serving entry
-    /// points sanitize exactly once.
-    fn infer_pits_presanitized(&self, odts: &[OdtInput], rng: &mut impl Rng) -> Vec<Pit> {
-        let _span = odt_obs::span("oracle.infer_pits");
-        let b = odts.len();
-        let cond = self.cond_tensor(odts);
-        let lg = self.cfg.lg;
-        let per = 3 * lg * lg;
-        let k = self.cfg.infer_candidates.max(1);
-        // best (score, pit) per query across candidate rounds.
-        let mut best: Vec<Option<(f64, Pit)>> = (0..b).map(|_| None).collect();
-        for _round in 0..k {
-            // PiT channels live in [-1, 1]: clamp the implied clean image
-            // each reverse step (stabilizes reduced-step CPU schedules).
-            let out =
-                self.ddpm
-                    .sample_clamped(&self.denoiser, &cond, 3, lg, Some((-1.0, 1.0)), rng);
-            for i in 0..b {
-                // One direct copy of the sample's slab (no intermediate
-                // slice + reshape tensors per query per round).
-                let t =
-                    Tensor::from_vec(out.data()[i * per..(i + 1) * per].to_vec(), vec![3, lg, lg]);
-                let pit = Pit::from_tensor(t).sanitized();
-                let expected = self.expected_cells(&odts[i]);
-                let count = pit.num_visited() as f64;
-                // Plausibility: relative deviation from the occupancy
-                // prior; empty PiTs are heavily penalized.
-                let mut score = (count - expected).abs() / expected.max(1.0);
-                if count < 2.0 {
-                    score += 10.0;
-                }
-                if best[i].as_ref().map_or(true, |(s, _)| score < *s) {
-                    best[i] = Some((score, pit));
-                }
-            }
-        }
-        best.into_iter()
-            .map(|b| b.expect("at least one candidate per query").1)
-            .collect()
+        self.infer_pits_clean(&self.sanitize_all(odts), PitSampler::Ddpm, rng)
     }
 
     /// Accelerated PiT inference via deterministic DDIM sampling over
-    /// `sample_steps ≤ N` strided schedule steps — an extension beyond the
-    /// paper that trades a little PiT fidelity for a large latency cut
-    /// (benchmarked in `odt-bench`).
+    /// `sample_steps` strided schedule steps (clamped into `1..=N`) — an
+    /// extension beyond the paper that trades a little PiT fidelity for a
+    /// large latency cut (benchmarked in `odt-bench`).
     pub fn infer_pits_fast(
         &self,
         odts: &[OdtInput],
         sample_steps: usize,
         rng: &mut impl Rng,
     ) -> Vec<Pit> {
+        let sampler = PitSampler::Ddim(sample_steps);
+        self.infer_pits_clean(&self.sanitize_all(odts), sampler, rng)
+    }
+
+    /// The one PiT-inference body, for queries already passed through
+    /// [`Dot::sanitize_all`] (so every entry point sanitizes exactly once):
+    /// run the batch through `sampler` and split the sampled
+    /// `[B, 3, L, L]` slab into per-query sanitized PiTs. Candidate
+    /// selection applies to [`PitSampler::Ddpm`] only — DDIM is
+    /// deterministic given its starting noise, and its rungs exist to be
+    /// cheap.
+    fn infer_pits_clean(
+        &self,
+        odts: &[OdtInput],
+        sampler: PitSampler,
+        rng: &mut impl Rng,
+    ) -> Vec<Pit> {
         if odts.is_empty() {
             return Vec::new();
         }
-        let odts = self.sanitize_all(odts);
-        self.infer_pits_fast_presanitized(&odts, sample_steps, rng)
+        let _span = odt_obs::span("oracle.infer_pits");
+        let (sampler, rounds) = match sampler {
+            PitSampler::Ddpm => (sampler, self.cfg.infer_candidates.max(1)),
+            PitSampler::Ddim(k) => (PitSampler::Ddim(k.clamp(1, self.cfg.n_steps)), 1),
+        };
+        let cond = self.cond_tensor(odts);
+        let lg = self.cfg.lg;
+        let per = CHANNELS * lg * lg;
+        let mut sample_pits = || -> Vec<Pit> {
+            // PiT channels live in [-1, 1]: clamp the implied clean image
+            // each reverse step (stabilizes reduced-step CPU schedules).
+            let clamp = Some((-1.0, 1.0));
+            let out = self
+                .ddpm
+                .sample(&self.denoiser, &cond, CHANNELS, lg, sampler, clamp, rng);
+            // One direct copy of each sample's slab (no intermediate slice
+            // + reshape tensors per query).
+            out.data()
+                .chunks_exact(per)
+                .map(|slab| {
+                    Pit::from_tensor(Tensor::from_vec(slab.to_vec(), vec![CHANNELS, lg, lg]))
+                        .sanitized()
+                })
+                .collect()
+        };
+        let mut best = sample_pits();
+        if rounds > 1 {
+            // Plausibility: relative deviation of the visited-cell count
+            // from the occupancy prior; empty PiTs are heavily penalized.
+            // The earliest round wins ties.
+            let score = |pit: &Pit, odt: &OdtInput| {
+                let expected = self.expected_cells(odt);
+                let count = pit.num_visited() as f64;
+                let mut score = (count - expected).abs() / expected.max(1.0);
+                if count < 2.0 {
+                    score += 10.0;
+                }
+                score
+            };
+            let mut best_score: Vec<f64> =
+                best.iter().zip(odts).map(|(p, o)| score(p, o)).collect();
+            for _round in 1..rounds {
+                for (i, pit) in sample_pits().into_iter().enumerate() {
+                    let s = score(&pit, &odts[i]);
+                    if s < best_score[i] {
+                        best_score[i] = s;
+                        best[i] = pit;
+                    }
+                }
+            }
+        }
+        best
     }
 
     /// Stack the masked conditioning features of a batch into a `[B, 5]`
@@ -220,98 +213,6 @@ impl Dot {
             }
         }
         cond
-    }
-
-    /// Split a sampled `[B, 3, L, L]` batch into per-query sanitized PiTs.
-    fn pits_from_slab(&self, out: &Tensor, b: usize) -> Vec<Pit> {
-        let lg = self.cfg.lg;
-        let per = 3 * lg * lg;
-        (0..b)
-            .map(|i| {
-                let t =
-                    Tensor::from_vec(out.data()[i * per..(i + 1) * per].to_vec(), vec![3, lg, lg]);
-                Pit::from_tensor(t).sanitized()
-            })
-            .collect()
-    }
-
-    /// [`Dot::infer_pits_fast`] for queries already passed through
-    /// [`Dot::sanitize_all`].
-    fn infer_pits_fast_presanitized(
-        &self,
-        odts: &[OdtInput],
-        sample_steps: usize,
-        rng: &mut impl Rng,
-    ) -> Vec<Pit> {
-        let _span = odt_obs::span("oracle.infer_pits_ddim");
-        let cond = self.cond_tensor(odts);
-        let out = self.ddpm.sample_ddim(
-            &self.denoiser,
-            &cond,
-            3,
-            self.cfg.lg,
-            sample_steps,
-            Some((-1.0, 1.0)),
-            rng,
-        );
-        self.pits_from_slab(&out, odts.len())
-    }
-
-    /// Stochastic DDPM PiT inference with a step-count override
-    /// ([`Ddpm::sample_clamped_strided`]), for queries already passed
-    /// through [`Dot::sanitize_all`].
-    fn infer_pits_strided_presanitized(
-        &self,
-        odts: &[OdtInput],
-        sample_steps: usize,
-        rng: &mut impl Rng,
-    ) -> Vec<Pit> {
-        let _span = odt_obs::span("oracle.infer_pits_strided");
-        let cond = self.cond_tensor(odts);
-        let out = self.ddpm.sample_clamped_strided(
-            &self.denoiser,
-            &cond,
-            3,
-            self.cfg.lg,
-            Some((-1.0, 1.0)),
-            sample_steps,
-            rng,
-        );
-        self.pits_from_slab(&out, odts.len())
-    }
-
-    /// Rung-parameterized PiT inference: run the batch through the given
-    /// [`PitSampler`]. Sanitizes exactly once; step counts are clamped into
-    /// `1..=N`.
-    pub fn infer_pits_sampled(
-        &self,
-        odts: &[OdtInput],
-        sampler: PitSampler,
-        rng: &mut impl Rng,
-    ) -> Vec<Pit> {
-        if odts.is_empty() {
-            return Vec::new();
-        }
-        let odts = self.sanitize_all(odts);
-        self.infer_pits_sampled_presanitized(&odts, sampler, rng)
-    }
-
-    /// [`Dot::infer_pits_sampled`] for pre-sanitized queries — the shared
-    /// dispatch of the serving entry points.
-    fn infer_pits_sampled_presanitized(
-        &self,
-        odts: &[OdtInput],
-        sampler: PitSampler,
-        rng: &mut impl Rng,
-    ) -> Vec<Pit> {
-        let clamp_steps = |s: usize| s.clamp(1, self.cfg.n_steps);
-        match sampler {
-            PitSampler::Ddpm => self.infer_pits_presanitized(odts, rng),
-            PitSampler::DdpmStrided(s) => {
-                self.infer_pits_strided_presanitized(odts, clamp_steps(s), rng)
-            }
-            PitSampler::Ddim(s) => self.infer_pits_fast_presanitized(odts, clamp_steps(s), rng),
-        }
     }
 
     /// Infer the PiT for one query.
@@ -345,18 +246,19 @@ impl Dot {
             .collect()
     }
 
-    /// Sanitize a batch of queries (clamping policy of
-    /// [`crate::sanitize_odt`]), counting every query that needed repair.
+    /// Sanitize a query (clamping policy of [`crate::sanitize_odt`]),
+    /// counting it if it needed repair.
+    fn sanitize(&self, odt: &OdtInput) -> OdtInput {
+        let (clean, changed) = guard::sanitize_odt(odt, &self.grid);
+        if changed {
+            self.stats.record_query_clamped();
+        }
+        clean
+    }
+
+    /// [`Dot::sanitize`] over a batch.
     fn sanitize_all(&self, odts: &[OdtInput]) -> Vec<OdtInput> {
-        odts.iter()
-            .map(|odt| {
-                let (clean, changed) = guard::sanitize_odt(odt, &self.grid);
-                if changed {
-                    self.stats.record_query_clamped();
-                }
-                clean
-            })
-            .collect()
+        odts.iter().map(|odt| self.sanitize(odt)).collect()
     }
 
     /// Estimate with the serving guardrails: if the PiT is degenerate
@@ -369,44 +271,66 @@ impl Dot {
     /// additionally emit `serve.fallback` events.
     pub fn estimate_from_pit_guarded(&self, odt: &OdtInput, pit: Pit) -> Estimate {
         let t0 = Instant::now();
-        let (est, fallback) = self.guarded_inner(odt, pit);
+        let (seconds, fallback) = self.guarded_one(odt, &pit);
         record_query_latency(t0.elapsed(), fallback);
-        est
+        Estimate { seconds, pit }
     }
 
-    /// The guardrail decision logic; returns the estimate and whether the
-    /// degraded-mode fallback path produced it (the latency-histogram split
-    /// key of [`record_query_latency`]).
-    fn guarded_inner(&self, odt: &OdtInput, pit: Pit) -> (Estimate, bool) {
-        let degenerate = guard::pit_is_degenerate(&pit);
-        if degenerate {
-            self.stats.record_degenerate_pit();
-            event(Level::Warn, "serve.degenerate_pit")
-                .field("visited", pit.num_visited())
+    /// The guardrail decision, once, for one query or a batch: per query,
+    /// the seconds to serve and whether the degraded-mode prior produced
+    /// them (the latency-histogram split key of [`record_query_latency`]).
+    /// Degenerate PiTs are counted and, with fallback on, answered by the
+    /// prior without reaching the estimator; `estimate` is then called once
+    /// with the indices of the PiTs that do, and any non-finite second it
+    /// returns is replaced by the prior as well.
+    fn guarded(
+        &self,
+        odts: &[OdtInput],
+        pits: &[Pit],
+        estimate: impl FnOnce(&[usize]) -> Vec<f64>,
+    ) -> Vec<(f64, bool)> {
+        let fallback_on = self.cfg.robustness.degraded_mode_fallback;
+        let fall_back = |i: usize, reason: &'static str| {
+            self.stats.record_fallback();
+            event(Level::Warn, "serve.fallback")
+                .field("reason", reason)
                 .emit();
-        }
-        if self.cfg.robustness.degraded_mode_fallback {
+            (guard::fallback_estimate_seconds(&odts[i]), true)
+        };
+        let mut out = vec![(0.0, false); pits.len()];
+        let mut live: Vec<usize> = Vec::with_capacity(pits.len());
+        for (i, pit) in pits.iter().enumerate() {
+            let degenerate = guard::pit_is_degenerate(pit);
             if degenerate {
-                self.stats.record_fallback();
-                event(Level::Warn, "serve.fallback")
-                    .field("reason", "degenerate_pit")
+                self.stats.record_degenerate_pit();
+                event(Level::Warn, "serve.degenerate_pit")
+                    .field("visited", pit.num_visited())
                     .emit();
-                let seconds = guard::fallback_estimate_seconds(odt);
-                return (Estimate { seconds, pit }, true);
             }
-            let seconds = self.estimate_from_pit(&pit);
-            if !seconds.is_finite() {
-                self.stats.record_fallback();
-                event(Level::Warn, "serve.fallback")
-                    .field("reason", "non_finite_estimate")
-                    .emit();
-                let seconds = guard::fallback_estimate_seconds(odt);
-                return (Estimate { seconds, pit }, true);
+            if fallback_on && degenerate {
+                out[i] = fall_back(i, "degenerate_pit");
+            } else {
+                live.push(i);
             }
-            return (Estimate { seconds, pit }, false);
         }
-        let seconds = self.estimate_from_pit(&pit);
-        (Estimate { seconds, pit }, false)
+        if !live.is_empty() {
+            for (&i, seconds) in live.iter().zip(estimate(&live)) {
+                out[i] = if fallback_on && !seconds.is_finite() {
+                    fall_back(i, "non_finite_estimate")
+                } else {
+                    (seconds, false)
+                };
+            }
+        }
+        out
+    }
+
+    /// [`Dot::guarded`] for one query, estimated through the single-PiT
+    /// estimator pass (not `predict_batch` of one, whose bits differ).
+    fn guarded_one(&self, odt: &OdtInput, pit: &Pit) -> (f64, bool) {
+        use std::slice::from_ref;
+        let estimate = |_: &[usize]| vec![self.estimate_from_pit(pit)];
+        self.guarded(from_ref(odt), from_ref(pit), estimate)[0]
     }
 
     /// The full ODT-Oracle (Eq. 1): sanitize the query, infer the PiT,
@@ -429,21 +353,18 @@ impl Dot {
         rng: &mut impl Rng,
     ) -> Estimate {
         let t0 = Instant::now();
-        let (clean, changed) = guard::sanitize_odt(odt, &self.grid);
-        if changed {
-            self.stats.record_query_clamped();
-        }
+        let clean = self.sanitize(odt);
         let pit = self
-            .infer_pits_sampled_presanitized(std::slice::from_ref(&clean), sampler, rng)
+            .infer_pits_clean(std::slice::from_ref(&clean), sampler, rng)
             .pop()
             .expect("one query in, one PiT out");
         // Estimator stage as its own child span (only when a request trace
         // is active): lets `trace_report` split a request's critical path
         // into PiT inference vs MLM estimation.
         let _est_span = odt_obs::span_if_traced("oracle.estimator");
-        let (est, fallback) = self.guarded_inner(&clean, pit);
+        let (seconds, fallback) = self.guarded_one(&clean, &pit);
         record_query_latency(t0.elapsed(), fallback);
-        est
+        Estimate { seconds, pit }
     }
 
     /// The model-free terminal rung of the serving ladder: answer straight
@@ -454,17 +375,14 @@ impl Dot {
     /// is no inferred trajectory to explain a prior-based answer).
     pub fn estimate_prior(&self, odt: &OdtInput) -> Estimate {
         let t0 = Instant::now();
-        let (clean, changed) = guard::sanitize_odt(odt, &self.grid);
-        if changed {
-            self.stats.record_query_clamped();
-        }
+        let clean = self.sanitize(odt);
         self.stats.record_fallback();
         event(Level::Info, "serve.fallback")
             .field("reason", "prior_rung")
             .emit();
         let seconds = guard::fallback_estimate_seconds(&clean);
         let lg = self.cfg.lg;
-        let pit = Pit::from_tensor(Tensor::full(vec![3, lg, lg], -1.0));
+        let pit = Pit::from_tensor(Tensor::full(vec![CHANNELS, lg, lg], -1.0));
         record_query_latency(t0.elapsed(), true);
         Estimate { seconds, pit }
     }
@@ -510,68 +428,20 @@ impl Dot {
         }
         let _span = odt_obs::span("oracle.estimate_batch");
         let t0 = Instant::now();
-        let n = odts.len();
         let clean = self.sanitize_all(odts);
-        let pits = self.infer_pits_presanitized(&clean, rng);
-        let fallback_on = self.cfg.robustness.degraded_mode_fallback;
-        let mut seconds = vec![0.0f64; n];
-        let mut is_fallback = vec![false; n];
-        let mut live_idx: Vec<usize> = Vec::with_capacity(n);
-        let mut live_pits: Vec<Pit> = Vec::with_capacity(n);
-        for (i, pit) in pits.iter().enumerate() {
-            let degenerate = guard::pit_is_degenerate(pit);
-            if degenerate {
-                self.stats.record_degenerate_pit();
-                event(Level::Warn, "serve.degenerate_pit")
-                    .field("visited", pit.num_visited())
-                    .emit();
-            }
-            if fallback_on && degenerate {
-                self.stats.record_fallback();
-                event(Level::Warn, "serve.fallback")
-                    .field("reason", "degenerate_pit")
-                    .emit();
-                seconds[i] = guard::fallback_estimate_seconds(&clean[i]);
-                is_fallback[i] = true;
-            } else {
-                live_idx.push(i);
-                live_pits.push(pit.clone());
-            }
-        }
-        if !live_pits.is_empty() {
-            for (&i, s) in live_idx.iter().zip(self.estimate_from_pits(&live_pits)) {
-                if fallback_on && !s.is_finite() {
-                    self.stats.record_fallback();
-                    event(Level::Warn, "serve.fallback")
-                        .field("reason", "non_finite_estimate")
-                        .emit();
-                    seconds[i] = guard::fallback_estimate_seconds(&clean[i]);
-                    is_fallback[i] = true;
-                } else {
-                    seconds[i] = s;
-                }
-            }
-        }
-        let per_query = t0.elapsed() / n as u32;
-        for &fb in &is_fallback {
-            record_query_latency(per_query, fb);
+        let pits = self.infer_pits_clean(&clean, PitSampler::Ddpm, rng);
+        let served = self.guarded(&clean, &pits, |live| {
+            let live_pits: Vec<Pit> = live.iter().map(|&i| pits[i].clone()).collect();
+            self.estimate_from_pits(&live_pits)
+        });
+        let per_query = t0.elapsed() / odts.len() as u32;
+        for &(_, fallback) in &served {
+            record_query_latency(per_query, fallback);
         }
         pits.into_iter()
-            .zip(seconds)
-            .map(|(pit, seconds)| Estimate { seconds, pit })
+            .zip(served)
+            .map(|(pit, (seconds, _))| Estimate { seconds, pit })
             .collect()
-    }
-
-    /// [`Dot::estimate`] over the accelerated DDIM sampler
-    /// ([`Dot::infer_pits_fast`]) — same sanitization and degraded-mode
-    /// guardrails, reduced latency.
-    pub fn estimate_fast(
-        &self,
-        odt: &OdtInput,
-        sample_steps: usize,
-        rng: &mut impl Rng,
-    ) -> Estimate {
-        self.estimate_sampled(odt, PitSampler::Ddim(sample_steps), rng)
     }
 
     /// Total number of trainable scalars per stage, `(stage1, stage2)`.
@@ -594,7 +464,7 @@ pub fn pit_to_path_points(pit: &Pit, grid: &GridSpec, proj: &Projection) -> Vec<
     for row in 0..pit.lg() {
         for col in 0..pit.lg() {
             if pit.is_visited(row, col) {
-                visited.push((pit.at(odt_traj_offset_channel(), row, col), row, col));
+                visited.push((pit.at(CH_OFFSET, row, col), row, col));
             }
         }
     }
@@ -603,12 +473,6 @@ pub fn pit_to_path_points(pit: &Pit, grid: &GridSpec, proj: &Projection) -> Vec<
         .into_iter()
         .map(|(_, row, col)| proj.to_point(grid.cell_center(row, col)))
         .collect()
-}
-
-/// The PiT time-offset channel index (re-exported to keep the dependency
-/// one-way).
-fn odt_traj_offset_channel() -> usize {
-    2
 }
 
 #[cfg(test)]

@@ -167,13 +167,19 @@ pub(crate) fn write_versioned<T: Serialize>(
     payload: &T,
 ) -> Result<(), PersistError> {
     let body = serde_json::to_vec(payload).map_err(PersistError::Serialize)?;
+    write_framed(path, magic, &body)
+}
+
+/// Frame already-serialized payload bytes with the `magic v1 crc32 len`
+/// header and write them atomically.
+pub(crate) fn write_framed(path: &Path, magic: &str, body: &[u8]) -> Result<(), PersistError> {
     let header = format!(
         "{magic} v{CHECKPOINT_VERSION} crc32={:08x} len={}\n",
-        crc32(&body),
+        crc32(body),
         body.len()
     );
     let mut bytes = header.into_bytes();
-    bytes.extend_from_slice(&body);
+    bytes.extend_from_slice(body);
 
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
@@ -371,12 +377,31 @@ impl Dot {
 mod tests {
     use super::*;
     use odt_traj::{Dataset, OdtInput, Split};
+    use std::ops::Range;
     use std::path::PathBuf;
 
     /// Unique per-test checkpoint path: the fixed name used previously
     /// collided when several test binaries ran in parallel.
     fn unique_ckpt_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("odt_ckpt_{tag}_{}.json", std::process::id()))
+    }
+
+    /// The JSON body of the checkpoint at `path` plus the byte ranges of
+    /// the first stage-1 tensor's `shape` and `data` array contents (the
+    /// text between the brackets) — what the payload-tampering tests edit
+    /// before re-framing the body with a valid CRC.
+    fn first_stage1_tensor(path: &Path) -> (String, Range<usize>, Range<usize>) {
+        let bytes = std::fs::read(path).unwrap();
+        let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let body = String::from_utf8(bytes[nl + 1..].to_vec()).unwrap();
+        let array_after = |from: usize, key: &str| {
+            let start = from + body[from..].find(key).unwrap() + key.len();
+            start..start + body[start..].find(']').unwrap()
+        };
+        let entries = body.find("\"stage1\":{\"entries\":{").unwrap();
+        let shape = array_after(entries, "\"shape\":[");
+        let data = array_after(shape.end, "\"data\":[");
+        (body, shape, data)
     }
 
     fn tiny_trained() -> (Dataset, Dot) {
@@ -451,7 +476,7 @@ mod tests {
             Err(PersistError::Corrupt { detail }) => {
                 assert!(detail.contains("truncated"), "{detail}");
             }
-            other => panic!("expected Corrupt, got {other:?}"),
+            other => panic!("expected Corrupt, got {:?}", other.err()),
         }
         std::fs::remove_file(&path).ok();
     }
@@ -470,7 +495,7 @@ mod tests {
             Err(PersistError::Corrupt { detail }) => {
                 assert!(detail.contains("crc32"), "{detail}");
             }
-            other => panic!("expected Corrupt (crc), got {other:?}"),
+            other => panic!("expected Corrupt (crc), got {:?}", other.err()),
         }
         std::fs::remove_file(&path).ok();
     }
@@ -490,7 +515,7 @@ mod tests {
             }) => {
                 assert_eq!(supported, CHECKPOINT_VERSION);
             }
-            other => panic!("expected VersionMismatch, got {other:?}"),
+            other => panic!("expected VersionMismatch, got {:?}", other.err()),
         }
         // A legacy bare-JSON checkpoint reads as version 0.
         std::fs::write(&path, "{\"cfg\":{}}").unwrap();
@@ -509,16 +534,13 @@ mod tests {
         // Rewrite the checkpoint with a non-finite value smuggled into a
         // stage-1 tensor (1e39 overflows f32 to +inf on deserialization),
         // re-framed with a valid CRC so only the finite check can catch it.
-        let bytes = std::fs::read(&path).unwrap();
-        let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
-        let mut ckpt: serde_json::Value = serde_json::from_slice(&bytes[nl + 1..]).unwrap();
-        let stage1 = ckpt["stage1"]["entries"].as_object_mut().unwrap();
-        let first = stage1.values_mut().next().unwrap();
-        first["data"][0] = serde_json::json!(1e39);
-        write_versioned(&path, CKPT_MAGIC, &ckpt).unwrap();
+        let (body, _shape, data) = first_stage1_tensor(&path);
+        let first = data.start + body[data.clone()].find(',').unwrap_or(data.len());
+        let poisoned = format!("{}1e39{}", &body[..data.start], &body[first..]);
+        write_framed(&path, CKPT_MAGIC, poisoned.as_bytes()).unwrap();
         match Dot::load(&path) {
             Err(PersistError::NonFiniteParams { count, .. }) => assert!(count >= 1),
-            other => panic!("expected NonFiniteParams, got {other:?}"),
+            other => panic!("expected NonFiniteParams, got {:?}", other.err()),
         }
         std::fs::remove_file(&path).ok();
     }
@@ -528,22 +550,20 @@ mod tests {
         let (_data, model) = tiny_trained();
         let path = unique_ckpt_path("shape");
         model.save(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
-        let mut ckpt: serde_json::Value = serde_json::from_slice(&bytes[nl + 1..]).unwrap();
         // Drop one element from the first stage-1 tensor and shrink its
         // shape so the tensor itself stays internally consistent.
-        let first = ckpt["stage1"]["entries"]
-            .as_object_mut()
-            .unwrap()
-            .values_mut()
-            .next()
-            .unwrap();
-        let data = first["data"].as_array_mut().unwrap();
-        data.pop();
-        let n = data.len();
-        first["shape"] = serde_json::json!([n]);
-        write_versioned(&path, CKPT_MAGIC, &ckpt).unwrap();
+        let (body, shape, data) = first_stage1_tensor(&path);
+        let mut elems: Vec<&str> = body[data.clone()].split(',').collect();
+        elems.pop();
+        let reshaped = format!(
+            "{}{}{}{}{}",
+            &body[..shape.start],
+            elems.len(),
+            &body[shape.end..data.start],
+            elems.join(","),
+            &body[data.end..]
+        );
+        write_framed(&path, CKPT_MAGIC, reshaped.as_bytes()).unwrap();
         assert!(matches!(
             Dot::load(&path),
             Err(PersistError::ShapeMismatch { .. })

@@ -213,7 +213,7 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::write_versioned;
+    use crate::persist::write_framed;
 
     fn temp_registry(tag: &str) -> ModelRegistry {
         let dir = std::env::temp_dir().join(format!("odt_registry_{tag}_{}", std::process::id()));
@@ -226,7 +226,7 @@ mod tests {
     /// need no trained model).
     fn framed_file(dir: &Path, name: &str) -> PathBuf {
         let path = dir.join(name);
-        write_versioned(&path, CKPT_MAGIC, &serde_json::json!({"k": [1, 2, 3]})).unwrap();
+        write_framed(&path, CKPT_MAGIC, br#"{"k":[1,2,3]}"#).unwrap();
         path
     }
 

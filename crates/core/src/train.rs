@@ -933,6 +933,76 @@ mod tests {
         assert!(model.estimate_batch(&[], &mut rng).is_empty());
     }
 
+    /// Serve `q` once through `estimate_sampled(Ddpm)` and once through an
+    /// `estimate_batch` of one, same seed; assert both took the same guard
+    /// decision and bumped the same counters. Returns whether that decision
+    /// was the fallback.
+    fn single_and_batch_agree(model: &Dot, q: &OdtInput) -> bool {
+        use odt_diffusion::PitSampler;
+        let deltas = |a: RobustnessSnapshot, b: RobustnessSnapshot| {
+            (
+                b.queries_clamped - a.queries_clamped,
+                b.degenerate_pits - a.degenerate_pits,
+                b.fallbacks_taken - a.fallbacks_taken,
+            )
+        };
+        let s0 = model.robustness();
+        let single = model.estimate_sampled(q, PitSampler::Ddpm, &mut StdRng::seed_from_u64(5));
+        let s1 = model.robustness();
+        let batch = model.estimate_batch(std::slice::from_ref(q), &mut StdRng::seed_from_u64(5));
+        let s2 = model.robustness();
+        assert_eq!(deltas(s0, s1), deltas(s1, s2), "same counters bumped");
+        assert!(single.pit == batch[0].pit, "same seed, same PiT");
+        let fell_back = s1.fallbacks_taken > s0.fallbacks_taken;
+        if fell_back {
+            // The prior is a function of the query alone: identical bits.
+            assert_eq!(single.seconds.to_bits(), batch[0].seconds.to_bits());
+        } else {
+            // `predict` and `predict_batch` of one agree only to rounding.
+            assert!(single.seconds.is_finite() && batch[0].seconds.is_finite());
+            assert!((single.seconds - batch[0].seconds).abs() <= 1e-3 * single.seconds.abs());
+        }
+        fell_back
+    }
+
+    #[test]
+    fn single_and_batched_serving_share_one_guard_decision() {
+        let data = tiny_dataset(8);
+        let model = Dot::train(tiny_config(8), &data, |_| {});
+        let trip = &data.split(Split::Test)[0];
+        let inside = OdtInput::from_trajectory(trip);
+        single_and_batch_agree(&model, &inside);
+        // A query that needs clamping is counted once on each path.
+        let mut outside = inside;
+        outside.dest.lng =
+            model.grid().max.lng + 0.5 * (model.grid().max.lng - model.grid().min.lng);
+        let before = model.robustness().queries_clamped;
+        single_and_batch_agree(&model, &outside);
+        assert_eq!(model.robustness().queries_clamped, before + 2);
+
+        // Force a degenerate PiT: an output layer that predicts a huge
+        // positive noise everywhere drives every clamped x̂_0 to -1, so the
+        // sampled PiT visits no cell. Both paths must answer from the prior.
+        for p in model.denoiser.params() {
+            if p.name().starts_with("denoiser.out.") {
+                let fill = if p.name().ends_with(".bias") {
+                    1e3
+                } else {
+                    0.0
+                };
+                p.set_value(Tensor::full(p.value().shape().to_vec(), fill));
+            }
+        }
+        let before = model.robustness();
+        assert!(single_and_batch_agree(&model, &inside), "must fall back");
+        let after = model.robustness();
+        assert_eq!(after.degenerate_pits, before.degenerate_pits + 2);
+        assert_eq!(after.fallbacks_taken, before.fallbacks_taken + 2);
+        let served = model.estimate(&inside, &mut StdRng::seed_from_u64(1));
+        assert_eq!(served.seconds, crate::fallback_estimate_seconds(&inside));
+        assert_eq!(served.pit.num_visited(), 0);
+    }
+
     #[test]
     fn ablation_estimators_build_and_run() {
         let data = tiny_dataset(8);

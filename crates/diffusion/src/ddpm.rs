@@ -107,248 +107,157 @@ impl Ddpm {
     }
 
     /// Algorithm 1: infer clean samples conditioned on `cond` (`[B, F]`),
-    /// starting from pure Gaussian noise and denoising step by step
-    /// (Eq. 10). Returns `[B, C, L, L]`.
+    /// starting from pure Gaussian noise and denoising down the step list
+    /// `sampler` selects. Returns `[B, C, L, L]`.
+    ///
+    /// Each reverse step goes through the predicted clean sample
+    /// `x̂_0 = (X_n − √(1−ᾱ_n) ε_θ) / √ᾱ_n`, then applies the sampler's
+    /// rule (see [`PitSampler`]). With `clamp: Some((lo, hi))`, `x̂_0` is
+    /// clipped to the data range first — the standard stabilization for
+    /// few-step sampling: a learned ε_θ drifts off the forward marginal and
+    /// the 1/√α amplification compounds the error; clamping projects the
+    /// chain back onto the data manifold. PiT channels live in `[-1, 1]`, so
+    /// DOT samples with `Some((-1.0, 1.0))`.
+    #[allow(clippy::too_many_arguments)]
     pub fn sample(
         &self,
         predictor: &dyn NoisePredictor,
         cond: &Tensor,
         channels: usize,
         lg: usize,
-        rng: &mut impl Rng,
-    ) -> Tensor {
-        self.sample_clamped(predictor, cond, channels, lg, None, rng)
-    }
-
-    /// Algorithm 1 with optional clamping of the implied clean image.
-    ///
-    /// Each reverse step is computed through the predicted clean sample
-    /// `x̂_0 = (X_n − √(1−ᾱ_n) ε_θ) / √ᾱ_n` and the true posterior mean
-    ///
-    /// `μ = √ᾱ_{n-1} β_n/(1−ᾱ_n) · x̂_0 + √α_n (1−ᾱ_{n-1})/(1−ᾱ_n) · X_n`,
-    ///
-    /// which is algebraically identical to Eq. 10 when `clamp` is `None`.
-    /// With `clamp: Some((lo, hi))`, `x̂_0` is clipped to the data range
-    /// first — the standard stabilization for few-step sampling: a learned
-    /// ε_θ drifts off the forward marginal and the 1/√α amplification
-    /// compounds the error; clamping projects the chain back onto the data
-    /// manifold. PiT channels live in `[-1, 1]`, so DOT samples with
-    /// `Some((-1.0, 1.0))`.
-    pub fn sample_clamped(
-        &self,
-        predictor: &dyn NoisePredictor,
-        cond: &Tensor,
-        channels: usize,
-        lg: usize,
+        sampler: PitSampler,
         clamp: Option<(f32, f32)>,
         rng: &mut impl Rng,
     ) -> Tensor {
+        let steps = self.reverse_steps(sampler);
         let b = cond.shape()[0];
         let mut x = Self::sample_noise(vec![b, channels, lg, lg], rng);
-        // Noise scratch reused across steps; `normal_into` draws the same
-        // RNG sequence as the allocating path, so samples are unchanged.
-        let mut z = Tensor::zeros(x.shape().to_vec());
-        for n in (1..=self.schedule.n_steps()).rev() {
+        // Noise scratch of the stochastic rule, reused across steps;
+        // `normal_into` draws the same RNG sequence as an allocating draw.
+        let mut z = match sampler {
+            PitSampler::Ddpm => vec![0.0f32; x.numel()],
+            PitSampler::Ddim(_) => Vec::new(),
+        };
+        for (i, &n) in steps.iter().enumerate() {
             // Span guard: records the step into the `stage1.denoise_step`
             // histogram and, when a request trace is active, emits a child
             // span so per-step cost shows up on the request's critical path.
             let _step = odt_obs::span("stage1.denoise_step");
             let g = Graph::new();
             let xv = g.input(x.clone());
-            let steps = vec![n; b];
-            let eps_pred = g.value(predictor.predict(&g, xv, &steps, cond));
-            let beta = self.schedule.beta(n);
-            let alpha = self.schedule.alpha(n);
-            let ab = self.schedule.alpha_bar(n);
-            let ab_prev = if n > 1 {
-                self.schedule.alpha_bar(n - 1)
-            } else {
-                1.0
-            };
-            // Posterior variance β̃_n = (1-ᾱ_{n-1})/(1-ᾱ_n) β_n. The paper's
-            // Σ = √β_n I choice is indistinguishable at N = 1000 where β is
-            // tiny, but at reduced step counts β gets large and σ = √β
-            // injects far more noise per step than the posterior allows.
-            let sigma = ((1.0 - ab_prev) / (1.0 - ab) * beta).sqrt();
-            let coef_x0 = ab_prev.sqrt() * beta / (1.0 - ab);
-            let coef_xn = alpha.sqrt() * (1.0 - ab_prev) / (1.0 - ab);
-            let inv_sqrt_ab = 1.0 / ab.sqrt();
-            let noise_scale = (1.0 - ab).sqrt();
-
-            if n > 1 {
-                odt_tensor::init::normal_into(rng, z.data_mut(), 1.0);
-            } else {
-                z.data_mut().fill(0.0);
-            }
-            // In-place elementwise update (each lane reads its own x before
-            // writing it): the whole batch advances one denoise step at a
-            // time, parallel over disjoint element ranges.
-            let ep = eps_pred.data();
-            let zd = z.data();
-            odt_compute::parallel_chunks_mut(x.data_mut(), 8192, |i0, xs| {
-                for (off, xe) in xs.iter_mut().enumerate() {
-                    let i = i0 + off;
-                    let xn = *xe;
-                    let mut x0_hat = inv_sqrt_ab * (xn - noise_scale * ep[i]);
-                    if let Some((lo, hi)) = clamp {
-                        x0_hat = x0_hat.clamp(lo, hi);
-                    }
-                    *xe = coef_x0 * x0_hat + coef_xn * xn + sigma * zd[i];
-                }
-            });
-        }
-        x
-    }
-}
-
-impl Ddpm {
-    /// [`Ddpm::sample_clamped`] with a **step-count override**: stochastic
-    /// DDPM sampling over an evenly strided subsequence of `sample_steps ≤ N`
-    /// schedule steps (the serving ladder's knob for trading PiT fidelity
-    /// against latency without switching to deterministic DDIM).
-    ///
-    /// Between consecutive selected steps `n > m` the update collapses the
-    /// skipped forward steps into one: `ᾱ` ratios give the effective
-    /// `α' = ᾱ_n/ᾱ_m` and `β' = 1 − α'`, and the posterior mean/variance are
-    /// computed exactly as in [`Ddpm::sample_clamped`] with those effective
-    /// coefficients — so `sample_steps == N` delegates to the full chain and
-    /// is bit-identical to it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_clamped_strided(
-        &self,
-        predictor: &dyn NoisePredictor,
-        cond: &Tensor,
-        channels: usize,
-        lg: usize,
-        clamp: Option<(f32, f32)>,
-        sample_steps: usize,
-        rng: &mut impl Rng,
-    ) -> Tensor {
-        let n_train = self.schedule.n_steps();
-        assert!(
-            (1..=n_train).contains(&sample_steps),
-            "sample_steps must be in 1..=N"
-        );
-        if sample_steps == n_train {
-            return self.sample_clamped(predictor, cond, channels, lg, clamp, rng);
-        }
-        // Evenly strided descending subsequence, always including N and 1
-        // (the same striding as DDIM).
-        let mut steps: Vec<usize> = (0..sample_steps)
-            .map(|i| 1 + i * (n_train - 1) / (sample_steps - 1).max(1))
-            .collect();
-        steps.dedup();
-        steps.reverse();
-
-        let b = cond.shape()[0];
-        let mut x = Self::sample_noise(vec![b, channels, lg, lg], rng);
-        let mut z = Tensor::zeros(x.shape().to_vec());
-        for (i, &n) in steps.iter().enumerate() {
-            let _step = odt_obs::span("stage1.denoise_step");
-            let g = Graph::new();
-            let xv = g.input(x.clone());
-            let step_vec = vec![n; b];
-            let eps_pred = g.value(predictor.predict(&g, xv, &step_vec, cond));
-            let ab = self.schedule.alpha_bar(n);
-            let ab_prev = steps
-                .get(i + 1)
-                .map(|&m| self.schedule.alpha_bar(m))
-                .unwrap_or(1.0);
-            // Effective one-shot coefficients over the skipped range.
-            let alpha_eff = ab / ab_prev;
-            let beta_eff = 1.0 - alpha_eff;
-            let sigma = ((1.0 - ab_prev) / (1.0 - ab) * beta_eff).sqrt();
-            let coef_x0 = ab_prev.sqrt() * beta_eff / (1.0 - ab);
-            let coef_xn = alpha_eff.sqrt() * (1.0 - ab_prev) / (1.0 - ab);
-            let inv_sqrt_ab = 1.0 / ab.sqrt();
-            let noise_scale = (1.0 - ab).sqrt();
-
-            if i + 1 < steps.len() {
-                odt_tensor::init::normal_into(rng, z.data_mut(), 1.0);
-            } else {
-                z.data_mut().fill(0.0);
-            }
-            let ep = eps_pred.data();
-            let zd = z.data();
-            odt_compute::parallel_chunks_mut(x.data_mut(), 8192, |i0, xs| {
-                for (off, xe) in xs.iter_mut().enumerate() {
-                    let i = i0 + off;
-                    let xn = *xe;
-                    let mut x0_hat = inv_sqrt_ab * (xn - noise_scale * ep[i]);
-                    if let Some((lo, hi)) = clamp {
-                        x0_hat = x0_hat.clamp(lo, hi);
-                    }
-                    *xe = coef_x0 * x0_hat + coef_xn * xn + sigma * zd[i];
-                }
-            });
-        }
-        x
-    }
-}
-
-impl Ddpm {
-    /// DDIM sampling (Song et al., 2021) — an extension beyond the paper:
-    /// deterministic (η = 0) sampling over a strided subsequence of the
-    /// trained schedule, so a model trained with `N` steps can sample in
-    /// `sample_steps ≪ N` denoiser evaluations:
-    ///
-    /// `X_{n'} = √ᾱ_{n'} x̂_0 + √(1-ᾱ_{n'}) ε_θ`, with `x̂_0` the clamped
-    /// implied clean image. Used by the efficiency benchmarks to trade
-    /// inference latency against PiT fidelity.
-    pub fn sample_ddim(
-        &self,
-        predictor: &dyn NoisePredictor,
-        cond: &Tensor,
-        channels: usize,
-        lg: usize,
-        sample_steps: usize,
-        clamp: Option<(f32, f32)>,
-        rng: &mut impl Rng,
-    ) -> Tensor {
-        let n_train = self.schedule.n_steps();
-        assert!(
-            (1..=n_train).contains(&sample_steps),
-            "sample_steps must be in 1..=N"
-        );
-        // Evenly strided step subsequence, descending, always including N
-        // and 1.
-        let mut steps: Vec<usize> = (0..sample_steps)
-            .map(|i| 1 + i * (n_train - 1) / (sample_steps - 1).max(1))
-            .collect();
-        steps.dedup();
-        steps.reverse();
-
-        let b = cond.shape()[0];
-        let mut x = Self::sample_noise(vec![b, channels, lg, lg], rng);
-        for (i, &n) in steps.iter().enumerate() {
-            let _step = odt_obs::span("stage1.ddim_step");
-            let g = Graph::new();
-            let xv = g.input(x.clone());
-            let step_vec = vec![n; b];
-            let eps = g.value(predictor.predict(&g, xv, &step_vec, cond));
-            let ab = self.schedule.alpha_bar(n);
-            let ab_next = steps
-                .get(i + 1)
-                .map(|&m| self.schedule.alpha_bar(m))
-                .unwrap_or(1.0);
-            let inv_sqrt_ab = 1.0 / ab.sqrt();
-            let noise_scale = (1.0 - ab).sqrt();
-            let next_noise = (1.0 - ab_next).sqrt();
-            let sqrt_ab_next = ab_next.sqrt();
+            let eps = g.value(predictor.predict(&g, xv, &vec![n; b], cond));
             let ep = eps.data();
-            odt_compute::parallel_chunks_mut(x.data_mut(), 8192, |j0, xs| {
-                for (off, xe) in xs.iter_mut().enumerate() {
-                    let e = ep[j0 + off];
-                    let mut x0_hat = inv_sqrt_ab * (*xe - noise_scale * e);
-                    if let Some((lo, hi)) = clamp {
-                        x0_hat = x0_hat.clamp(lo, hi);
+            let ab = self.schedule.alpha_bar(n);
+            let next = steps.get(i + 1);
+            let ab_next = next.map_or(1.0, |&m| self.schedule.alpha_bar(m));
+            let inv_sqrt_ab = 1.0 / ab.sqrt();
+            let noise_scale = (1.0 - ab).sqrt();
+            match sampler {
+                PitSampler::Ddpm => {
+                    let beta = self.schedule.beta(n);
+                    // Posterior variance β̃_n = (1-ᾱ_{n-1})/(1-ᾱ_n) β_n. The
+                    // paper's Σ = √β_n I choice is indistinguishable at
+                    // N = 1000 where β is tiny, but at reduced step counts β
+                    // gets large and σ = √β injects far more noise per step
+                    // than the posterior allows.
+                    let sigma = ((1.0 - ab_next) / (1.0 - ab) * beta).sqrt();
+                    let coef_x0 = ab_next.sqrt() * beta / (1.0 - ab);
+                    let coef_xn = self.schedule.alpha(n).sqrt() * (1.0 - ab_next) / (1.0 - ab);
+                    if next.is_some() {
+                        odt_tensor::init::normal_into(rng, &mut z, 1.0);
+                    } else {
+                        z.fill(0.0);
                     }
-                    *xe = sqrt_ab_next * x0_hat + next_noise * e;
+                    reverse_update(
+                        x.data_mut(),
+                        ep,
+                        inv_sqrt_ab,
+                        noise_scale,
+                        clamp,
+                        |x0_hat, xn, j| coef_x0 * x0_hat + coef_xn * xn + sigma * z[j],
+                    );
                 }
-            });
+                PitSampler::Ddim(_) => {
+                    let sqrt_ab_next = ab_next.sqrt();
+                    let next_noise = (1.0 - ab_next).sqrt();
+                    reverse_update(
+                        x.data_mut(),
+                        ep,
+                        inv_sqrt_ab,
+                        noise_scale,
+                        clamp,
+                        |x0_hat, _, j| sqrt_ab_next * x0_hat + next_noise * ep[j],
+                    );
+                }
+            }
         }
         x
     }
+
+    /// The descending schedule steps a sampler visits: every trained step,
+    /// or `k` evenly strided ones that always include `N` and 1.
+    fn reverse_steps(&self, sampler: PitSampler) -> Vec<usize> {
+        let n_train = self.schedule.n_steps();
+        match sampler {
+            PitSampler::Ddpm => (1..=n_train).rev().collect(),
+            PitSampler::Ddim(k) => {
+                assert!((1..=n_train).contains(&k), "sample_steps must be in 1..=N");
+                let mut steps: Vec<usize> = (0..k)
+                    .map(|i| 1 + i * (n_train - 1) / (k - 1).max(1))
+                    .collect();
+                steps.dedup();
+                steps.reverse();
+                steps
+            }
+        }
+    }
+}
+
+/// Which reverse process [`Ddpm::sample`] runs — also the model-backed
+/// rungs of the serving degradation ladder (`odt-serve`), each trading PiT
+/// fidelity for latency.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum PitSampler {
+    /// Stochastic DDPM over every trained step (Algorithm 1, Eq. 10): each
+    /// step draws from the true posterior,
+    ///
+    /// `μ = √ᾱ_{n-1} β_n/(1−ᾱ_n) · x̂_0 + √α_n (1−ᾱ_{n-1})/(1−ᾱ_n) · X_n`,
+    ///
+    /// which is algebraically identical to Eq. 10 when nothing is clamped.
+    Ddpm,
+    /// Deterministic (η = 0) DDIM (Song et al., 2021) over this many evenly
+    /// strided steps — an extension beyond the paper, so a model trained
+    /// with `N` steps can sample in `k ≪ N` denoiser evaluations:
+    /// `X_{n'} = √ᾱ_{n'} x̂_0 + √(1-ᾱ_{n'}) ε_θ`. Draws no noise after the
+    /// initial sample.
+    Ddim(usize),
+}
+
+/// Advance the whole batch one reverse step in place. Both samplers first
+/// recover the implied clean image `x̂_0 = inv_sqrt_ab · (x[j] −
+/// noise_scale · eps[j])`, clamped when asked, then `x[j] = rule(x̂_0, x[j],
+/// j)`. Each lane reads its own `x` before writing it, so the update runs
+/// parallel over disjoint element ranges; `rule` is monomorphized per
+/// sampler, which keeps the element loop free of a per-element branch.
+fn reverse_update(
+    x: &mut [f32],
+    eps: &[f32],
+    inv_sqrt_ab: f32,
+    noise_scale: f32,
+    clamp: Option<(f32, f32)>,
+    rule: impl Fn(f32, f32, usize) -> f32 + Sync,
+) {
+    odt_compute::parallel_chunks_mut(x, 8192, |j0, xs| {
+        for (off, xe) in xs.iter_mut().enumerate() {
+            let j = j0 + off;
+            let xn = *xe;
+            let mut x0_hat = inv_sqrt_ab * (xn - noise_scale * eps[j]);
+            if let Some((lo, hi)) = clamp {
+                x0_hat = x0_hat.clamp(lo, hi);
+            }
+            *xe = rule(x0_hat, xn, j);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -358,7 +267,7 @@ mod tests {
     use rand::SeedableRng;
 
     /// A predictor that always returns zeros (useful to test plumbing).
-    struct ZeroPredictor;
+    pub(super) struct ZeroPredictor;
     impl NoisePredictor for ZeroPredictor {
         fn predict(&self, g: &Graph, x_noisy: Var, _steps: &[usize], _cond: &Tensor) -> Var {
             g.scale(x_noisy, 0.0)
@@ -438,7 +347,15 @@ mod tests {
         let ddpm = Ddpm::new(schedule.clone());
         let mut rng = StdRng::seed_from_u64(4);
         let cond = Tensor::zeros(vec![1, 5]);
-        let out = ddpm.sample(&OraclePredictor { schedule }, &cond, 1, 4, &mut rng);
+        let out = ddpm.sample(
+            &OraclePredictor { schedule },
+            &cond,
+            1,
+            4,
+            PitSampler::Ddpm,
+            None,
+            &mut rng,
+        );
         assert_eq!(out.shape(), &[1, 1, 4, 4]);
         let max = out.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         assert!(max < 0.35, "samples should approach 0, max |x| = {max}");
@@ -446,10 +363,10 @@ mod tests {
 
     /// Analytic optimal predictor for scalar Gaussian data
     /// `x0 ~ N(mu, s²)`: `E[ε | X_n] = √(1-ᾱ)(X_n - √ᾱ·μ) / (ᾱs² + 1-ᾱ)`.
-    struct GaussOracle {
-        schedule: NoiseSchedule,
-        mu: f32,
-        s2: f32,
+    pub(super) struct GaussOracle {
+        pub(super) schedule: NoiseSchedule,
+        pub(super) mu: f32,
+        pub(super) s2: f32,
     }
     impl NoisePredictor for GaussOracle {
         fn predict(&self, g: &Graph, x_noisy: Var, steps: &[usize], _cond: &Tensor) -> Var {
@@ -477,7 +394,7 @@ mod tests {
             };
             let mut rng = StdRng::seed_from_u64(1);
             let cond = Tensor::zeros(vec![512, 5]);
-            let out = ddpm.sample(&oracle, &cond, 1, 1, &mut rng);
+            let out = ddpm.sample(&oracle, &cond, 1, 1, PitSampler::Ddpm, None, &mut rng);
             let mean = out.data().iter().sum::<f32>() / 512.0;
             let var = out
                 .data()
@@ -498,86 +415,18 @@ mod tests {
         // final sample's implied x0 near the range.
         let cond = Tensor::zeros(vec![8, 5]);
         let mut rng = StdRng::seed_from_u64(2);
-        let out = ddpm.sample_clamped(&ZeroPredictor, &cond, 1, 4, Some((-1.0, 1.0)), &mut rng);
+        let out = ddpm.sample(
+            &ZeroPredictor,
+            &cond,
+            1,
+            4,
+            PitSampler::Ddpm,
+            Some((-1.0, 1.0)),
+            &mut rng,
+        );
         assert!(out.is_finite());
         // The last step with clamped x0 and sigma_1 = 0 lands inside [-1,1].
         assert!(out.data().iter().all(|v| v.abs() <= 1.0 + 1e-4), "{out:?}");
-    }
-
-    #[test]
-    fn strided_ddpm_at_full_steps_matches_full_chain() {
-        let ddpm = Ddpm::new(NoiseSchedule::linear_scaled(20));
-        let cond = Tensor::zeros(vec![2, 5]);
-        let full = ddpm.sample_clamped(
-            &ZeroPredictor,
-            &cond,
-            1,
-            4,
-            Some((-1.0, 1.0)),
-            &mut StdRng::seed_from_u64(9),
-        );
-        let strided = ddpm.sample_clamped_strided(
-            &ZeroPredictor,
-            &cond,
-            1,
-            4,
-            Some((-1.0, 1.0)),
-            20,
-            &mut StdRng::seed_from_u64(9),
-        );
-        assert_eq!(full.data(), strided.data());
-    }
-
-    #[test]
-    fn strided_ddpm_recovers_gaussian_data_with_few_steps() {
-        // The collapsed-step posterior coefficients must still reproduce the
-        // data distribution with the analytically optimal predictor.
-        let schedule = NoiseSchedule::linear_scaled(200);
-        let ddpm = Ddpm::new(schedule.clone());
-        let oracle = GaussOracle {
-            schedule,
-            mu: 3.0,
-            s2: 0.25,
-        };
-        let mut rng = StdRng::seed_from_u64(11);
-        let cond = Tensor::zeros(vec![512, 5]);
-        let out = ddpm.sample_clamped_strided(&oracle, &cond, 1, 1, None, 12, &mut rng);
-        let mean = out.data().iter().sum::<f32>() / 512.0;
-        let var = out
-            .data()
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f32>()
-            / 512.0;
-        assert!((mean - 3.0).abs() < 0.2, "mean {mean}");
-        assert!((var - 0.25).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
-    fn strided_ddpm_shapes_and_determinism() {
-        let ddpm = Ddpm::new(NoiseSchedule::linear_scaled(50));
-        let cond = Tensor::zeros(vec![3, 5]);
-        let a = ddpm.sample_clamped_strided(
-            &ZeroPredictor,
-            &cond,
-            2,
-            6,
-            Some((-1.0, 1.0)),
-            5,
-            &mut StdRng::seed_from_u64(13),
-        );
-        let b = ddpm.sample_clamped_strided(
-            &ZeroPredictor,
-            &cond,
-            2,
-            6,
-            Some((-1.0, 1.0)),
-            5,
-            &mut StdRng::seed_from_u64(13),
-        );
-        assert_eq!(a.shape(), &[3, 2, 6, 6]);
-        assert!(a.is_finite());
-        assert_eq!(a.data(), b.data());
     }
 
     #[test]
@@ -593,7 +442,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(4);
         let cond = Tensor::zeros(vec![256, 5]);
-        let out = ddpm.sample_ddim(&oracle, &cond, 1, 1, 8, None, &mut rng);
+        let out = ddpm.sample(&oracle, &cond, 1, 1, PitSampler::Ddim(8), None, &mut rng);
         let mean = out.data().iter().sum::<f32>() / 256.0;
         assert!((mean - 3.0).abs() < 0.2, "mean {mean}");
         // Deterministic: DDIM variance comes only from the seed noise, so
@@ -612,7 +461,15 @@ mod tests {
         let ddpm = Ddpm::new(NoiseSchedule::linear_scaled(50));
         let cond = Tensor::zeros(vec![2, 5]);
         let mut rng = StdRng::seed_from_u64(5);
-        let out = ddpm.sample_ddim(&ZeroPredictor, &cond, 3, 4, 5, Some((-1.0, 1.0)), &mut rng);
+        let out = ddpm.sample(
+            &ZeroPredictor,
+            &cond,
+            3,
+            4,
+            PitSampler::Ddim(5),
+            Some((-1.0, 1.0)),
+            &mut rng,
+        );
         assert_eq!(out.shape(), &[2, 3, 4, 4]);
         assert!(out.is_finite());
     }
@@ -621,9 +478,180 @@ mod tests {
     fn sampling_shapes_and_determinism() {
         let ddpm = Ddpm::new(NoiseSchedule::linear(5));
         let cond = Tensor::zeros(vec![3, 5]);
-        let a = ddpm.sample(&ZeroPredictor, &cond, 2, 6, &mut StdRng::seed_from_u64(7));
-        let b = ddpm.sample(&ZeroPredictor, &cond, 2, 6, &mut StdRng::seed_from_u64(7));
-        assert_eq!(a.shape(), &[3, 2, 6, 6]);
-        assert_eq!(a.data(), b.data());
+        for sampler in [PitSampler::Ddpm, PitSampler::Ddim(3)] {
+            let run = |seed| {
+                let rng = &mut StdRng::seed_from_u64(seed);
+                ddpm.sample(&ZeroPredictor, &cond, 2, 6, sampler, None, rng)
+            };
+            let (a, b) = (run(7), run(7));
+            assert_eq!(a.shape(), &[3, 2, 6, 6]);
+            assert_eq!(a.data(), b.data());
+        }
+    }
+}
+
+/// The two samplers that served queries before [`Ddpm::sample`] took a
+/// [`PitSampler`], kept verbatim as the reference the one sampler must
+/// reproduce bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::tests::{GaussOracle, ZeroPredictor};
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn sample_clamped(
+        ddpm: &Ddpm,
+        predictor: &dyn NoisePredictor,
+        cond: &Tensor,
+        channels: usize,
+        lg: usize,
+        clamp: Option<(f32, f32)>,
+        rng: &mut impl Rng,
+    ) -> Tensor {
+        let b = cond.shape()[0];
+        let mut x = Ddpm::sample_noise(vec![b, channels, lg, lg], rng);
+        let mut z = Tensor::zeros(x.shape().to_vec());
+        for n in (1..=ddpm.schedule.n_steps()).rev() {
+            let g = Graph::new();
+            let xv = g.input(x.clone());
+            let steps = vec![n; b];
+            let eps_pred = g.value(predictor.predict(&g, xv, &steps, cond));
+            let beta = ddpm.schedule.beta(n);
+            let alpha = ddpm.schedule.alpha(n);
+            let ab = ddpm.schedule.alpha_bar(n);
+            let ab_prev = if n > 1 {
+                ddpm.schedule.alpha_bar(n - 1)
+            } else {
+                1.0
+            };
+            let sigma = ((1.0 - ab_prev) / (1.0 - ab) * beta).sqrt();
+            let coef_x0 = ab_prev.sqrt() * beta / (1.0 - ab);
+            let coef_xn = alpha.sqrt() * (1.0 - ab_prev) / (1.0 - ab);
+            let inv_sqrt_ab = 1.0 / ab.sqrt();
+            let noise_scale = (1.0 - ab).sqrt();
+
+            if n > 1 {
+                odt_tensor::init::normal_into(rng, z.data_mut(), 1.0);
+            } else {
+                z.data_mut().fill(0.0);
+            }
+            let ep = eps_pred.data();
+            let zd = z.data();
+            odt_compute::parallel_chunks_mut(x.data_mut(), 8192, |i0, xs| {
+                for (off, xe) in xs.iter_mut().enumerate() {
+                    let i = i0 + off;
+                    let xn = *xe;
+                    let mut x0_hat = inv_sqrt_ab * (xn - noise_scale * ep[i]);
+                    if let Some((lo, hi)) = clamp {
+                        x0_hat = x0_hat.clamp(lo, hi);
+                    }
+                    *xe = coef_x0 * x0_hat + coef_xn * xn + sigma * zd[i];
+                }
+            });
+        }
+        x
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn sample_ddim(
+        ddpm: &Ddpm,
+        predictor: &dyn NoisePredictor,
+        cond: &Tensor,
+        channels: usize,
+        lg: usize,
+        sample_steps: usize,
+        clamp: Option<(f32, f32)>,
+        rng: &mut impl Rng,
+    ) -> Tensor {
+        let n_train = ddpm.schedule.n_steps();
+        let mut steps: Vec<usize> = (0..sample_steps)
+            .map(|i| 1 + i * (n_train - 1) / (sample_steps - 1).max(1))
+            .collect();
+        steps.dedup();
+        steps.reverse();
+
+        let b = cond.shape()[0];
+        let mut x = Ddpm::sample_noise(vec![b, channels, lg, lg], rng);
+        for (i, &n) in steps.iter().enumerate() {
+            let g = Graph::new();
+            let xv = g.input(x.clone());
+            let step_vec = vec![n; b];
+            let eps = g.value(predictor.predict(&g, xv, &step_vec, cond));
+            let ab = ddpm.schedule.alpha_bar(n);
+            let ab_next = steps
+                .get(i + 1)
+                .map(|&m| ddpm.schedule.alpha_bar(m))
+                .unwrap_or(1.0);
+            let inv_sqrt_ab = 1.0 / ab.sqrt();
+            let noise_scale = (1.0 - ab).sqrt();
+            let next_noise = (1.0 - ab_next).sqrt();
+            let sqrt_ab_next = ab_next.sqrt();
+            let ep = eps.data();
+            odt_compute::parallel_chunks_mut(x.data_mut(), 8192, |j0, xs| {
+                for (off, xe) in xs.iter_mut().enumerate() {
+                    let e = ep[j0 + off];
+                    let mut x0_hat = inv_sqrt_ab * (*xe - noise_scale * e);
+                    if let Some((lo, hi)) = clamp {
+                        x0_hat = x0_hat.clamp(lo, hi);
+                    }
+                    *xe = sqrt_ab_next * x0_hat + next_noise * e;
+                }
+            });
+        }
+        x
+    }
+
+    /// `f32` bits of a sample plus the RNG's next draw after producing it.
+    fn bits_and_next_draw(sample: impl FnOnce(&mut StdRng) -> Tensor) -> (Vec<u32>, u64) {
+        let mut rng = StdRng::seed_from_u64(0x0d07);
+        let out = sample(&mut rng);
+        let next: f64 = rng.gen_range(0.0..1.0);
+        (
+            out.data().iter().map(|v| v.to_bits()).collect(),
+            next.to_bits(),
+        )
+    }
+
+    #[test]
+    fn one_sampler_reproduces_both_references_bit_for_bit() {
+        for n_steps in [5usize, 20] {
+            let schedule = NoiseSchedule::linear_scaled(n_steps);
+            let ddpm = Ddpm::new(schedule.clone());
+            let gauss = GaussOracle {
+                schedule,
+                mu: 0.4,
+                s2: 0.25,
+            };
+            let predictors: [(&str, &dyn NoisePredictor); 2] =
+                [("zero", &ZeroPredictor), ("gauss", &gauss)];
+            // lg = 40 puts b = 3 past the update's 8192-element grain, so
+            // chunk offsets are exercised too.
+            for (name, predictor) in predictors {
+                for (b, lg) in [(1usize, 6usize), (3, 6), (3, 40)] {
+                    let cond = Tensor::zeros(vec![b, 5]);
+                    for clamp in [None, Some((-1.0f32, 1.0f32))] {
+                        let case = format!("{name} N={n_steps} b={b} lg={lg} clamp={clamp:?}");
+                        let want = bits_and_next_draw(|rng| {
+                            sample_clamped(&ddpm, predictor, &cond, 2, lg, clamp, rng)
+                        });
+                        let got = bits_and_next_draw(|rng| {
+                            ddpm.sample(predictor, &cond, 2, lg, PitSampler::Ddpm, clamp, rng)
+                        });
+                        assert_eq!(got, want, "ddpm, {case}");
+                        for k in [1, 3, 8.min(n_steps), n_steps] {
+                            let want = bits_and_next_draw(|rng| {
+                                sample_ddim(&ddpm, predictor, &cond, 2, lg, k, clamp, rng)
+                            });
+                            let got = bits_and_next_draw(|rng| {
+                                let sampler = PitSampler::Ddim(k);
+                                ddpm.sample(predictor, &cond, 2, lg, sampler, clamp, rng)
+                            });
+                            assert_eq!(got, want, "ddim k={k}, {case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -7,8 +7,9 @@
 //!   Eq. 2) with precomputed ᾱ products (Eq. 4).
 //! * [`Ddpm`] — the two Markov processes: the closed-form forward noising
 //!   `q(X_n | X_0)` and the learned reverse process of Eq. 10, plus the
-//!   training objective of Eq. 11 (Algorithm 2) and the sampling loop of
-//!   Algorithm 1.
+//!   training objective of Eq. 11 (Algorithm 2) and the one sampling loop
+//!   of Algorithm 1, run as stochastic DDPM or strided DDIM
+//!   ([`PitSampler`]).
 //! * [`ConditionedDenoiser`] — the OCConv UNet of §4.2: positional step
 //!   encoding (Eq. 12), `FC_OD` (Eq. 13), condition fusion inside every
 //!   OCConv module (Eq. 15), down/middle/up blocks with spatial attention
@@ -21,6 +22,6 @@ mod ddpm;
 mod denoiser;
 mod schedule;
 
-pub use ddpm::{Ddpm, NoisePredictor};
+pub use ddpm::{Ddpm, NoisePredictor, PitSampler};
 pub use denoiser::{ConditionedDenoiser, DenoiserConfig};
 pub use schedule::NoiseSchedule;

@@ -107,7 +107,7 @@ fn stage_of(name: &str) -> &'static str {
         "shard_queue"
     } else if name.starts_with("serve.rung") || name == "serve.request" {
         "serving"
-    } else if name.starts_with("stage1.denoise") || name.starts_with("stage1.ddim") {
+    } else if name.starts_with("stage1.denoise") {
         "denoise"
     } else if name.starts_with("oracle.estimator") || name.starts_with("stage2") {
         "estimator"

@@ -333,13 +333,6 @@ impl Shard {
         self.map.len()
     }
 
-    fn list_mut(&mut self, seg: Seg) -> &mut DList {
-        match seg {
-            Seg::Probation => &mut self.probation,
-            Seg::Protected => &mut self.protected,
-        }
-    }
-
     fn remove_slot(&mut self, slot: u32) {
         let seg = self.slots[slot as usize].seg;
         let key = self.slots[slot as usize].key;

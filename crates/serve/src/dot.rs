@@ -5,12 +5,15 @@
 //! | [`Rung::Cached`]      | The estimate cache (fresh entry) — no         |
 //! |                       | diffusion, just a lookup stashed at probe     |
 //! | [`Rung::Full`]        | `estimate_sampled(Ddpm)` — full stochastic    |
-//! |                       | sampling (or `DdpmStrided(n)` if overridden)  |
-//! | [`Rung::Ddim`]        | `estimate_sampled(Ddim(ddim_steps))`          |
-//! | [`Rung::DdimReduced`] | `estimate_sampled(Ddim(reduced_steps))`       |
+//! |                       | sampling with candidate selection             |
+//! | [`Rung::Ddim`]        | `estimate_sampled(Ddim(8))`                   |
+//! | [`Rung::DdimReduced`] | `estimate_sampled(Ddim(3))`                   |
 //! | [`Rung::CachedStale`] | The estimate cache (stale-grace entry)        |
 //! | [`Rung::Fallback`]    | `estimate_prior` — the model-free haversine   |
 //! |                       | prior, no diffusion at all                    |
+//!
+//! The three model rows are data (`MODEL_SAMPLERS`); the rest of what the
+//! stack knows about a rung is its row of [`crate::ladder::LADDER`].
 //!
 //! Admission uses [`Dot::sanitize_strict`] when `strict_admission` is on:
 //! a query more than one grid-span outside the region is refused with a
@@ -131,16 +134,18 @@ impl<'a> From<Rc<ModelSlot>> for ModelSource<'a> {
     }
 }
 
-/// How the ladder rungs map onto the oracle.
+/// The sampler behind each model rung, ladder order: `Full` is Algorithm 1
+/// verbatim, each rung below it a cheaper DDIM (step counts above the
+/// model's `N` are clamped to it by the oracle).
+const MODEL_SAMPLERS: [(Rung, PitSampler); 3] = [
+    (Rung::Full, PitSampler::Ddpm),
+    (Rung::Ddim, PitSampler::Ddim(8)),
+    (Rung::DdimReduced, PitSampler::Ddim(3)),
+];
+
+/// Admission policy and seeding of a [`DotExecutor`].
 #[derive(Copy, Clone, Debug)]
 pub struct DotFrontendConfig {
-    /// DDIM steps for the [`Rung::Ddim`] fast path.
-    pub ddim_steps: usize,
-    /// DDIM steps for the [`Rung::DdimReduced`] path (< `ddim_steps`).
-    pub reduced_steps: usize,
-    /// Optional strided-DDPM step count for [`Rung::Full`] (`None` = the
-    /// model's full training schedule).
-    pub full_steps_override: Option<usize>,
     /// Refuse far-out-of-region queries via [`Dot::sanitize_strict`]
     /// instead of clamping them.
     pub strict_admission: bool,
@@ -151,9 +156,6 @@ pub struct DotFrontendConfig {
 impl Default for DotFrontendConfig {
     fn default() -> Self {
         DotFrontendConfig {
-            ddim_steps: 8,
-            reduced_steps: 3,
-            full_steps_override: None,
             strict_admission: true,
             rng_seed: 0x0d07,
         }
@@ -316,29 +318,15 @@ impl RungExecutor for DotExecutor<'_> {
         // `ModelSource::model` hands back `&'a Dot`, untied to `self`,
         // so it can be held across the `&mut self.rng` borrows below.
         let model = self.source.model();
-        let est = match rung {
-            Rung::Full => {
-                let sampler = match self.cfg.full_steps_override {
-                    Some(n) => PitSampler::DdpmStrided(n),
-                    None => PitSampler::Ddpm,
-                };
-                model.estimate_sampled(query, sampler, &mut self.rng)
-            }
-            Rung::Ddim => {
-                model.estimate_sampled(query, PitSampler::Ddim(self.cfg.ddim_steps), &mut self.rng)
-            }
-            Rung::DdimReduced => model.estimate_sampled(
-                query,
-                PitSampler::Ddim(self.cfg.reduced_steps),
-                &mut self.rng,
-            ),
-            Rung::Fallback => model.estimate_prior(query),
-            Rung::Cached | Rung::CachedStale => unreachable!("handled above"),
+        let est = match MODEL_SAMPLERS.iter().find(|(r, _)| *r == rung) {
+            Some(&(_, sampler)) => model.estimate_sampled(query, sampler, &mut self.rng),
+            None if rung.is_terminal() => model.estimate_prior(query),
+            None => return Err(format!("no sampler for rung {}", rung.name())),
         };
         // Write model-backed answers through into the cache (TinyLFU
         // admission applies); the model-free prior is never cached — the
         // stale tier must stay strictly better than the fallback.
-        if rung != Rung::Fallback && est.seconds.is_finite() {
+        if !rung.is_terminal() && est.seconds.is_finite() {
             if let Some(key) = self.cache_key(query) {
                 let wiring = self.cache.as_ref().expect("cache_key implies wiring");
                 wiring.cache.insert(key, est.seconds, wiring.now_us());
@@ -554,5 +542,37 @@ impl SwapHost for DotSwapHost {
             cache.invalidate_all("model_swap");
         }
         Ok(version)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ladder::{RungKind, LADDER};
+
+    #[test]
+    fn sampler_table_covers_exactly_the_model_rungs_cheaper_downwards() {
+        let model_rungs: Vec<Rung> = LADDER
+            .iter()
+            .filter(|row| row.kind == RungKind::Model)
+            .map(|row| row.rung)
+            .collect();
+        let sampled: Vec<Rung> = MODEL_SAMPLERS.iter().map(|&(rung, _)| rung).collect();
+        assert_eq!(
+            sampled, model_rungs,
+            "one sampler per model rung, ladder order"
+        );
+        assert_eq!(MODEL_SAMPLERS[0], (Rung::Full, PitSampler::Ddpm));
+        let ddim_steps: Vec<usize> = MODEL_SAMPLERS[1..]
+            .iter()
+            .map(|&(rung, sampler)| match sampler {
+                PitSampler::Ddim(k) => k,
+                PitSampler::Ddpm => panic!("{rung:?} below Full must be a DDIM rung"),
+            })
+            .collect();
+        assert!(
+            ddim_steps.windows(2).all(|w| w[0] > w[1]) && ddim_steps.iter().all(|&k| k >= 1),
+            "DDIM step counts must strictly decrease down the ladder: {ddim_steps:?}"
+        );
     }
 }

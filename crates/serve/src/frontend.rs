@@ -268,17 +268,6 @@ pub struct ServeFrontend<E: RungExecutor> {
     slo: Option<odt_obs::slo::BurnRateMonitor>,
 }
 
-fn rung_hist_name(rung: Rung) -> &'static str {
-    match rung {
-        Rung::Cached => "serve.rung.cached",
-        Rung::Full => "serve.rung.full_ddpm",
-        Rung::Ddim => "serve.rung.ddim",
-        Rung::DdimReduced => "serve.rung.ddim_reduced",
-        Rung::CachedStale => "serve.rung.cached_stale",
-        Rung::Fallback => "serve.rung.fallback",
-    }
-}
-
 impl<E: RungExecutor> ServeFrontend<E> {
     /// A frontend over `exec` with the given tuning.
     pub fn new(exec: E, cfg: FrontendConfig) -> Self {
@@ -348,7 +337,7 @@ impl<E: RungExecutor> ServeFrontend<E> {
                     continue;
                 }
                 let now = self.now_us();
-                let sp = odt_obs::span(rung_hist_name(rung));
+                let sp = odt_obs::span(rung.spec().hist);
                 let exec = &mut self.exec;
                 // Warmup probes rungs that may legitimately panic (chaos
                 // executors): those panics are caught here and must not
@@ -557,7 +546,7 @@ impl<E: RungExecutor> ServeFrontend<E> {
             // The rung attempt is a trace child span; its drop records the
             // service time into the per-rung histogram exactly as the
             // manual record here used to.
-            let sp = odt_obs::span(rung_hist_name(rung));
+            let sp = odt_obs::span(rung.spec().hist);
             let exec = &mut self.exec;
             // Executor panics (chaos-injected or real) are caught at this
             // boundary and handled as rung failures — suppress the panic

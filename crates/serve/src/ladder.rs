@@ -47,57 +47,100 @@ pub enum Rung {
 pub const NUM_RUNGS: usize = 6;
 
 /// Number of rungs guarded by circuit breakers (all but the fallback).
-pub const MODEL_RUNGS: usize = 5;
+pub const MODEL_RUNGS: usize = NUM_RUNGS - 1;
+
+/// What answers on a rung — decides how the frontend gates it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum RungKind {
+    /// Served from the estimate cache: usable only after a cache probe hit.
+    Cache,
+    /// Served by the model (one `PitSampler` per rung in the Dot executor).
+    Model,
+    /// The terminal rung: no breaker, always available.
+    Terminal,
+}
+
+/// One row of the ladder: everything the serving stack knows about a rung.
+#[derive(Copy, Clone, Debug)]
+pub struct RungSpec {
+    /// The rung this row describes.
+    pub rung: Rung,
+    /// Short tag for metrics, events and reports.
+    pub name: &'static str,
+    /// Histogram (and trace span) the frontend records attempts into:
+    /// `serve.rung.<name>`.
+    pub hist: &'static str,
+    /// Optimistic latency prior (µs) used until the rung has live samples.
+    pub prior_us: u64,
+    /// What answers on this rung.
+    pub kind: RungKind,
+}
+
+/// A [`LADDER`] row; the histogram name is derived from the rung name.
+macro_rules! row {
+    ($rung:ident, $name:literal, $prior_us:literal, $kind:ident) => {
+        RungSpec {
+            rung: Rung::$rung,
+            name: $name,
+            hist: concat!("serve.rung.", $name),
+            prior_us: $prior_us,
+            kind: RungKind::$kind,
+        }
+    };
+}
+
+/// The ladder, selection-preference order: adding or re-tuning a rung is one
+/// row here (plus its [`Rung`] variant, declared in the same position).
+pub const LADDER: [RungSpec; NUM_RUNGS] = [
+    row!(Cached, "cached", 5, Cache),
+    row!(Full, "full_ddpm", 200_000, Model),
+    row!(Ddim, "ddim", 50_000, Model),
+    row!(DdimReduced, "ddim_reduced", 20_000, Model),
+    row!(CachedStale, "cached_stale", 5, Cache),
+    row!(Fallback, "fallback", 100, Terminal),
+];
 
 impl Rung {
     /// Every rung, selection-preference order.
-    pub const ALL: [Rung; NUM_RUNGS] = [
-        Rung::Cached,
-        Rung::Full,
-        Rung::Ddim,
-        Rung::DdimReduced,
-        Rung::CachedStale,
-        Rung::Fallback,
-    ];
+    pub const ALL: [Rung; NUM_RUNGS] = {
+        let mut all = [Rung::Fallback; NUM_RUNGS];
+        let mut i = 0;
+        while i < NUM_RUNGS {
+            all[i] = LADDER[i].rung;
+            i += 1;
+        }
+        all
+    };
 
     /// Position on the ladder (0 = tried first).
     pub fn index(self) -> usize {
-        match self {
-            Rung::Cached => 0,
-            Rung::Full => 1,
-            Rung::Ddim => 2,
-            Rung::DdimReduced => 3,
-            Rung::CachedStale => 4,
-            Rung::Fallback => 5,
-        }
+        self as usize
     }
 
     /// The rung at ladder position `i` (`i < NUM_RUNGS`).
     pub fn from_index(i: usize) -> Rung {
-        Rung::ALL[i]
+        LADDER[i].rung
+    }
+
+    /// This rung's row of [`LADDER`].
+    pub fn spec(self) -> &'static RungSpec {
+        &LADDER[self.index()]
     }
 
     /// Short tag for metrics, events and reports.
     pub fn name(self) -> &'static str {
-        match self {
-            Rung::Cached => "cached",
-            Rung::Full => "full_ddpm",
-            Rung::Ddim => "ddim",
-            Rung::DdimReduced => "ddim_reduced",
-            Rung::CachedStale => "cached_stale",
-            Rung::Fallback => "fallback",
-        }
+        self.spec().name
     }
 
     /// Whether this is the terminal (breaker-less) rung.
     pub fn is_terminal(self) -> bool {
-        matches!(self, Rung::Fallback)
+        self.spec().kind == RungKind::Terminal
     }
 
     /// Whether this rung serves from the estimate cache (and therefore
     /// needs a successful cache probe to be usable).
     pub fn is_cache(self) -> bool {
-        matches!(self, Rung::Cached | Rung::CachedStale)
+        self.spec().kind == RungKind::Cache
     }
 }
 
@@ -114,7 +157,7 @@ pub struct LadderConfig {
 impl Default for LadderConfig {
     fn default() -> Self {
         LadderConfig {
-            prior_us: [5, 200_000, 50_000, 20_000, 5, 100],
+            prior_us: std::array::from_fn(|i| LADDER[i].prior_us),
             min_samples: 5,
         }
     }
@@ -203,19 +246,44 @@ mod tests {
     }
 
     #[test]
-    fn rung_order_and_names() {
-        assert_eq!(Rung::ALL.len(), NUM_RUNGS);
-        for (i, r) in Rung::ALL.iter().enumerate() {
-            assert_eq!(r.index(), i);
-            assert_eq!(Rung::from_index(i), *r);
+    fn ladder_table_is_well_formed() {
+        // Dense, in preference order, and in step with the enum.
+        for (i, row) in LADDER.iter().enumerate() {
+            assert_eq!(row.rung.index(), i, "{row:?}");
+            assert_eq!(Rung::from_index(i), row.rung);
+            assert_eq!(Rung::ALL[i], row.rung);
         }
+        // Names and histogram names identify a rung.
+        for (i, a) in LADDER.iter().enumerate() {
+            for b in &LADDER[i + 1..] {
+                assert_ne!(a.name, b.name);
+                assert_ne!(a.hist, b.hist);
+            }
+            assert_eq!(a.hist, format!("serve.rung.{}", a.name));
+        }
+        // Exactly one terminal row, and it is last (breakers cover the
+        // `MODEL_RUNGS` rows before it).
+        let terminal: Vec<usize> = (0..NUM_RUNGS)
+            .filter(|&i| LADDER[i].kind == RungKind::Terminal)
+            .collect();
+        assert_eq!(terminal, [MODEL_RUNGS]);
         assert!(Rung::Fallback.is_terminal());
+        // The cache rungs bracket the model rungs: fresh before every one
+        // of them, stale after.
+        let cache: Vec<Rung> = Rung::ALL.into_iter().filter(|r| r.is_cache()).collect();
+        assert_eq!(cache, [Rung::Cached, Rung::CachedStale]);
+        for row in LADDER.iter().filter(|row| row.kind == RungKind::Model) {
+            assert!(Rung::Cached.index() < row.rung.index(), "{row:?}");
+            assert!(row.rung.index() < Rung::CachedStale.index(), "{row:?}");
+        }
+        // Names the benchmark and reports key on.
         assert_eq!(Rung::Full.name(), "full_ddpm");
         assert_eq!(Rung::Cached.name(), "cached");
         assert_eq!(Rung::CachedStale.name(), "cached_stale");
-        assert!(Rung::Cached.is_cache() && Rung::CachedStale.is_cache());
-        assert!(!Rung::Full.is_cache() && !Rung::Fallback.is_cache());
-        assert_eq!(MODEL_RUNGS, NUM_RUNGS - 1);
+        assert_eq!(
+            LadderConfig::default().prior_us,
+            [5, 200_000, 50_000, 20_000, 5, 100]
+        );
     }
 
     #[test]

@@ -27,5 +27,5 @@ mod types;
 
 pub use dataset::{Dataset, DatasetStats, Split};
 pub use grid::GridSpec;
-pub use pit::Pit;
+pub use pit::{Pit, CHANNELS, CH_OFFSET};
 pub use types::{GpsPoint, OdtInput, Trajectory};

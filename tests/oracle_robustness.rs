@@ -85,7 +85,7 @@ fn fast_ddim_path_survives_degenerate_queries() {
     let mut rng = StdRng::seed_from_u64(6);
     for (i, q) in weird_queries(&data).iter().enumerate() {
         // The accelerated serving path: DDIM PiT inference + guardrails.
-        let est = model.estimate_fast(q, 4, &mut rng);
+        let est = model.estimate_sampled(q, odt::dot::PitSampler::Ddim(4), &mut rng);
         assert!(
             est.seconds.is_finite() && est.seconds >= 0.0,
             "fast query {i} produced {}",
