@@ -1,7 +1,7 @@
 //! Serving benchmark: trains a small DOT oracle, then times N sequential
 //! `estimate` calls against one `estimate_batch(N)` call. Written to
 //! `BENCH_serving.json` in the current working directory (run from the repo
-//! root, e.g. via `scripts/bench_kernels.sh`).
+//! root).
 //!
 //! Flags: `--quick` (smaller model/dataset — CI smoke mode),
 //! `--batch <N>` (queries per run, default 64),

@@ -8,14 +8,11 @@
 //!   across grid lengths (Figure 8(c,d)).
 //! * `benches/substrates.rs` — micro-benchmarks of the substrates (conv2d,
 //!   matmul, Dijkstra, PiT rasterization, trip simulation).
-//! * `benches/compute_kernels.rs` — parallel vs sequential latency of each
-//!   `odt-compute`-backed kernel.
 //!
-//! Two plain binaries emit machine-readable reports (see
-//! `scripts/bench_kernels.sh`):
+//! The kernels themselves (`compute.*` / `tensor.*` rows) are measured by the
+//! repository benchmark, `benchmark/run.sh --trace 1`. One plain binary
+//! emits a machine-readable report:
 //!
-//! * `bench_kernels` — per-kernel parallel-vs-sequential timings →
-//!   `BENCH_kernels.json`.
 //! * `bench_serving` — N sequential `estimate` calls vs one
 //!   `estimate_batch(N)` → `BENCH_serving.json`.
 //!

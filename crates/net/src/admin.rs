@@ -55,7 +55,7 @@ use odt_obs::json::{push_f64, push_str_escaped};
 use odt_obs::QualitySnapshot;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -140,6 +140,67 @@ pub struct AdminHandle {
     addr: SocketAddr,
     shared: Arc<AdminShared>,
     acceptor: Option<JoinHandle<()>>,
+}
+
+/// Cap on a reply [`http_request`] will buffer — an admin plane gone
+/// haywire must not balloon the memory of the router scraping it.
+const MAX_SCRAPE_BYTES: usize = 4 * 1024 * 1024;
+
+/// The admin plane's client: one bodyless `method path` request against an
+/// admin endpoint (health probes, federation scrapes, flight-recorder
+/// fan-out). Returns the status and body, or `None` when the endpoint is
+/// unreachable, does not answer within `timeout`, or the reply is not
+/// parseable HTTP or exceeds [`MAX_SCRAPE_BYTES`].
+pub fn http_request(
+    admin_addr: &str,
+    method: &str,
+    path: &str,
+    timeout: Duration,
+) -> Option<(u16, String)> {
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: odt\r\nConnection: close\r\nContent-Length: 0\r\n\r\n"
+    );
+    let (status, _head, body) = http_exchange(admin_addr, request.as_bytes(), timeout)?;
+    Some((status, body))
+}
+
+/// Send `request` as is and read the reply to connection close (the plane
+/// always answers `Connection: close`): `(status, head, body)`.
+fn http_exchange(
+    admin_addr: &str,
+    request: &[u8],
+    timeout: Duration,
+) -> Option<(u16, String, String)> {
+    let addr = admin_addr.to_socket_addrs().ok()?.next()?;
+    let mut s = TcpStream::connect_timeout(&addr, timeout).ok()?;
+    s.set_read_timeout(Some(timeout)).ok()?;
+    s.set_write_timeout(Some(timeout)).ok()?;
+    s.write_all(request).ok()?;
+    let mut raw = Vec::with_capacity(4096);
+    let mut chunk = [0u8; 8192];
+    loop {
+        match s.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => {
+                raw.extend_from_slice(&chunk[..n]);
+                if raw.len() > MAX_SCRAPE_BYTES {
+                    return None;
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    let text = String::from_utf8_lossy(&raw);
+    let (head, body) = text.split_once("\r\n\r\n")?;
+    let status: u16 = head
+        .lines()
+        .next()?
+        .split_whitespace()
+        .nth(1)?
+        .parse()
+        .ok()?;
+    Some((status, head.to_string(), body.to_string()))
 }
 
 /// Start the admin endpoint: binds, spawns one acceptor thread (handler
@@ -724,23 +785,12 @@ mod tests {
     use super::*;
 
     fn get(addr: SocketAddr, request: &str) -> (u16, String, String) {
-        let mut s = TcpStream::connect(addr).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        s.write_all(request.as_bytes()).unwrap();
-        let mut raw = Vec::new();
-        s.read_to_end(&mut raw).unwrap();
-        let text = String::from_utf8(raw).expect("utf8 response");
-        let (head, body) = text.split_once("\r\n\r\n").expect("header terminator");
-        let status: u16 = head
-            .lines()
-            .next()
-            .unwrap()
-            .split_whitespace()
-            .nth(1)
-            .unwrap()
-            .parse()
-            .unwrap();
-        (status, head.to_string(), body.to_string())
+        http_exchange(
+            &addr.to_string(),
+            request.as_bytes(),
+            Duration::from_secs(5),
+        )
+        .expect("an HTTP reply")
     }
 
     fn simple_get(addr: SocketAddr, path: &str) -> (u16, String, String) {
@@ -752,6 +802,47 @@ mod tests {
 
     fn boot(sources: AdminSources) -> AdminHandle {
         start_admin(AdminConfig::default(), sources).expect("admin start")
+    }
+
+    #[test]
+    fn http_request_reads_statuses_and_refuses_dead_ports_and_oversized_bodies() {
+        let t = Duration::from_millis(1_000);
+        let h = boot(AdminSources {
+            varz: Some(Box::new(|| "x".repeat(MAX_SCRAPE_BYTES + 1))),
+            ..AdminSources::default()
+        });
+        let addr = h.addr().to_string();
+        // (method, path, readiness to set first, acceptable statuses; none = refused)
+        let rows: [(&str, &str, bool, &[u16]); 7] = [
+            ("GET", "/healthz", false, &[200]),
+            ("GET", "/nonesuch", false, &[404]),
+            ("GET", "/readyz", false, &[503]),
+            ("GET", "/readyz", true, &[200]),
+            ("GET", "/readyz", false, &[503]),
+            // 200 when the flight recorder is armed, 503 otherwise; tests
+            // running beside this one toggle it.
+            ("POST", "/flightrec", false, &[200, 503]),
+            // A reply over MAX_SCRAPE_BYTES is refused, not buffered.
+            ("GET", "/varz", false, &[]),
+        ];
+        for (method, path, ready, want) in rows {
+            h.set_ready(ready);
+            match http_request(&addr, method, path, t) {
+                Some((st, _)) => assert!(want.contains(&st), "{method} {path}: {st}"),
+                None => assert!(want.is_empty(), "{method} {path}: no reply"),
+            }
+        }
+        let (_, body) = http_request(&addr, "GET", "/healthz", t).unwrap();
+        assert_eq!(body, "ok\n");
+        h.shutdown();
+        // A bound-then-dropped port is unreachable whatever the verb.
+        let free = {
+            let l = TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap().to_string()
+        };
+        for method in ["GET", "POST"] {
+            assert!(http_request(&free, method, "/healthz", t).is_none());
+        }
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //!
 //! A success after any skip/failure counts one **failover**. Only when
 //! every replica of the shard is exhausted — the shard is dark — does
-//! the router degrade to its local haversine prior (rung
-//! [`PRIOR_RUNG`]), mirroring the single-process ladder's last rung:
-//! an answer, always, never a hang.
+//! the router degrade to its local prior (rung [`PRIOR_RUNG`]): the
+//! number the shard's own `Fallback` rung would have given
+//! ([`odt_serve::fallback_estimate_seconds`]), so the cluster's floor is
+//! the single server's floor. An answer, always, never a hang.
 //!
 //! Non-retryable refusals (`invalid_query`, `malformed_frame`, ...)
 //! are the client's problem, not the replica's: they propagate
@@ -48,25 +49,23 @@
 //! by [`render_router_varz`] as `odt-router-varz/v1`), and cluster
 //! totals as `cluster.*` metrics in the process registry.
 
+use crate::admin::http_request;
 use crate::loadgen::Region;
 use crate::server::{instance_name, ConnStatsSnapshot, NetBackend, NetRequest};
 use crate::shard::ShardMap;
-use crate::wire::{
-    tune_stream, FrameRead, WireErrorCode, WireQuery, WireRequest, WireResponse,
-    DEFAULT_MAX_FRAME_BYTES, FRAME_HEADER_BYTES,
-};
+use crate::wire::{Client, WireErrorCode, WireRequest, WireResponse, DEFAULT_MAX_FRAME_BYTES};
 use odt_obs::json::push_str_escaped;
 use odt_obs::{counter, event, gauge, Level};
-use odt_serve::{BreakerConfig, BreakerState, CircuitBreaker};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use odt_serve::{
+    fallback_estimate_seconds, BreakerConfig, BreakerState, CircuitBreaker, LngLat, OdtInput,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Rung name the router reports when a whole shard is dark and the
-/// request is answered by the router-local haversine prior.
+/// request is answered by the router-local prior.
 pub const PRIOR_RUNG: &str = "router_prior";
 
 /// One shard replica's addresses.
@@ -115,8 +114,6 @@ pub struct ClusterConfig {
     pub request_timeout_ms: u64,
     /// Per-replica circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Speed assumed by the degraded haversine prior, m/s.
-    pub prior_speed_mps: f64,
     /// Cap on downstream reply frames, bytes.
     pub max_frame_bytes: usize,
 }
@@ -132,7 +129,6 @@ impl ClusterConfig {
             connect_timeout_ms: 500,
             request_timeout_ms: 2_000,
             breaker: BreakerConfig::default(),
-            prior_speed_mps: 10.0,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
         }
     }
@@ -373,61 +369,46 @@ pub struct ClusterSnapshot {
     pub quorum_ready: bool,
 }
 
-fn resolve(addr: &str) -> io::Result<SocketAddr> {
-    addr.to_socket_addrs()?.next().ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::AddrNotAvailable,
-            "address resolved to nothing",
-        )
-    })
-}
-
-/// Probe one admin endpoint's `/readyz`. `Some(true)` on 200, `Some(false)`
-/// on any other HTTP status, `None` when the endpoint was unreachable or
-/// didn't answer HTTP within `timeout` (callers treat that as unready).
-pub fn probe_readyz(admin_addr: &str, timeout: Duration) -> Option<bool> {
-    let addr = resolve(admin_addr).ok()?;
-    let mut s = TcpStream::connect_timeout(&addr, timeout).ok()?;
-    s.set_read_timeout(Some(timeout)).ok()?;
-    s.set_write_timeout(Some(timeout)).ok()?;
-    s.write_all(b"GET /readyz HTTP/1.1\r\nHost: odt\r\nConnection: close\r\n\r\n")
-        .ok()?;
-    let mut raw = Vec::with_capacity(256);
-    let mut chunk = [0u8; 512];
-    loop {
-        match s.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                raw.extend_from_slice(&chunk[..n]);
-                // The status line is all we need; admin replies close.
-                if raw.len() >= 12 || raw.windows(2).any(|w| w == b"\r\n") {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-    let head = String::from_utf8_lossy(&raw);
-    let status: u16 = head
-        .lines()
-        .next()?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()?;
-    Some(status == 200)
-}
-
-/// A running health prober. [`ProberHandle::shutdown`] (or drop) stops
+/// A running background poller (the health prober here, the federation
+/// scraper in [`crate::fed`]). [`PollerHandle::shutdown`] (or drop) stops
 /// the thread.
-pub struct ProberHandle {
+pub struct PollerHandle {
     stop: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
 }
 
-impl ProberHandle {
-    /// Stop probing and join the thread.
+impl PollerHandle {
+    /// Run `pass` on a thread called `name`: at once, then again
+    /// `interval_ms` after each pass ends, until shut down.
+    pub(crate) fn spawn(
+        name: &str,
+        interval_ms: u64,
+        mut pass: impl FnMut() + Send + 'static,
+    ) -> PollerHandle {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let thread = thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || {
+                while !stop2.load(Ordering::Acquire) {
+                    pass();
+                    // Sleep in short steps so shutdown stays prompt.
+                    let mut slept = 0;
+                    while slept < interval_ms.max(1) && !stop2.load(Ordering::Acquire) {
+                        let step = (interval_ms.max(1) - slept).min(10);
+                        thread::sleep(Duration::from_millis(step));
+                        slept += step;
+                    }
+                }
+            })
+            .expect("spawn poller thread");
+        PollerHandle {
+            stop,
+            thread: Some(thread),
+        }
+    }
+
+    /// Stop polling and join the thread.
     pub fn shutdown(mut self) {
         self.halt();
     }
@@ -440,7 +421,7 @@ impl ProberHandle {
     }
 }
 
-impl Drop for ProberHandle {
+impl Drop for PollerHandle {
     fn drop(&mut self) {
         self.halt();
     }
@@ -453,192 +434,25 @@ pub fn start_health_prober(
     shared: Arc<ClusterShared>,
     interval_ms: u64,
     timeout_ms: u64,
-) -> ProberHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let thread = thread::Builder::new()
-        .name("odt-cluster-prober".to_string())
-        .spawn(move || {
-            let timeout = Duration::from_millis(timeout_ms.max(1));
-            while !stop2.load(Ordering::Acquire) {
-                for (s, replicas) in shared.topology().iter().enumerate() {
-                    for (r, addr) in replicas.iter().enumerate() {
-                        let Some(admin) = &addr.admin else { continue };
-                        let health = match probe_readyz(admin, timeout) {
-                            Some(true) => ReplicaHealth::Ready,
-                            Some(false) | None => ReplicaHealth::Unready,
-                        };
-                        shared.set_health(s, r, health);
-                    }
-                }
-                gauge("cluster.quorum_ready").set(if shared.quorum_ready() { 1.0 } else { 0.0 });
-                // Sleep in short steps so shutdown stays prompt.
-                let mut slept = 0;
-                while slept < interval_ms.max(1) && !stop2.load(Ordering::Acquire) {
-                    let step = (interval_ms.max(1) - slept).min(10);
-                    thread::sleep(Duration::from_millis(step));
-                    slept += step;
-                }
-            }
-        })
-        .expect("spawn cluster prober");
-    ProberHandle {
-        stop,
-        thread: Some(thread),
-    }
-}
-
-/// A lazily-(re)connecting synchronous client for one replica's wire
-/// port. Strictly one request in flight; any transport anomaly tears
-/// the connection down so the next call starts clean.
-struct ReplicaClient {
-    addr: String,
-    connect_timeout: Duration,
-    request_timeout: Duration,
-    max_frame_bytes: usize,
-    stream: Option<TcpStream>,
-    /// Request frame under construction, reused across calls.
-    frame: Vec<u8>,
-}
-
-impl ReplicaClient {
-    fn new(addr: String, cfg: &ClusterConfig) -> ReplicaClient {
-        ReplicaClient {
-            addr,
-            connect_timeout: Duration::from_millis(cfg.connect_timeout_ms.max(1)),
-            request_timeout: Duration::from_millis(cfg.request_timeout_ms.max(1)),
-            max_frame_bytes: cfg.max_frame_bytes,
-            stream: None,
-            frame: Vec::new(),
-        }
-    }
-
-    fn ensure_connected(&mut self) -> io::Result<()> {
-        if self.stream.is_some() {
-            return Ok(());
-        }
-        let addr = resolve(&self.addr)?;
-        let s = TcpStream::connect_timeout(&addr, self.connect_timeout)?;
-        let _ = tune_stream(&s);
-        s.set_read_timeout(Some(self.request_timeout.min(Duration::from_millis(50))))?;
-        s.set_write_timeout(Some(self.request_timeout))?;
-        self.stream = Some(s);
-        Ok(())
-    }
-
-    /// Forward one request and read its reply, bounded end to end by
-    /// the request timeout. Any error leaves the client disconnected.
-    fn call(&mut self, req: &WireRequest) -> io::Result<WireResponse> {
-        self.ensure_connected()?;
-        let deadline = Instant::now() + self.request_timeout;
-        let outcome = (|| {
-            let stream = self.stream.as_mut().expect("connected above");
-            self.frame.clear();
-            req.encode_frame_into(&mut self.frame);
-            stream.write_all(&self.frame)?;
-            match read_frame_deadline(stream, self.max_frame_bytes, deadline)? {
-                FrameRead::Payload(p) => WireResponse::from_json(&p)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)),
-                FrameRead::Closed => Err(io::Error::new(
-                    io::ErrorKind::ConnectionAborted,
-                    "replica closed before replying",
-                )),
-            }
-        })();
-        match outcome {
-            Ok(resp) if resp.id() == req.id => Ok(resp),
-            Ok(_) => {
-                // A reply for some other id means the stream is
-                // desynchronized (e.g. a late reply to a timed-out
-                // predecessor); drop the connection rather than serve
-                // someone else's estimate.
-                self.stream = None;
-                Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "reply id mismatch; resetting replica connection",
-                ))
-            }
-            Err(e) => {
-                self.stream = None;
-                Err(e)
-            }
-        }
-    }
-}
-
-/// Read one frame with a hard deadline: socket read timeouts recur
-/// until the deadline, then surface as `TimedOut`. Unlike
-/// [`crate::wire::read_frame`] this can never stall the router's
-/// dispatcher on a wedged replica mid-frame.
-fn read_frame_deadline(
-    stream: &mut TcpStream,
-    max: usize,
-    deadline: Instant,
-) -> io::Result<FrameRead> {
-    let timeoutish = |e: &io::Error| {
-        matches!(
-            e.kind(),
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-        )
-    };
-    let mut hdr = [0u8; FRAME_HEADER_BYTES];
-    let mut got = 0;
-    while got < hdr.len() {
-        match stream.read(&mut hdr[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Ok(FrameRead::Closed)
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "replica closed mid-frame",
-                    ))
+) -> PollerHandle {
+    let timeout = Duration::from_millis(timeout_ms.max(1));
+    PollerHandle::spawn("odt-cluster-prober", interval_ms, move || {
+        for (s, replicas) in shared.topology().iter().enumerate() {
+            for (r, addr) in replicas.iter().enumerate() {
+                let Some(admin) = &addr.admin else { continue };
+                let health = match http_request(admin, "GET", "/readyz", timeout) {
+                    Some((200, _)) => ReplicaHealth::Ready,
+                    _ => ReplicaHealth::Unready,
                 };
+                shared.set_health(s, r, health);
             }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if timeoutish(&e) => {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(io::ErrorKind::TimedOut, "reply deadline"));
-                }
-            }
-            Err(e) => return Err(e),
         }
-    }
-    let declared = u32::from_be_bytes(hdr) as usize;
-    if declared > max {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("reply frame of {declared} bytes exceeds cap {max}"),
-        ));
-    }
-    let mut buf = vec![0u8; declared];
-    let mut got = 0;
-    while got < declared {
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "replica closed mid-frame",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if timeoutish(&e) => {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(io::ErrorKind::TimedOut, "reply deadline"));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    let payload = String::from_utf8(buf)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "reply not UTF-8"))?;
-    Ok(FrameRead::Payload(payload))
+        gauge("cluster.quorum_ready").set(if shared.quorum_ready() { 1.0 } else { 0.0 });
+    })
 }
 
 struct ReplicaSlot {
-    client: ReplicaClient,
+    client: Client,
     breaker: CircuitBreaker,
 }
 
@@ -651,7 +465,8 @@ pub struct RouterBackend {
     rr: Vec<usize>,
     dark_warned: Vec<bool>,
     shared: Arc<ClusterShared>,
-    prior_speed_mps: f64,
+    /// Per-forwarded-request deadline (write + read).
+    request_timeout: Duration,
     epoch: Instant,
     /// Breaker trips already seen per replica; a trip beyond this fans a
     /// flight-recorder dump out to the implicated shard's replicas.
@@ -677,7 +492,11 @@ impl RouterBackend {
                     .iter()
                     .enumerate()
                     .map(|(r, addr)| ReplicaSlot {
-                        client: ReplicaClient::new(addr.wire.clone(), &cfg),
+                        client: Client::new(
+                            addr.wire.clone(),
+                            Duration::from_millis(cfg.connect_timeout_ms.max(1)),
+                            cfg.max_frame_bytes,
+                        ),
                         // Breaker names are 'static for the event plane;
                         // one small leak per replica at startup.
                         breaker: CircuitBreaker::new(
@@ -696,7 +515,7 @@ impl RouterBackend {
             rr: vec![0; n_shards],
             dark_warned: vec![false; n_shards],
             shared,
-            prior_speed_mps: cfg.prior_speed_mps,
+            request_timeout: Duration::from_millis(cfg.request_timeout_ms.max(1)),
             epoch: Instant::now(),
             seen_trips,
         }
@@ -792,7 +611,9 @@ impl RouterBackend {
                 trace: d_trace,
                 parent_span: d_parent,
             };
-            let outcome = self.slots[shard][ri].client.call(&d_req);
+            let outcome = self.slots[shard][ri]
+                .client
+                .call(&d_req, self.request_timeout);
             drop(hop);
             let now = self.now_us();
             match outcome {
@@ -844,7 +665,17 @@ impl RouterBackend {
         }
         WireResponse::Ok {
             id: req.id,
-            seconds: haversine_seconds(&q, self.prior_speed_mps),
+            seconds: fallback_estimate_seconds(&OdtInput {
+                origin: LngLat {
+                    lng: q.o_lng,
+                    lat: q.o_lat,
+                },
+                dest: LngLat {
+                    lng: q.d_lng,
+                    lat: q.d_lat,
+                },
+                t_dep: q.t_dep,
+            }),
             rung: PRIOR_RUNG.to_string(),
             queue_wait_us: nr.age_us,
             service_us: 0,
@@ -903,49 +734,10 @@ impl RouterBackend {
             .name("odt-flightrec-fanout".to_string())
             .spawn(move || {
                 for a in admins {
-                    let _ = post_flightrec(&a, Duration::from_millis(1_000));
+                    let _ = http_request(&a, "POST", "/flightrec", Duration::from_millis(1_000));
                 }
             });
     }
-}
-
-/// POST one admin endpoint's `/flightrec` (the fan-out primitive).
-/// `Some(true)` when the replica dumped (HTTP 200), `Some(false)` on any
-/// other status (e.g. its recorder is disabled), `None` when the endpoint
-/// was unreachable within `timeout`.
-pub fn post_flightrec(admin_addr: &str, timeout: Duration) -> Option<bool> {
-    let addr = resolve(admin_addr).ok()?;
-    let mut s = TcpStream::connect_timeout(&addr, timeout).ok()?;
-    s.set_read_timeout(Some(timeout)).ok()?;
-    s.set_write_timeout(Some(timeout)).ok()?;
-    s.write_all(
-        b"POST /flightrec HTTP/1.1\r\nHost: odt\r\nConnection: close\r\nContent-Length: 0\r\n\r\n",
-    )
-    .ok()?;
-    let mut raw = Vec::with_capacity(256);
-    let mut chunk = [0u8; 512];
-    loop {
-        match s.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                raw.extend_from_slice(&chunk[..n]);
-                if raw.windows(2).any(|w| w == b"\r\n") {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-    let head = String::from_utf8_lossy(&raw);
-    let status: u16 = head
-        .lines()
-        .next()?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()?;
-    Some(status == 200)
 }
 
 impl NetBackend for RouterBackend {
@@ -965,23 +757,6 @@ impl NetBackend for RouterBackend {
     fn on_tick(&mut self) {
         self.publish();
     }
-}
-
-/// Great-circle travel time at a constant speed — the router's shard-dark
-/// prior (the same physics as the oracle's own last-rung fallback).
-pub fn haversine_seconds(q: &WireQuery, speed_mps: f64) -> f64 {
-    const R_EARTH_M: f64 = 6_371_000.0;
-    let (lat1, lat2) = (q.o_lat.to_radians(), q.d_lat.to_radians());
-    let dlat = (q.d_lat - q.o_lat).to_radians();
-    let dlng = (q.d_lng - q.o_lng).to_radians();
-    let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlng / 2.0).sin().powi(2);
-    let meters = 2.0 * R_EARTH_M * a.sqrt().min(1.0).asin();
-    let v = if speed_mps.is_finite() && speed_mps > 0.1 {
-        speed_mps
-    } else {
-        10.0
-    };
-    (meters / v).clamp(0.0, 86_400.0)
 }
 
 /// Render the router's `/varz` JSON body (`odt-router-varz/v1`): server
@@ -1048,6 +823,7 @@ mod tests {
     use super::*;
     use crate::admin::{start_admin, AdminConfig, AdminSources};
     use crate::server::{start, EchoBackend, ServerConfig, ServerHandle};
+    use crate::wire::WireQuery;
     use odt_obs::SplitMix64;
 
     fn echo_server() -> ServerHandle {
@@ -1101,28 +877,66 @@ mod tests {
     }
 
     #[test]
-    fn haversine_prior_is_sane() {
-        let zero = WireQuery {
-            o_lng: 104.0,
-            o_lat: 30.7,
-            d_lng: 104.0,
-            d_lat: 30.7,
-            t_dep: 0.0,
+    fn a_dark_shard_is_answered_with_the_shards_own_fallback_prior() {
+        // One shard whose only replica is a bound-then-dropped port.
+        let dead = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap().to_string()
         };
-        assert_eq!(haversine_seconds(&zero, 10.0), 0.0);
-        // One degree of latitude ≈ 111.2 km; at 10 m/s that's ~11120 s.
-        let one_deg = WireQuery {
+        let mut cfg = ClusterConfig::new(vec![vec![ReplicaAddr::wire_only(dead)]]);
+        cfg.connect_timeout_ms = 200;
+        let shared = ClusterShared::new(&cfg);
+        let mut router = RouterBackend::new(cfg, Arc::clone(&shared));
+        let mut rng = SplitMix64::new(5);
+        // One degree of latitude is 111.2 km of crow line: 1.3 x that at
+        // 8 m/s plus 60 s, where the router used to say crow line / 10 m/s.
+        let one_degree = WireQuery {
             o_lng: 104.0,
             o_lat: 30.0,
             d_lng: 104.0,
             d_lat: 31.0,
             t_dep: 0.0,
         };
-        let s = haversine_seconds(&one_deg, 10.0);
-        assert!((10_500.0..11_700.0).contains(&s), "{s}");
-        // Bad speed falls back instead of dividing by zero.
-        assert!(haversine_seconds(&one_deg, 0.0).is_finite());
-        assert!(haversine_seconds(&one_deg, f64::NAN).is_finite());
+        let queries: Vec<WireQuery> = std::iter::once(one_degree)
+            .chain((0..8).map(|_| random_query(&mut rng)))
+            .collect();
+        for (id, q) in queries.iter().enumerate() {
+            let shard_says = fallback_estimate_seconds(&OdtInput {
+                origin: LngLat {
+                    lng: q.o_lng,
+                    lat: q.o_lat,
+                },
+                dest: LngLat {
+                    lng: q.d_lng,
+                    lat: q.d_lat,
+                },
+                t_dep: q.t_dep,
+            });
+            match &router.process(vec![request(id as u64, *q)])[0].1 {
+                WireResponse::Ok { seconds, rung, .. } => {
+                    assert_eq!(rung, PRIOR_RUNG);
+                    assert_eq!(seconds.to_bits(), shard_says.to_bits(), "{q:?}");
+                }
+                other => panic!("dark shard must degrade, not error: {other:?}"),
+            }
+            if id == 0 {
+                assert!((18_000.0..18_300.0).contains(&shard_says), "{shard_says}");
+            }
+        }
+        assert_eq!(shared.prior_serves(), 9);
+        // A non-finite query is refused before it can reach the prior.
+        let nan = WireQuery {
+            d_lat: f64::NAN,
+            ..one_degree
+        };
+        assert!(matches!(
+            router.process(vec![request(99, nan)])[0].1,
+            WireResponse::Err {
+                code: WireErrorCode::InvalidQuery,
+                ..
+            }
+        ));
+        assert_eq!(shared.prior_serves(), 9);
     }
 
     #[test]
@@ -1301,25 +1115,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_readyz_reads_the_admin_plane() {
-        let admin = start_admin(AdminConfig::default(), AdminSources::default()).unwrap();
-        let addr = admin.addr().to_string();
-        let t = Duration::from_millis(500);
-        assert_eq!(probe_readyz(&addr, t), Some(false), "starts unready");
-        admin.set_ready(true);
-        assert_eq!(probe_readyz(&addr, t), Some(true));
-        admin.set_ready(false);
-        assert_eq!(probe_readyz(&addr, t), Some(false));
-        admin.shutdown();
-        // A dead endpoint is indistinguishable from unready: None.
-        let free = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().to_string()
-        };
-        assert_eq!(probe_readyz(&free, t), None);
-    }
-
-    #[test]
     fn prober_publishes_health_transitions() {
         let admin = start_admin(AdminConfig::default(), AdminSources::default()).unwrap();
         let cfg = ClusterConfig::new(vec![vec![ReplicaAddr::with_admin(
@@ -1425,22 +1220,5 @@ mod tests {
             thread::sleep(Duration::from_millis(10));
         }
         admin.shutdown();
-    }
-
-    #[test]
-    fn post_flightrec_reports_reachability() {
-        let t = Duration::from_millis(500);
-        let admin = start_admin(AdminConfig::default(), AdminSources::default()).unwrap();
-        let addr = admin.addr().to_string();
-        // Live admin: a definite answer (200 when the recorder is armed,
-        // 503 otherwise — concurrent tests may toggle it, so accept both).
-        assert!(post_flightrec(&addr, t).is_some());
-        admin.shutdown();
-        // Bound-then-dropped port: unreachable.
-        let free = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().to_string()
-        };
-        assert_eq!(post_flightrec(&free, t), None);
     }
 }

@@ -33,22 +33,15 @@
 //! staleness, and a per-shard quality roll-up (worst MAE / drift across
 //! the shard's live replicas).
 
-use crate::cluster::ReplicaAddr;
+use crate::admin::http_request;
+use crate::cluster::{PollerHandle, ReplicaAddr};
 use crate::json::JsonValue;
 use odt_obs::expo::{self, ParsedExposition};
 use odt_obs::json::push_str_escaped;
 use odt_obs::{counter, event, HistogramData, Level};
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
 use std::time::Duration;
-
-/// Cap on a scraped response body — an admin plane gone haywire must
-/// not balloon the router's memory.
-const MAX_SCRAPE_BYTES: usize = 4 * 1024 * 1024;
 
 /// One admin endpoint the scraper pulls.
 #[derive(Clone, Debug)]
@@ -377,97 +370,18 @@ fn cluster_family(fam: &str) -> String {
     format!("odt_cluster_{}", fam.strip_prefix("odt_").unwrap_or(fam))
 }
 
-/// Plain HTTP/1.1 GET against an admin endpoint: returns the status and
-/// body, or `None` when the endpoint is unreachable, times out, or the
-/// reply is not parseable HTTP. Reads to connection close (the admin
-/// plane always answers `Connection: close`), bounded by
-/// [`MAX_SCRAPE_BYTES`].
+/// `GET path` against an admin endpoint (see [`http_request`]).
 pub fn http_get(admin_addr: &str, path: &str, timeout: Duration) -> Option<(u16, String)> {
-    let addr = admin_addr.to_socket_addrs().ok()?.next()?;
-    let mut s = TcpStream::connect_timeout(&addr, timeout).ok()?;
-    s.set_read_timeout(Some(timeout)).ok()?;
-    s.set_write_timeout(Some(timeout)).ok()?;
-    s.write_all(
-        format!("GET {path} HTTP/1.1\r\nHost: odt\r\nConnection: close\r\nAccept: */*\r\n\r\n")
-            .as_bytes(),
-    )
-    .ok()?;
-    let mut raw = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 8192];
-    loop {
-        match s.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                raw.extend_from_slice(&chunk[..n]);
-                if raw.len() > MAX_SCRAPE_BYTES {
-                    return None;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-    let text = String::from_utf8_lossy(&raw).into_owned();
-    let (head, body) = text.split_once("\r\n\r\n")?;
-    let status: u16 = head
-        .lines()
-        .next()?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()?;
-    Some((status, body.to_string()))
-}
-
-/// A running background scrape loop; [`ScraperHandle::shutdown`] stops it.
-pub struct ScraperHandle {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl ScraperHandle {
-    /// Stop the loop and join the thread.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
+    http_request(admin_addr, "GET", path, timeout)
 }
 
 /// Start the periodic scrape loop: one [`ClusterScraper::scrape_once`]
 /// pass every `period_ms` (the first pass runs immediately, so the
 /// federated body is populated as soon as replicas answer).
-pub fn start_scraper(scraper: Arc<ClusterScraper>, period_ms: u64) -> ScraperHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    let thread = thread::Builder::new()
-        .name("odt-fed-scraper".to_string())
-        .spawn(move || {
-            let period = Duration::from_millis(period_ms.max(1));
-            let tick = Duration::from_millis(period_ms.clamp(1, 25));
-            loop {
-                if flag.load(Ordering::Acquire) {
-                    return;
-                }
-                scraper.scrape_once();
-                // Sleep in small ticks so shutdown stays prompt even
-                // with multi-second scrape periods.
-                let mut slept = Duration::ZERO;
-                while slept < period {
-                    if flag.load(Ordering::Acquire) {
-                        return;
-                    }
-                    thread::sleep(tick);
-                    slept += tick;
-                }
-            }
-        })
-        .expect("spawn fed scraper");
-    ScraperHandle {
-        stop,
-        thread: Some(thread),
-    }
+pub fn start_scraper(scraper: Arc<ClusterScraper>, period_ms: u64) -> PollerHandle {
+    PollerHandle::spawn("odt-fed-scraper", period_ms, move || {
+        scraper.scrape_once();
+    })
 }
 
 #[cfg(test)]
@@ -477,22 +391,6 @@ mod tests {
 
     fn one_replica(admin: &str) -> Vec<Vec<ReplicaAddr>> {
         vec![vec![ReplicaAddr::with_admin("127.0.0.1:9", admin)]]
-    }
-
-    #[test]
-    fn http_get_fetches_status_and_body() {
-        let admin = start_admin(AdminConfig::default(), AdminSources::default()).unwrap();
-        let t = Duration::from_millis(1_000);
-        let (st, body) = http_get(&admin.addr().to_string(), "/healthz", t).unwrap();
-        assert_eq!((st, body.as_str()), (200, "ok\n"));
-        let (st, _) = http_get(&admin.addr().to_string(), "/nonesuch", t).unwrap();
-        assert_eq!(st, 404);
-        admin.shutdown();
-        let free = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().to_string()
-        };
-        assert!(http_get(&free, "/healthz", t).is_none());
     }
 
     #[test]

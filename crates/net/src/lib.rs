@@ -5,18 +5,20 @@
 //! ([`server`]) that feeds the deadline-aware [`odt_serve`] frontend
 //! through bounded queues with typed overload errors and graceful
 //! drain, a coordinated-omission-free load generator ([`loadgen`]), a
-//! network-fault drill catalog ([`drill`]) extending the serving chaos
-//! harness, a tiny Unix signal shim ([`signal`]) so server binaries
+//! network- and cluster-fault drill catalog ([`drill`]) extending the
+//! serving chaos harness, a tiny Unix signal shim ([`signal`]) so server binaries
 //! can drain on SIGTERM/ctrl-c, and a live introspection plane
 //! ([`admin`]): an off-band HTTP endpoint serving Prometheus
 //! `/metrics`, `/healthz`/`/readyz` probes, `/varz`/`/tracez` JSON and
-//! operator-triggered flight-recorder dumps.
+//! operator-triggered flight-recorder dumps. Each of the two protocols
+//! has one client, next to its server side: [`wire::Client`] and
+//! [`admin::http_request`].
 //!
 //! On top of the single-process stack sits the sharded cluster: grid-
 //! region placement by rendezvous hashing ([`shard`]), a router with
-//! per-replica health probing, circuit-breaker failover, and a
-//! shard-dark haversine prior ([`cluster`]), plus deterministic
-//! replica-kill and shard-partition drills ([`cluster_drill`]).
+//! per-replica health probing, circuit-breaker failover, and the
+//! shard's own fallback prior when a shard is dark ([`cluster`]), plus
+//! deterministic replica-kill and shard-partition drills ([`drill`]).
 //!
 //! The cluster observes itself through one pane: requests carry
 //! trace/parent-span context across every hop (router spans and shard
@@ -30,7 +32,6 @@
 
 pub mod admin;
 pub mod cluster;
-pub mod cluster_drill;
 pub mod drill;
 pub mod fed;
 pub mod json;
@@ -41,22 +42,19 @@ pub mod signal;
 pub mod wire;
 
 pub use admin::{
-    render_tracez, render_varz, start_admin, AdminConfig, AdminHandle, AdminSources, SwapFn, VarzFn,
+    http_request, render_tracez, render_varz, start_admin, AdminConfig, AdminHandle, AdminSources,
+    SwapFn, VarzFn,
 };
 pub use cluster::{
-    haversine_seconds, post_flightrec, probe_readyz, render_router_varz, start_health_prober,
-    ClusterConfig, ClusterShared, ClusterSnapshot, ProberHandle, ReplicaAddr, ReplicaHealth,
-    ReplicaSnapshot, RouterBackend, PRIOR_RUNG,
-};
-pub use cluster_drill::{
-    cluster_drill_names, run_cluster_drills, run_cluster_replica_kill,
-    run_cluster_router_partition, run_cluster_trace_loss, ClusterDrillOutcome,
+    render_router_varz, start_health_prober, ClusterConfig, ClusterShared, ClusterSnapshot,
+    PollerHandle, ReplicaAddr, ReplicaHealth, ReplicaSnapshot, RouterBackend, PRIOR_RUNG,
 };
 pub use drill::{
-    net_scenarios, run_net_scenario, run_net_scenario_with, NetDrillOutcome, NetExpectations,
-    NetScenarioKind, NetScenarioSpec,
+    cluster_drill_names, net_scenarios, run_cluster_replica_kill, run_cluster_router_partition,
+    run_cluster_trace_loss, run_net_scenario_with, ClusterDrillOutcome, NetDrillOutcome,
+    NetExpectations, NetScenarioKind, NetScenarioSpec,
 };
-pub use fed::{http_get, start_scraper, ClusterScraper, ScrapeTarget, ScraperHandle};
+pub use fed::{http_get, start_scraper, ClusterScraper, ScrapeTarget};
 pub use loadgen::{
     coarse_od_key, KeySkew, LatencySummary, LoadConfig, LoadMode, LoadReport, OdMixer, Region,
 };
@@ -67,6 +65,6 @@ pub use server::{
 };
 pub use shard::ShardMap;
 pub use wire::{
-    read_frame, tune_stream, write_frame, FrameError, FrameRead, WireErrorCode, WireQuery,
+    read_frame, tune_stream, write_frame, Client, FrameError, FrameRead, WireErrorCode, WireQuery,
     WireRequest, WireResponse, WIRE_SCHEMA,
 };

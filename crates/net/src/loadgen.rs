@@ -32,12 +32,11 @@
 //! workload the server actually saw, not just the knobs requested.
 
 use crate::wire::{
-    read_frame, tune_stream, FrameRead, WireErrorCode, WireQuery, WireRequest, WireResponse,
+    read_frame, Client, FrameRead, WireErrorCode, WireQuery, WireRequest, WireResponse,
 };
 use odt_obs::{SplitMix64, TraceId};
 use std::collections::HashMap;
-use std::io::{self, Write};
-use std::net::TcpStream;
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -156,39 +155,17 @@ impl Default for LoadConfig {
     }
 }
 
-/// Connect with bounded retry-and-backoff: transient refusals during
-/// server warmup (`ECONNREFUSED`, resets while the listener comes up)
-/// back off 50 ms doubling to 1 s until [`LoadConfig::connect_retry_ms`]
-/// is exhausted; then the last error surfaces. Returns the stream and
-/// how many retries it took.
-fn connect_with_retry(cfg: &LoadConfig) -> io::Result<(TcpStream, u64)> {
-    let budget = Duration::from_millis(cfg.connect_retry_ms);
-    let t0 = Instant::now();
-    let mut backoff = Duration::from_millis(50);
-    let mut retries = 0u64;
-    loop {
-        match TcpStream::connect(&cfg.addr) {
-            Ok(s) => {
-                tune_stream(&s)?;
-                return Ok((s, retries));
-            }
-            Err(e) => {
-                let retryable = matches!(
-                    e.kind(),
-                    io::ErrorKind::ConnectionRefused
-                        | io::ErrorKind::ConnectionReset
-                        | io::ErrorKind::ConnectionAborted
-                        | io::ErrorKind::AddrNotAvailable
-                );
-                if !retryable || t0.elapsed() + backoff > budget {
-                    return Err(e);
-                }
-                thread::sleep(backoff);
-                retries += 1;
-                backoff = (backoff * 2).min(Duration::from_millis(1_000));
-            }
-        }
-    }
+/// How long a load connection waits for one connect attempt, one write
+/// or (closed loop) one reply.
+const IO_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Connect one load connection, retrying refusals for up to
+/// [`LoadConfig::connect_retry_ms`] ([`Client::connect`]). Returns the
+/// client and how many retries it took.
+fn connect(cfg: &LoadConfig) -> io::Result<(Client, u64)> {
+    let mut client = Client::new(cfg.addr.clone(), IO_DEADLINE, cfg.max_frame_bytes);
+    let retries = client.connect(Duration::from_millis(cfg.connect_retry_ms))?;
+    Ok((client, retries))
 }
 
 /// Hotspot-skewed OD query sampler.
@@ -413,7 +390,8 @@ pub struct LoadReport {
     pub mode: String,
     /// Offered rate (open loop; 0 for closed).
     pub offered_rps: f64,
-    /// Requests written to the wire.
+    /// Requests sent (closed loop: including one a broken connection
+    /// may not have carried; it is also counted `lost`).
     pub sent: u64,
     /// OK responses received.
     pub ok: u64,
@@ -639,8 +617,7 @@ fn make_request(
 }
 
 fn closed_loop(cfg: &LoadConfig, conn_idx: usize, next_trace: &AtomicU64) -> io::Result<ConnTally> {
-    let (mut stream, connect_retries) = connect_with_retry(cfg)?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    let (mut client, connect_retries) = connect(cfg)?;
     let mut mixer = OdMixer::new(
         cfg.seed ^ (conn_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         cfg.hotspots,
@@ -654,35 +631,26 @@ fn closed_loop(cfg: &LoadConfig, conn_idx: usize, next_trace: &AtomicU64) -> io:
     tally.connect_retries = connect_retries;
     let t0 = Instant::now();
     let mut id = 1u64;
-    let mut frame = Vec::with_capacity(256);
     while t0.elapsed() < cfg.duration {
         let req = make_request(id, &mut mixer, cfg, next_trace, &mut tally);
         id += 1;
         let sent_at = Instant::now();
-        frame.clear();
-        req.encode_frame_into(&mut frame);
-        if stream.write_all(&frame).is_err() {
-            break;
-        }
         tally.sent += 1;
-        match read_frame(&mut stream, cfg.max_frame_bytes) {
-            Ok(FrameRead::Payload(p)) => match WireResponse::from_json(&p) {
-                Ok(resp) => {
-                    classify(&mut tally, &resp, Some(sent_at));
-                    // A drain refusal means the run is over for us.
-                    if matches!(
-                        resp,
-                        WireResponse::Err {
-                            code: WireErrorCode::ServerDraining,
-                            ..
-                        }
-                    ) {
-                        break;
+        match client.call(&req, IO_DEADLINE) {
+            Ok(resp) => {
+                classify(&mut tally, &resp, Some(sent_at));
+                // A drain refusal means the run is over for us.
+                if matches!(
+                    resp,
+                    WireResponse::Err {
+                        code: WireErrorCode::ServerDraining,
+                        ..
                     }
+                ) {
+                    break;
                 }
-                Err(_) => break,
-            },
-            Ok(FrameRead::Closed) | Err(_) => {
+            }
+            Err(_) => {
                 tally.lost += 1;
                 break;
             }
@@ -697,9 +665,11 @@ fn open_loop(
     rate_rps: f64,
     next_trace: &AtomicU64,
 ) -> io::Result<ConnTally> {
-    let (stream, connect_retries) = connect_with_retry(cfg)?;
+    let (mut client, connect_retries) = connect(cfg)?;
+    // The receiver reads replies off its own handle of the socket while
+    // the client below only ever writes.
+    let stream = client.stream()?.try_clone()?;
     stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-    let mut wstream = stream.try_clone()?;
 
     // Each connection carries an independent Poisson stream at 1/Nth of
     // the configured rate (a superposition of Poisson processes is
@@ -782,7 +752,6 @@ fn open_loop(
     // Sender: walks the schedule, never skipping a slot (late sends are
     // recorded as lag, not dropped — dropping would be coordinated
     // omission by another name).
-    let mut frame = Vec::with_capacity(256);
     for (i, due) in schedule.iter().enumerate() {
         let now = epoch.elapsed();
         if *due > now {
@@ -793,9 +762,7 @@ fn open_loop(
         let sched_at = epoch + *due;
         let lag = epoch.elapsed().saturating_sub(*due);
         inflight.lock().unwrap().insert(id, sched_at);
-        frame.clear();
-        req.encode_frame_into(&mut frame);
-        if wstream.write_all(&frame).is_err() {
+        if client.send(&req, IO_DEADLINE).is_err() {
             inflight.lock().unwrap().remove(&id);
             break;
         }
@@ -981,58 +948,6 @@ mod tests {
         assert_eq!(report.mode, "closed");
         let drained = h.drain();
         assert_eq!(drained.stats.active, 0);
-    }
-
-    #[test]
-    fn warmup_connect_refusals_are_retried_not_fatal() {
-        // Reserve a port, then leave it closed while the generator
-        // starts: the first connects get ECONNREFUSED and must be
-        // absorbed by the retry backoff, not kill the workers.
-        let addr = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        let generator = {
-            let addr = addr.to_string();
-            thread::spawn(move || {
-                run(&LoadConfig {
-                    addr,
-                    conns: 2,
-                    duration: Duration::from_millis(300),
-                    mode: LoadMode::Closed,
-                    connect_retry_ms: 10_000,
-                    ..LoadConfig::default()
-                })
-            })
-        };
-        thread::sleep(Duration::from_millis(300));
-        let h = start(
-            ServerConfig {
-                addr: addr.to_string(),
-                ..server_cfg()
-            },
-            EchoBackend::instant(),
-        )
-        .unwrap();
-        let report = generator
-            .join()
-            .unwrap()
-            .expect("retried connects must eventually succeed");
-        assert!(report.connect_retries > 0, "{report:?}");
-        assert!(report.ok > 0, "{report:?}");
-        assert_eq!(report.lost, 0, "{report:?}");
-        let _ = h.drain();
-
-        // connect_retry_ms = 0 restores fail-fast: the refusal surfaces.
-        let err = run(&LoadConfig {
-            addr: addr.to_string(),
-            conns: 1,
-            duration: Duration::from_millis(100),
-            mode: LoadMode::Closed,
-            connect_retry_ms: 0,
-            ..LoadConfig::default()
-        });
-        assert!(err.is_err(), "fail-fast mode must surface the refusal");
     }
 
     #[test]

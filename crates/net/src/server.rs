@@ -1166,12 +1166,6 @@ where
         });
     }
 
-    /// [`FrontendBridge::add_tick`] with no throttle, kept for callers
-    /// that register a single consumer.
-    pub fn set_tick(&mut self, tick: impl FnMut() + 'static) {
-        self.add_tick("tick", 0, tick);
-    }
-
     /// Names of the registered idle-tick consumers, in run order.
     pub fn tick_consumers(&self) -> Vec<&'static str> {
         self.ticks.iter().map(|t| t.name).collect()
@@ -1332,7 +1326,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{read_frame, write_frame, FrameError, FrameRead, WireQuery};
+    use crate::wire::{write_frame, Client, WireQuery};
 
     fn test_cfg() -> ServerConfig {
         ServerConfig {
@@ -1357,11 +1351,12 @@ mod tests {
         }
     }
 
-    fn connect(addr: SocketAddr) -> TcpStream {
-        let s = TcpStream::connect(addr).expect("connect");
-        tune_stream(&s).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        s
+    const DEADLINE: Duration = Duration::from_secs(5);
+
+    fn connect(addr: SocketAddr) -> Client {
+        let mut c = Client::new(addr.to_string(), DEADLINE, DEFAULT_MAX_FRAME_BYTES);
+        c.connect(Duration::ZERO).expect("connect");
+        c
     }
 
     fn plain_req(id: u64) -> WireRequest {
@@ -1374,15 +1369,18 @@ mod tests {
         }
     }
 
-    fn send_req(s: &mut TcpStream, req: &WireRequest) {
-        write_frame(s, &req.to_json()).expect("write");
+    fn send_req(c: &mut Client, req: &WireRequest) {
+        c.send(req, DEADLINE).expect("write");
     }
 
-    fn recv_resp(s: &mut TcpStream) -> WireResponse {
-        match read_frame(s, DEFAULT_MAX_FRAME_BYTES).expect("frame") {
-            FrameRead::Payload(p) => WireResponse::from_json(&p).expect("parse"),
-            FrameRead::Closed => panic!("peer closed"),
-        }
+    fn recv_resp(c: &mut Client) -> WireResponse {
+        c.recv(Instant::now() + DEADLINE).expect("reply")
+    }
+
+    /// The error a connection the server closed (or never answers) reads.
+    fn recv_closed(c: &mut Client) -> io::Error {
+        c.recv(Instant::now() + DEADLINE)
+            .expect_err("no reply expected")
     }
 
     #[test]
@@ -1455,7 +1453,7 @@ mod tests {
         for id in 1..=32u64 {
             plain_req(id).encode_frame_into(&mut burst);
         }
-        s.write_all(&burst).unwrap();
+        s.stream().unwrap().write_all(&burst).unwrap();
         for id in 1..=32u64 {
             match recv_resp(&mut s) {
                 WireResponse::Ok { id: got, .. } => assert_eq!(got, id),
@@ -1482,7 +1480,7 @@ mod tests {
         // Header in 2 + 2 bytes, payload in two pieces.
         let mid = FRAME_HEADER_BYTES + (frame.len() - FRAME_HEADER_BYTES) / 2;
         for piece in [&frame[..2], &frame[2..4], &frame[4..mid], &frame[mid..]] {
-            s.write_all(piece).unwrap();
+            s.stream().unwrap().write_all(piece).unwrap();
             thread::sleep(gap);
         }
         assert_eq!(recv_resp(&mut s).id(), 1);
@@ -1492,11 +1490,11 @@ mod tests {
             plain_req(id).encode_frame_into(&mut three);
         }
         let cut = three.len() - 7;
-        s.write_all(&three[..cut]).unwrap();
+        s.stream().unwrap().write_all(&three[..cut]).unwrap();
         assert_eq!(recv_resp(&mut s).id(), 2);
         assert_eq!(recv_resp(&mut s).id(), 3);
         thread::sleep(gap);
-        s.write_all(&three[cut..]).unwrap();
+        s.stream().unwrap().write_all(&three[cut..]).unwrap();
         assert_eq!(recv_resp(&mut s).id(), 4);
         drop(s);
         let report = h.drain();
@@ -1513,17 +1511,20 @@ mod tests {
         let h = start(cfg, EchoBackend::instant()).unwrap();
         let mut s = connect(h.addr());
         // Declare a 1 MiB frame; never send the payload.
-        use std::io::Write as _;
-        s.write_all(&(1_048_576u32).to_be_bytes()).unwrap();
+        s.stream()
+            .unwrap()
+            .write_all(&(1_048_576u32).to_be_bytes())
+            .unwrap();
         match recv_resp(&mut s) {
             WireResponse::Err { code, .. } => assert_eq!(code, WireErrorCode::FrameTooLarge),
             other => panic!("unexpected {other:?}"),
         }
-        // Server closes after the refusal.
-        match read_frame(&mut s, DEFAULT_MAX_FRAME_BYTES) {
-            Ok(FrameRead::Closed) | Err(FrameError::Io(_)) => {}
-            other => panic!("expected close, got {other:?}"),
-        }
+        let err = recv_closed(&mut s);
+        assert_ne!(
+            err.kind(),
+            io::ErrorKind::TimedOut,
+            "no close after the refusal"
+        );
         let report = h.drain();
         assert_eq!(report.stats.too_large, 1);
         assert_eq!(report.stats.active, 0);
@@ -1533,7 +1534,7 @@ mod tests {
     fn malformed_payloads_error_but_keep_the_connection() {
         let h = start(test_cfg(), EchoBackend::instant()).unwrap();
         let mut s = connect(h.addr());
-        write_frame(&mut s, "this is not json").unwrap();
+        write_frame(s.stream().unwrap(), "this is not json").unwrap();
         match recv_resp(&mut s) {
             WireResponse::Err { code, .. } => assert_eq!(code, WireErrorCode::MalformedFrame),
             other => panic!("unexpected {other:?}"),
@@ -1593,18 +1594,16 @@ mod tests {
     fn slow_partial_frames_are_cut_by_the_frame_deadline() {
         let h = start(test_cfg(), EchoBackend::instant()).unwrap();
         let mut s = connect(h.addr());
-        use std::io::Write as _;
         // First half of a header, then silence.
-        s.write_all(&[0u8, 0]).unwrap();
+        s.stream().unwrap().write_all(&[0u8, 0]).unwrap();
         // Frame deadline is 150ms in the test config.
         let t0 = Instant::now();
-        let closed = loop {
-            match read_frame(&mut s, DEFAULT_MAX_FRAME_BYTES) {
-                Ok(FrameRead::Closed) | Err(FrameError::Io(_)) => break true,
-                Ok(FrameRead::Payload(_)) | Err(_) => break false,
-            }
-        };
-        assert!(closed, "server should cut the slow connection");
+        let err = recv_closed(&mut s);
+        assert_ne!(
+            err.kind(),
+            io::ErrorKind::TimedOut,
+            "server should cut the slow connection"
+        );
         assert!(t0.elapsed() < Duration::from_secs(4));
         let report = h.drain();
         assert_eq!(report.stats.timeouts_frame, 1);
@@ -1702,27 +1701,15 @@ mod tests {
                 if stop2.load(Ordering::Relaxed) {
                     break;
                 }
-                send_req(
-                    &mut s,
-                    &WireRequest {
-                        id: i,
-                        query: q(116.0),
-                        deadline_ms: None,
-                        trace: None,
-                        parent_span: None,
-                    },
-                );
-                match read_frame(&mut s, DEFAULT_MAX_FRAME_BYTES) {
-                    Ok(FrameRead::Payload(p)) => match WireResponse::from_json(&p).unwrap() {
-                        WireResponse::Ok { .. } => ok += 1,
-                        WireResponse::Err { code, .. } => {
-                            if code == WireErrorCode::ServerDraining {
-                                draining_seen = true;
-                            }
-                            break;
+                match s.call(&plain_req(i), DEADLINE) {
+                    Ok(WireResponse::Ok { .. }) => ok += 1,
+                    Ok(WireResponse::Err { code, .. }) => {
+                        if code == WireErrorCode::ServerDraining {
+                            draining_seen = true;
                         }
-                    },
-                    _ => break, // server closed on us mid-drain: fine
+                        break;
+                    }
+                    Err(_) => break, // server closed on us mid-drain: fine
                 }
             }
             (ok, draining_seen)
@@ -1736,22 +1723,16 @@ mod tests {
         assert!(report.clean, "drain was forced: {report:?}");
         assert_eq!(report.stats.active, 0, "leaked connections: {report:?}");
         // New connections after drain are refused outright.
-        match TcpStream::connect(addr) {
-            Ok(mut s) => {
-                s.set_read_timeout(Some(Duration::from_millis(500)))
-                    .unwrap();
-                match read_frame(&mut s, DEFAULT_MAX_FRAME_BYTES) {
-                    Ok(FrameRead::Payload(p)) => match WireResponse::from_json(&p).unwrap() {
-                        WireResponse::Err { code, .. } => {
-                            assert_eq!(code, WireErrorCode::ServerDraining)
-                        }
-                        other => panic!("unexpected {other:?}"),
-                    },
-                    // Listener already closed: equally acceptable.
-                    Ok(FrameRead::Closed) | Err(_) => {}
+        let mut late = Client::new(addr.to_string(), DEADLINE, DEFAULT_MAX_FRAME_BYTES);
+        // Connection refused means the listener is closed: equally acceptable.
+        if late.connect(Duration::ZERO).is_ok() {
+            match late.recv(Instant::now() + Duration::from_millis(500)) {
+                Ok(WireResponse::Err { code, .. }) => {
+                    assert_eq!(code, WireErrorCode::ServerDraining)
                 }
+                Ok(other) => panic!("unexpected {other:?}"),
+                Err(_) => {}
             }
-            Err(_) => {} // connection refused: listener closed
         }
     }
 
@@ -1935,7 +1916,7 @@ mod tests {
             let mut bridge = FrontendBridge::new(fe, |wq: &WireQuery| {
                 ((wq.d_lng - wq.o_lng).abs(), (wq.d_lat - wq.o_lat).abs())
             });
-            bridge.set_tick(move || {
+            bridge.add_tick("tick", 0, move || {
                 t2.fetch_add(1, Ordering::Relaxed);
             });
             let _ = stats_tx.send(bridge.shared_stats());

@@ -58,7 +58,9 @@ use odt_obs::json::{write_f64, write_str_escaped};
 use odt_obs::TraceId;
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
+use std::thread;
+use std::time::{Duration, Instant};
 
 /// Protocol identifier carried in every payload's `v` field.
 pub const WIRE_SCHEMA: &str = "odt-wire/v1";
@@ -523,6 +525,22 @@ pub enum FrameError {
     Io(io::Error),
 }
 
+impl From<FrameError> for io::Error {
+    fn from(e: FrameError) -> io::Error {
+        match e {
+            FrameError::TooLarge { declared, max } => io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame of {declared} bytes exceeds cap {max}"),
+            ),
+            FrameError::Utf8 => io::Error::new(io::ErrorKind::InvalidData, "frame not UTF-8"),
+            FrameError::TruncatedEof => {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed mid-frame")
+            }
+            FrameError::Io(e) => e,
+        }
+    }
+}
+
 /// Blocking read of one frame from `r`, with payloads capped at `max`.
 /// Used by clients and tests; the server's connection loop does its own
 /// incremental reads so it can interleave timeout/drain checks.
@@ -533,11 +551,33 @@ pub enum FrameError {
 /// frame has started, timeouts retry instead: returning mid-frame would
 /// silently discard consumed bytes and desynchronize the stream.
 pub fn read_frame(r: &mut impl Read, max: usize) -> Result<FrameRead, FrameError> {
+    read_frame_by(r, max, None)
+}
+
+/// [`read_frame`], optionally with a hard `deadline`. With one, socket
+/// read timeouts are never idle ticks: they recur until the deadline and
+/// then surface as `TimedOut` wherever the frame stands, so a peer wedged
+/// mid-frame cannot stall the caller. The bytes consumed by then are gone;
+/// the caller must drop the stream ([`Client`] does).
+fn read_frame_by(
+    r: &mut impl Read,
+    max: usize,
+    deadline: Option<Instant>,
+) -> Result<FrameRead, FrameError> {
     let timeoutish = |e: &io::Error| {
         matches!(
             e.kind(),
             io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
         )
+    };
+    // A socket read timeout `started` bytes into the frame: `Ok` reads on.
+    let on_timeout = |e: io::Error, started: bool| match deadline {
+        Some(d) if Instant::now() >= d => Err(FrameError::Io(io::Error::new(
+            io::ErrorKind::TimedOut,
+            "reply deadline",
+        ))),
+        None if !started => Err(FrameError::Io(e)),
+        _ => Ok(()),
     };
     let mut hdr = [0u8; FRAME_HEADER_BYTES];
     let mut got = 0;
@@ -552,7 +592,7 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<FrameRead, FrameError
             }
             Ok(n) => got += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if timeoutish(&e) && got > 0 => {}
+            Err(e) if timeoutish(&e) => on_timeout(e, got > 0)?,
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
@@ -566,13 +606,185 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<FrameRead, FrameError
         match r.read(&mut buf[got..]) {
             Ok(0) => return Err(FrameError::TruncatedEof),
             Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted || timeoutish(&e) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if timeoutish(&e) => on_timeout(e, true)?,
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
     String::from_utf8(buf)
         .map(FrameRead::Payload)
         .map_err(|_| FrameError::Utf8)
+}
+
+/// How often a blocked reply read wakes up to look at its deadline.
+const READ_TICK: Duration = Duration::from_millis(50);
+
+/// The `odt-wire/v1` client: a lazily (re)connecting synchronous
+/// connection to one server. Strictly one request in flight through
+/// [`Client::call`]; any transport anomaly tears the connection down so
+/// the next call starts clean.
+pub struct Client {
+    addr: String,
+    connect_timeout: Duration,
+    max_frame_bytes: usize,
+    stream: Option<TcpStream>,
+    /// The deadline the socket's timeouts are currently set for.
+    armed: Option<Duration>,
+    /// Request frame under construction, reused across calls.
+    frame: Vec<u8>,
+}
+
+impl Client {
+    /// A disconnected client for `addr`; the first [`Client::call`] (or
+    /// [`Client::connect`]) dials it, each attempt bounded by
+    /// `connect_timeout` (nonzero). Reply frames are capped at
+    /// `max_frame_bytes`.
+    pub fn new(
+        addr: impl Into<String>,
+        connect_timeout: Duration,
+        max_frame_bytes: usize,
+    ) -> Client {
+        Client {
+            addr: addr.into(),
+            connect_timeout,
+            max_frame_bytes,
+            stream: None,
+            armed: None,
+            frame: Vec::new(),
+        }
+    }
+
+    /// Whether a connection is currently held.
+    pub fn is_connected(&self) -> bool {
+        self.stream.is_some()
+    }
+
+    /// One attempt per resolved address, first success wins.
+    fn ensure_connected(&mut self) -> io::Result<()> {
+        if self.stream.is_some() {
+            return Ok(());
+        }
+        let mut last = io::Error::new(
+            io::ErrorKind::AddrNotAvailable,
+            "address resolved to nothing",
+        );
+        for addr in self.addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&addr, self.connect_timeout) {
+                Ok(s) => {
+                    tune_stream(&s)?;
+                    s.set_read_timeout(Some(READ_TICK))?;
+                    self.stream = Some(s);
+                    self.armed = None;
+                    return Ok(());
+                }
+                Err(e) => last = e,
+            }
+        }
+        Err(last)
+    }
+
+    /// Connect now, riding out a server that is still coming up:
+    /// transient refusals (`ECONNREFUSED`, resets while the listener
+    /// binds) back off 50 ms doubling to 1 s until `retry_budget` is
+    /// spent, then the last error surfaces; a zero budget fails fast.
+    /// Returns how many retries it took.
+    pub fn connect(&mut self, retry_budget: Duration) -> io::Result<u64> {
+        let t0 = Instant::now();
+        let mut backoff = Duration::from_millis(50);
+        let mut retries = 0u64;
+        loop {
+            let Err(e) = self.ensure_connected() else {
+                return Ok(retries);
+            };
+            let retryable = matches!(
+                e.kind(),
+                io::ErrorKind::ConnectionRefused
+                    | io::ErrorKind::ConnectionReset
+                    | io::ErrorKind::ConnectionAborted
+                    | io::ErrorKind::AddrNotAvailable
+            );
+            if !retryable || t0.elapsed() + backoff > retry_budget {
+                return Err(e);
+            }
+            thread::sleep(backoff);
+            retries += 1;
+            backoff = (backoff * 2).min(Duration::from_millis(1_000));
+        }
+    }
+
+    /// The connected socket, for callers that pipeline or hand-cut bytes.
+    pub(crate) fn stream(&mut self) -> io::Result<&mut TcpStream> {
+        self.ensure_connected()?;
+        Ok(self.stream.as_mut().expect("connected above"))
+    }
+
+    /// Disconnect when `outcome` is an error.
+    fn settle<T>(&mut self, outcome: io::Result<T>) -> io::Result<T> {
+        if outcome.is_err() {
+            self.stream = None;
+        }
+        outcome
+    }
+
+    /// Write one request; a write may take up to `deadline` (nonzero).
+    /// The socket options are only touched when the deadline changes.
+    pub(crate) fn send(&mut self, req: &WireRequest, deadline: Duration) -> io::Result<()> {
+        self.ensure_connected()?;
+        let stream = self.stream.as_mut().expect("connected above");
+        self.frame.clear();
+        req.encode_frame_into(&mut self.frame);
+        let outcome = (|| {
+            if self.armed != Some(deadline) {
+                stream.set_read_timeout(Some(deadline.min(READ_TICK)))?;
+                stream.set_write_timeout(Some(deadline))?;
+                self.armed = Some(deadline);
+            }
+            stream.write_all(&self.frame)
+        })();
+        self.settle(outcome)
+    }
+
+    /// Read the next reply, whatever its id, giving up at `until`.
+    pub(crate) fn recv(&mut self, until: Instant) -> io::Result<WireResponse> {
+        let stream = self
+            .stream
+            .as_mut()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "no request was sent"))?;
+        let outcome = match read_frame_by(stream, self.max_frame_bytes, Some(until)) {
+            Ok(FrameRead::Payload(p)) => WireResponse::from_json(&p)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)),
+            Ok(FrameRead::Closed) => Err(io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                "peer closed before replying",
+            )),
+            Err(e) => Err(e.into()),
+        };
+        self.settle(outcome)
+    }
+
+    /// Send one request and read its reply, bounded end to end by
+    /// `deadline` (nonzero; a deadline under [`READ_TICK`] is checked at
+    /// that granularity). Any error leaves the client disconnected.
+    pub fn call(&mut self, req: &WireRequest, deadline: Duration) -> io::Result<WireResponse> {
+        self.ensure_connected()?;
+        let until = Instant::now() + deadline;
+        self.send(req, deadline)?;
+        let outcome = self.recv(until).and_then(|resp| {
+            if resp.id() == req.id {
+                Ok(resp)
+            } else {
+                // A reply for some other id means the stream is
+                // desynchronized (e.g. a late reply to a timed-out
+                // predecessor); drop the connection rather than hand
+                // back someone else's estimate.
+                Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "reply id mismatch; resetting connection",
+                ))
+            }
+        });
+        self.settle(outcome)
+    }
 }
 
 #[cfg(test)]
@@ -850,5 +1062,118 @@ mod tests {
             read_frame(&mut &buf[..], 1024),
             Err(FrameError::Utf8)
         ));
+    }
+
+    /// A scripted peer: accepts connection after connection, hands each
+    /// (with the first frame read off it) to `script`.
+    fn scripted_peer(
+        connections: usize,
+        script: impl Fn(usize, &mut TcpStream, WireRequest) + Send + 'static,
+    ) -> (String, thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = thread::spawn(move || {
+            for n in 0..connections {
+                let (mut s, _) = listener.accept().unwrap();
+                let FrameRead::Payload(p) = read_frame(&mut s, 1024).unwrap() else {
+                    panic!("client hung up before sending");
+                };
+                script(n, &mut s, WireRequest::from_json(&p).unwrap());
+            }
+        });
+        (addr, peer)
+    }
+
+    fn req(id: u64) -> WireRequest {
+        WireRequest {
+            id,
+            query: rt_query(),
+            deadline_ms: None,
+            trace: None,
+            parent_span: None,
+        }
+    }
+
+    fn reply_for(id: u64) -> String {
+        WireResponse::error(id, WireErrorCode::Internal, "scripted").to_json()
+    }
+
+    #[test]
+    fn a_peer_wedged_mid_frame_costs_one_deadline_and_the_connection() {
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (addr, peer) = scripted_peer(1, move |_, s, _| {
+            // Half a frame header, then silence until the client is done.
+            s.write_all(&[0u8, 0]).unwrap();
+            let _ = release_rx.recv();
+        });
+        let mut client = Client::new(addr, Duration::from_secs(1), 1024);
+        let deadline = Duration::from_millis(120);
+        let t0 = Instant::now();
+        let err = client.call(&req(1), deadline).unwrap_err();
+        let took = t0.elapsed();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(took >= deadline, "gave up early: {took:?}");
+        // One socket-timeout tick of slack, plus scheduling noise.
+        assert!(
+            took < deadline + READ_TICK + Duration::from_millis(100),
+            "{took:?}"
+        );
+        assert!(!client.is_connected(), "a desynchronised stream was kept");
+        release_tx.send(()).unwrap();
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn a_reply_for_another_request_is_refused_and_the_next_call_reconnects() {
+        let (addr, peer) = scripted_peer(2, |n, s, got| {
+            // First connection answers for somebody else; the second is honest.
+            let id = if n == 0 { got.id + 1 } else { got.id };
+            write_frame(s, &reply_for(id)).unwrap();
+        });
+        let mut client = Client::new(addr, Duration::from_secs(1), 1024);
+        let deadline = Duration::from_secs(2);
+        let err = client.call(&req(7), deadline).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(!client.is_connected());
+        assert_eq!(client.call(&req(8), deadline).unwrap().id(), 8);
+        assert!(client.is_connected());
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn connect_retries_refusals_until_its_budget_and_counts_them() {
+        // Reserve a port, then leave it closed: connects get ECONNREFUSED.
+        let addr = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap()
+        };
+        let mut client = Client::new(addr.to_string(), Duration::from_secs(1), 1024);
+        // No budget: the refusal surfaces at once.
+        let err = client.connect(Duration::ZERO).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+        // A budget the listener never shows up within: retried, then surfaced.
+        let t0 = Instant::now();
+        let err = client.connect(Duration::from_millis(200)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+        assert!(
+            t0.elapsed() >= Duration::from_millis(150),
+            "{:?}",
+            t0.elapsed()
+        );
+        // A listener that comes up mid-backoff: absorbed, and counted.
+        let late = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(120));
+            let l = std::net::TcpListener::bind(addr).unwrap();
+            let _ = l.accept().unwrap();
+        });
+        let retries = client.connect(Duration::from_secs(10)).unwrap();
+        assert!(retries > 0, "the warmup race was not seen");
+        assert!(client.is_connected());
+        assert_eq!(
+            client.connect(Duration::ZERO).unwrap(),
+            0,
+            "already connected"
+        );
+        late.join().unwrap();
     }
 }

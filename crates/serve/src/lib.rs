@@ -81,3 +81,8 @@ pub use ladder::{select_from_costs, LadderConfig, LatencyLadder, Rung, MODEL_RUN
 pub use queue::{AdmissionQueue, ShedPolicy};
 pub use shadow::{ShadowConfig, ShadowScorer};
 pub use swap::{SwapConfig, SwapController, SwapError, SwapHost, SwapOutcome, SwapStats};
+
+// The `Fallback` rung's prior and the query it takes, for a caller that has
+// no model to ask: the cluster router answers for a dark shard with it.
+pub use odt_core::fallback_estimate_seconds;
+pub use odt_traj::{LngLat, OdtInput};

@@ -27,5 +27,6 @@ mod types;
 
 pub use dataset::{Dataset, DatasetStats, Split};
 pub use grid::GridSpec;
+pub use odt_roadnet::LngLat;
 pub use pit::{Pit, CHANNELS, CH_OFFSET};
 pub use types::{GpsPoint, OdtInput, Trajectory};
