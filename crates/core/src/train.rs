@@ -1123,6 +1123,71 @@ mod tests {
     }
 
     #[test]
+    fn both_stages_emit_the_same_watchdog_events() {
+        use std::sync::{Arc, Mutex};
+        let data = tiny_dataset(8);
+        let mut cfg = tiny_config(8);
+        cfg.robustness.watchdog_patience = 2;
+        cfg.robustness.snapshot_every = 4;
+        let poison = |it: usize, loss: f32| {
+            if (6..9).contains(&it) {
+                f32::NAN
+            } else {
+                loss
+            }
+        };
+        // Events are emitted on the training thread; other tests train in
+        // parallel, so keep only this thread's.
+        let me = std::thread::current().id();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink_seen = Arc::clone(&seen);
+        let sink = odt_obs::add_sink(Arc::new(odt_obs::FnSink::new(move |e: &odt_obs::Event| {
+            if std::thread::current().id() == me && e.name.starts_with("train.watchdog.") {
+                sink_seen.lock().unwrap().push(e.clone());
+            }
+        })));
+        let hooks = TrainHooks {
+            stage1_loss_tamper: Some(Box::new(poison)),
+            stage2_loss_tamper: Some(Box::new(poison)),
+        };
+        Dot::train_with_hooks(cfg, &data, |_| {}, hooks);
+        odt_obs::remove_sink(sink);
+        let seen = seen.lock().unwrap();
+        // (name, level, fields other than `stage`, message with the stage
+        // number blanked), per stage.
+        let of_stage = |stage: u64| -> Vec<(&str, odt_obs::Level, String, String)> {
+            seen.iter()
+                .filter(|e| e.field("stage").and_then(|s| s.as_u64()) == Some(stage))
+                .map(|e| {
+                    let rest: Vec<_> = e.fields.iter().filter(|(k, _)| *k != "stage").collect();
+                    let msg = e.msg.replacen(&format!("stage {stage} "), "stage _ ", 1);
+                    (e.name, e.level, format!("{rest:?}"), msg)
+                })
+                .collect()
+        };
+        let (s1, s2) = (of_stage(1), of_stage(2));
+        assert_eq!(
+            s1.len() + s2.len(),
+            seen.len(),
+            "every event names its stage"
+        );
+        let names: Vec<&str> = s1.iter().map(|e| e.0).collect();
+        assert_eq!(
+            names,
+            [
+                "train.watchdog.trip",
+                "train.watchdog.rollback",
+                "train.watchdog.trip"
+            ]
+        );
+        assert_eq!(
+            s1[1].3,
+            "stage _ iter 7: watchdog rollback to last good snapshot"
+        );
+        assert_eq!(s1, s2);
+    }
+
+    #[test]
     fn resumable_training_continues_from_checkpoint() {
         let data = tiny_dataset(8);
         let mut cfg = tiny_config(8);

@@ -1179,4 +1179,172 @@ mod tests {
         // No cache attached: the block is null, not absent and not zeroed.
         assert!(body.contains("\"cache\":null"), "{body}");
     }
+
+    #[test]
+    fn varz_bytes_are_pinned() {
+        let slo = odt_obs::slo::BurnRateSnapshot {
+            fast_burn: 1.5,
+            slow_burn: f64::NAN,
+            alerting: true,
+            alerts: 2,
+            total: 50,
+            errors: 4,
+        };
+        let fe = odt_serve::FrontendSnapshot {
+            submitted: 10,
+            admitted: 9,
+            served: 8,
+            shed_queue_full: 1,
+            shed_deadline: 2,
+            shed_invalid: 3,
+            shed_internal: 4,
+            rung_hits: [3, 5, 2, 1, 0, 0],
+            rung_failures: [0, 1, 0, 0, 0, 0],
+            ladder_cost_us: [5, 4_000, 1_500, 700, 5, 10],
+            breaker_trips: [0, 0, 1, 2, 0],
+            breaker_states: ["closed", "closed", "open", "half_open", "closed"],
+            deadline_met: 7,
+            deadline_missed: 1,
+            slo: Some(slo),
+            ..odt_serve::FrontendSnapshot::default()
+        };
+        let q = QualitySnapshot {
+            samples: 100,
+            window_len: 64,
+            mae_s: 12.5,
+            mape: 0.08,
+            bias_s: -3.0,
+            drift_score: 0.2,
+            reference_frozen: true,
+            drift_alerting: false,
+            drift_alerts: 1,
+            slo: None,
+        };
+        let cache = odt_serve::CacheStats {
+            hits: 60,
+            stale_hits: 10,
+            misses: 30,
+            evictions: 7,
+            admission_rejects: 3,
+            prewarm_batches: 2,
+            invalidations: 1,
+            invalidated_entries: 5,
+            len: 40,
+            capacity: 64,
+            generation: 1,
+        };
+        let conn = ConnStatsSnapshot {
+            opened: 3,
+            closed: 2,
+            active: 1,
+            rejected_capacity: 4,
+            rejected_draining: 5,
+            frames_in: 6,
+            frames_out: 7,
+            malformed: 8,
+            too_large: 9,
+            timeouts_idle: 10,
+            timeouts_frame: 11,
+            read_errors: 12,
+            write_errors: 13,
+            backpressure_stalls: 14,
+            dispatch_shed: 15,
+            reply_drops: 16,
+            forced_closes: 17,
+        };
+        assert_eq!(
+            render_varz(
+                "drain\"ing",
+                &conn,
+                -2,
+                Some((&fe, 4)),
+                Some(&q),
+                Some(&cache)
+            ),
+            "{\"schema\":\"odt-varz/v1\",\"state\":\"drain\\\"ing\",\"inflight\":-2,\
+             \"conns\":{\"opened\":3,\"closed\":2,\"active\":1,\"rejected_capacity\":4,\
+             \"rejected_draining\":5,\"frames_in\":6,\"frames_out\":7,\"malformed\":8,\
+             \"too_large\":9,\"timeouts_idle\":10,\"timeouts_frame\":11,\"read_errors\":12,\
+             \"write_errors\":13,\"backpressure_stalls\":14,\"dispatch_shed\":15,\
+             \"reply_drops\":16,\"forced_closes\":17},\
+             \"frontend\":{\"submitted\":10,\"admitted\":9,\"served\":8,\
+             \"shed\":{\"queue_full\":1,\"deadline\":2,\"invalid\":3,\"internal\":4},\
+             \"rung_hits\":[3,5,2,1,0,0],\"rung_failures\":[0,1,0,0,0,0],\
+             \"ladder_cost_us\":[5,4000,1500,700,5,10],\
+             \"breaker\":{\"trips\":[0,0,1,2,0],\
+             \"states\":[\"closed\",\"closed\",\"open\",\"half_open\",\"closed\"]},\
+             \"deadline\":{\"met\":7,\"missed\":1},\
+             \"slo\":{\"fast_burn\":1.5,\"slow_burn\":null,\"alerting\":true,\"alerts\":2,\
+             \"total\":50,\"errors\":4},\"adopted_traces\":4},\
+             \"quality\":{\"samples\":100,\"window_len\":64,\"mae_s\":12.5,\"mape\":0.08,\
+             \"bias_s\":-3,\"drift_score\":0.2,\"reference_frozen\":true,\
+             \"drift_alerting\":false,\"drift_alerts\":1,\"slo\":null},\
+             \"cache\":{\"len\":40,\"capacity\":64,\"generation\":1,\"hits\":60,\
+             \"stale_hits\":10,\"misses\":30,\"hit_rate\":0.6,\"evictions\":7,\
+             \"admission_rejects\":3,\"prewarm_batches\":2,\"invalidations\":1,\
+             \"invalidated_entries\":5}}"
+        );
+        assert_eq!(
+            render_varz(
+                "running",
+                &ConnStatsSnapshot::default(),
+                0,
+                None,
+                None,
+                None
+            ),
+            "{\"schema\":\"odt-varz/v1\",\"state\":\"running\",\"inflight\":0,\
+             \"conns\":{\"opened\":0,\"closed\":0,\"active\":0,\"rejected_capacity\":0,\
+             \"rejected_draining\":0,\"frames_in\":0,\"frames_out\":0,\"malformed\":0,\
+             \"too_large\":0,\"timeouts_idle\":0,\"timeouts_frame\":0,\"read_errors\":0,\
+             \"write_errors\":0,\"backpressure_stalls\":0,\"dispatch_shed\":0,\
+             \"reply_drops\":0,\"forced_closes\":0},\
+             \"frontend\":null,\"quality\":null,\"cache\":null}"
+        );
+    }
+
+    #[test]
+    fn tracez_bytes_are_pinned() {
+        odt_obs::trace::set_sample_every(1);
+        {
+            let root = odt_obs::trace::root_span("admin.golden.request");
+            root.set_request_id(78);
+            let _child = odt_obs::span!("admin.golden.stage");
+            odt_obs::trace::force_retain_current("admin_golden");
+        }
+        let body = render_tracez(usize::MAX);
+        let t = odt_obs::trace::retained_traces()
+            .into_iter()
+            .find(|t| t.root_name == "admin.golden.request")
+            .expect("trace retained");
+        assert_eq!(t.spans.len(), 2);
+        let (child, root) = (&t.spans[0], &t.spans[1]);
+        let want = format!(
+            "{{\"trace_id\":\"{}\",\"root\":\"admin.golden.request\",\"parent_span\":0,\
+             \"request_id\":78,\"start_us\":{},\"dur_us\":{},\"sampled\":true,\
+             \"truncated\":0,\"retain_reasons\":[\"admin_golden\"],\"spans\":[\
+             {{\"span_id\":2,\"parent_id\":1,\"name\":\"admin.golden.stage\",\
+             \"start_us\":{},\"dur_us\":{},\"self_us\":{},\"tid\":{}}},\
+             {{\"span_id\":1,\"parent_id\":0,\"name\":\"admin.golden.request\",\
+             \"start_us\":{},\"dur_us\":{},\"self_us\":{},\"tid\":{}}}]}}",
+            t.trace_id.to_hex(),
+            t.start_us,
+            t.dur_us,
+            child.start_us,
+            child.dur_us,
+            child.dur_us,
+            child.tid,
+            root.start_us,
+            root.dur_us,
+            root.dur_us - child.dur_us,
+            root.tid,
+        );
+        assert!(body.contains(&want), "missing {want} in {body}");
+        let head = format!(
+            "{{\"schema\":\"odt-tracez/v1\",\"instance\":\"{}\",\"retained\":",
+            crate::server::instance_name()
+        );
+        assert!(body.starts_with(&head), "{body}");
+        assert!(body.ends_with("]}"), "{body}");
+    }
 }

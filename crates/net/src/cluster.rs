@@ -1221,4 +1221,63 @@ mod tests {
         }
         admin.shutdown();
     }
+
+    #[test]
+    fn router_varz_bytes_are_pinned() {
+        let replica = |addr: &str, breaker: &'static str, n: u64| ReplicaSnapshot {
+            addr: addr.to_string(),
+            health: "ready",
+            breaker,
+            breaker_trips: n,
+            forwarded: 10 * n,
+            refusals: n + 1,
+            transport_errors: n + 2,
+        };
+        let snap = ClusterSnapshot {
+            shards: vec![
+                vec![
+                    replica("10.0.0.1:7000", "closed", 0),
+                    replica("10.0.0.2:7000", "open", 3),
+                ],
+                vec![],
+                vec![replica("host\"x\":7000", "half_open", 1)],
+            ],
+            forwarded: 40,
+            failovers: 2,
+            prior_serves: 1,
+            refusals: 5,
+            transport_errors: 6,
+            quorum_ready: false,
+        };
+        let conn = ConnStatsSnapshot {
+            opened: 3,
+            closed: 2,
+            active: 1,
+            frames_in: 6,
+            frames_out: 7,
+            malformed: 8,
+            rejected_capacity: 4,
+            rejected_draining: 5,
+            ..ConnStatsSnapshot::default()
+        };
+        assert_eq!(
+            render_router_varz("draining", &conn, &snap),
+            "{\"schema\":\"odt-router-varz/v1\",\"state\":\"draining\",\
+             \"conns\":{\"opened\":3,\"closed\":2,\"active\":1,\"frames_in\":6,\
+             \"frames_out\":7,\"malformed\":8,\"rejected_capacity\":4,\
+             \"rejected_draining\":5},\
+             \"cluster\":{\"quorum_ready\":false,\"forwarded_total\":40,\
+             \"failovers_total\":2,\"prior_serves_total\":1,\"refusals_total\":5,\
+             \"transport_errors_total\":6,\"shards\":[\
+             {\"replicas\":[\
+             {\"addr\":\"10.0.0.1:7000\",\"health\":\"ready\",\"breaker\":\"closed\",\
+             \"breaker_trips\":0,\"forwarded\":0,\"refusals\":1,\"transport_errors\":2},\
+             {\"addr\":\"10.0.0.2:7000\",\"health\":\"ready\",\"breaker\":\"open\",\
+             \"breaker_trips\":3,\"forwarded\":30,\"refusals\":4,\"transport_errors\":5}]},\
+             {\"replicas\":[]},\
+             {\"replicas\":[\
+             {\"addr\":\"host\\\"x\\\":7000\",\"health\":\"ready\",\"breaker\":\"half_open\",\
+             \"breaker_trips\":1,\"forwarded\":10,\"refusals\":2,\"transport_errors\":3}]}]}}"
+        );
+    }
 }

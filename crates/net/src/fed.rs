@@ -474,4 +474,59 @@ mod tests {
         // Valid exposition even with zero scraped families.
         expo::parse(&body).expect("empty federation must still parse");
     }
+
+    #[test]
+    fn cluster_varz_bytes_are_pinned() {
+        let topo = vec![
+            vec![
+                ReplicaAddr::with_admin("127.0.0.1:9", "10.0.0.1:9100"),
+                ReplicaAddr::with_admin("127.0.0.1:9", "10.0.0.2:9100"),
+            ],
+            vec![ReplicaAddr::wire_only("127.0.0.1:9")],
+        ];
+        let scraper = ClusterScraper::new(&topo, 100);
+        let varz = |mae: &str| {
+            let doc = format!(
+                "{{\"state\":\"running\",\"quality\":{{\"mae_s\":{mae},\"drift_score\":0.25,\
+                 \"slo\":null}},\"cache\":null,\
+                 \"frontend\":{{\"served\":8,\"rung_hits\":[3,5],\"note\":\"a\\\"b\"}}}}"
+            );
+            JsonValue::parse(&doc).unwrap()
+        };
+        // Replica 0 scraped clean twice; replica 1 scraped once, then died
+        // (stale, history kept); the shard-1 replica has no admin plane.
+        *scraper.states[0].lock().unwrap() = TargetState {
+            metrics: None,
+            varz: Some(varz("12.5")),
+            stale: false,
+            ok: 2,
+            failed: 0,
+        };
+        *scraper.states[1].lock().unwrap() = TargetState {
+            metrics: None,
+            varz: Some(varz("99")),
+            stale: true,
+            ok: 1,
+            failed: 3,
+        };
+        assert_eq!(
+            scraper.varz_cluster(),
+            "{\"schema\":\"odt-cluster-varz/v1\",\"shards\":[\
+             {\"shard\":0,\"replicas\":[\
+             {\"replica\":0,\"admin\":\"10.0.0.1:9100\",\"stale\":false,\"scrapes_ok\":2,\
+             \"scrapes_failed\":0,\"state\":\"running\",\
+             \"quality\":{\"mae_s\":12.5,\"drift_score\":0.25,\"slo\":null},\"cache\":null,\
+             \"frontend\":{\"served\":8,\"rung_hits\":[3,5],\"note\":\"a\\\"b\"}},\
+             {\"replica\":1,\"admin\":\"10.0.0.2:9100\",\"stale\":true,\"scrapes_ok\":1,\
+             \"scrapes_failed\":3,\"state\":\"running\",\
+             \"quality\":{\"mae_s\":99,\"drift_score\":0.25,\"slo\":null},\"cache\":null,\
+             \"frontend\":{\"served\":8,\"rung_hits\":[3,5],\"note\":\"a\\\"b\"}}],\
+             \"live_replicas\":1,\"worst_mae_s\":12.5,\"worst_drift_score\":0.25},\
+             {\"shard\":1,\"replicas\":[\
+             {\"replica\":0,\"admin\":null,\"stale\":true,\"scrapes_ok\":0,\
+             \"scrapes_failed\":0,\"state\":null,\"quality\":null,\"cache\":null,\
+             \"frontend\":null}],\
+             \"live_replicas\":0,\"worst_mae_s\":null,\"worst_drift_score\":null}]}"
+        );
+    }
 }

@@ -1015,6 +1015,61 @@ mod tests {
         write_frame(&mut want, &req.to_json()).unwrap();
         write_frame(&mut want, &resp.to_json()).unwrap();
         assert_eq!(burst, want);
+        // The payload bytes are pinned, with every optional field present
+        // and with every one absent.
+        let bare = WireRequest {
+            deadline_ms: None,
+            trace: None,
+            ..req.clone()
+        };
+        let full = WireResponse::Ok {
+            id: 8,
+            seconds: 0.1 + 0.2,
+            rung: "dd\"im\n".to_string(),
+            queue_wait_us: 12,
+            service_us: 3_400,
+            deadline_met: true,
+            trace: TraceId::from_hex("abc123"),
+            served_by: Some("s1\\a".to_string()),
+        };
+        let plain = WireResponse::Ok {
+            id: 9,
+            seconds: 512.0,
+            rung: "cached".to_string(),
+            queue_wait_us: 0,
+            service_us: 0,
+            deadline_met: false,
+            trace: None,
+            served_by: None,
+        };
+        bare.encode_frame_into(&mut burst);
+        full.encode_frame_into(&mut burst);
+        plain.encode_frame_into(&mut burst);
+        let mut r = &burst[..];
+        let payloads: Vec<String> =
+            std::iter::from_fn(|| match read_frame(&mut r, DEFAULT_MAX_FRAME_BYTES) {
+                Ok(FrameRead::Payload(p)) => Some(p),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            payloads,
+            [
+                "{\"v\":\"odt-wire/v1\",\"id\":7,\"o\":[116.35,39.92],\"d\":[116.41,39.99],\
+                 \"t_dep\":28800,\"deadline_ms\":50,\"trace\":\"1f00ab34cd56ef78\",\
+                 \"parent_span\":3}",
+                "{\"v\":\"odt-wire/v1\",\"id\":7,\"error\":{\"code\":\"queue_full\",\
+                 \"detail\":\"queue at \\\"capacity\\\" 64\\n\"}}",
+                "{\"v\":\"odt-wire/v1\",\"id\":7,\"o\":[116.35,39.92],\"d\":[116.41,39.99],\
+                 \"t_dep\":28800}",
+                "{\"v\":\"odt-wire/v1\",\"id\":8,\"seconds\":0.30000000000000004,\
+                 \"rung\":\"dd\\\"im\\n\",\"queue_wait_us\":12,\"service_us\":3400,\
+                 \"deadline_met\":true,\"trace\":\"0000000000abc123\",\
+                 \"served_by\":\"s1\\\\a\"}",
+                "{\"v\":\"odt-wire/v1\",\"id\":9,\"seconds\":512,\"rung\":\"cached\",\
+                 \"queue_wait_us\":0,\"service_us\":0,\"deadline_met\":false}",
+            ]
+        );
         // Non-finite numbers still never reach the wire.
         let nan = WireResponse::Ok {
             id: 1,

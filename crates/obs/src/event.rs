@@ -365,6 +365,43 @@ mod tests {
     }
 
     #[test]
+    fn json_line_bytes_are_pinned() {
+        let ev = Event {
+            ts_micros: 1_700_000_000_123_456,
+            level: Level::Warn,
+            name: "train.watchdog.trip",
+            msg: "stage 1 iter 7:\tloss \"NaN\"\n".to_string(),
+            fields: vec![
+                ("i", FieldValue::I64(-3)),
+                ("u", FieldValue::U64(u64::MAX)),
+                ("f", FieldValue::F64(0.1 + 0.2)),
+                ("whole", FieldValue::F64(2.0)),
+                ("nan", FieldValue::F64(f64::NAN)),
+                ("inf", FieldValue::F64(f64::NEG_INFINITY)),
+                ("b", FieldValue::Bool(false)),
+                ("s", FieldValue::Str("x\"y\\z\u{1}".to_string())),
+            ],
+        };
+        assert_eq!(
+            ev.to_json(),
+            "{\"ts_us\":1700000000123456,\"level\":\"warn\",\"name\":\"train.watchdog.trip\",\
+             \"msg\":\"stage 1 iter 7:\\tloss \\\"NaN\\\"\\n\",\"fields\":{\"i\":-3,\
+             \"u\":18446744073709551615,\"f\":0.30000000000000004,\"whole\":2,\"nan\":null,\
+             \"inf\":null,\"b\":false,\"s\":\"x\\\"y\\\\z\\u0001\"}}"
+        );
+        let bare = Event {
+            msg: String::new(),
+            fields: Vec::new(),
+            ..ev
+        };
+        assert_eq!(
+            bare.to_json(),
+            "{\"ts_us\":1700000000123456,\"level\":\"warn\",\"name\":\"train.watchdog.trip\",\
+             \"msg\":\"\",\"fields\":{}}"
+        );
+    }
+
+    #[test]
     fn level_ordering_is_verbosity_ordering() {
         assert!(Level::Trace < Level::Debug);
         assert!(Level::Debug < Level::Info);

@@ -355,6 +355,84 @@ mod tests {
     }
 
     #[test]
+    fn dump_bytes_are_pinned() {
+        let _t = crate::trace::test_gate();
+        crate::trace::set_sample_every(1);
+        crate::event(crate::Level::Warn, "test.flightrec.golden")
+            .field("k", 7u64)
+            .msg("marker")
+            .emit();
+        crate::counter("test.flightrec.golden_counter").add(3);
+        crate::gauge("test.flightrec.golden_gauge").set(2.5);
+        crate::gauge("test.flightrec.golden_nan").set(f64::NAN);
+        crate::histogram("test.flightrec.golden_hist").record_micros(500);
+        let untraced = render_dump("no trace", 3);
+        let root = crate::trace::root_span("test.flightrec.golden_root");
+        let hex = root.trace_id().unwrap().to_hex();
+        let dump = render_dump("why \"now\"", 7);
+        let open = crate::trace::open_spans()
+            .into_iter()
+            .find(|s| s.name == "test.flightrec.golden_root")
+            .unwrap();
+        drop(root);
+        crate::trace::set_sample_every(0);
+
+        // Header: the only moving part is the clock.
+        let header = dump.lines().next().unwrap();
+        let head = "{\"schema\":\"odt-flightrec/v1\",\"kind\":\"header\",\
+                    \"reason\":\"why \\\"now\\\"\",\"seq\":7,\"ts_us\":";
+        let tail = format!(",\"trace_id\":\"{hex}\"}}");
+        assert!(
+            header.starts_with(head) && header.ends_with(&tail),
+            "{header}"
+        );
+        let ts = &header[head.len()..header.len() - tail.len()];
+        assert!(ts.parse::<u64>().is_ok(), "{header}");
+        let header = untraced.lines().next().unwrap();
+        assert!(header.ends_with(",\"trace_id\":null}"), "{header}");
+
+        // One line of every body kind.
+        let ev = crate::recent_events()
+            .into_iter()
+            .rev()
+            .find(|e| e.name == "test.flightrec.golden")
+            .unwrap();
+        let hist = crate::snapshot()
+            .histograms
+            .into_iter()
+            .find(|(n, _)| *n == "test.flightrec.golden_hist")
+            .unwrap()
+            .1;
+        for want in [
+            format!(
+                "{{\"kind\":\"event\",\"ts_us\":{},\"level\":\"warn\",\
+                 \"name\":\"test.flightrec.golden\",\"msg\":\"marker\",\"fields\":{{\"k\":7}}}}",
+                ev.ts_micros
+            ),
+            format!(
+                "{{\"kind\":\"open_span\",\"trace_id\":\"{hex}\",\"span_id\":1,\
+                 \"name\":\"test.flightrec.golden_root\",\"start_us\":{},\"tid\":{}}}",
+                open.start_us, open.tid
+            ),
+            "{\"kind\":\"counter\",\"name\":\"test.flightrec.golden_counter\",\"value\":3}"
+                .to_string(),
+            "{\"kind\":\"gauge\",\"name\":\"test.flightrec.golden_gauge\",\"value\":2.5}"
+                .to_string(),
+            "{\"kind\":\"gauge\",\"name\":\"test.flightrec.golden_nan\",\"value\":null}"
+                .to_string(),
+            format!(
+                "{{\"kind\":\"histogram\",\"name\":\"test.flightrec.golden_hist\",\"count\":1,\
+                 \"mean_us\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"max_us\":{},\
+                 \"p99_exemplar\":null}}",
+                hist.mean_us, hist.p50_us, hist.p95_us, hist.p99_us, hist.max_us
+            ),
+        ] {
+            assert!(dump.lines().any(|l| l == want), "missing {want} in {dump}");
+        }
+        assert!(dump.ends_with("}\n"), "{dump}");
+    }
+
+    #[test]
     fn suppression_guard_nests() {
         assert!(!panic_dump_suppressed());
         {

@@ -1146,4 +1146,98 @@ mod tests {
         set_sample_every(0);
         assert!(!open_spans().iter().any(|s| s.trace_id == tid));
     }
+
+    fn golden_trace(request_id: Option<u64>, retain_reasons: Vec<&'static str>) -> TraceRecord {
+        let span = |span_id, parent_id, name, start_us, dur_us, tid| SpanRecord {
+            span_id,
+            parent_id,
+            name,
+            start_us,
+            dur_us,
+            tid,
+        };
+        TraceRecord {
+            trace_id: TraceId::from_hex("abc123").unwrap(),
+            root_name: "serve.\"request\"",
+            parent_span: 4,
+            request_id,
+            start_us: 1_000,
+            dur_us: 250,
+            sampled: true,
+            retain_reasons,
+            spans: vec![
+                span(2, 1, "stage1.denoise_step", 1_010, 200, 2),
+                span(1, 0, "serve.\"request\"", 1_000, 250, 1),
+            ],
+            truncated: 3,
+        }
+    }
+
+    #[test]
+    fn span_jsonl_bytes_are_pinned() {
+        assert_eq!(
+            trace_to_jsonl(&golden_trace(
+                Some(77),
+                vec!["deadline_breach", "fallback_rung"]
+            )),
+            "{\"kind\":\"trace\",\"trace_id\":\"0000000000abc123\",\
+             \"root\":\"serve.\\\"request\\\"\",\"parent_span\":4,\"request_id\":77,\
+             \"start_us\":1000,\"dur_us\":250,\"sampled\":true,\
+             \"retain_reasons\":[\"deadline_breach\",\"fallback_rung\"],\"spans\":2,\
+             \"truncated\":3}\n\
+             {\"kind\":\"span\",\"trace_id\":\"0000000000abc123\",\"span_id\":2,\
+             \"parent_id\":1,\"name\":\"stage1.denoise_step\",\"start_us\":1010,\
+             \"dur_us\":200,\"tid\":2}\n\
+             {\"kind\":\"span\",\"trace_id\":\"0000000000abc123\",\"span_id\":1,\
+             \"parent_id\":0,\"name\":\"serve.\\\"request\\\"\",\"start_us\":1000,\
+             \"dur_us\":250,\"tid\":1}"
+        );
+        let bare = trace_to_jsonl(&golden_trace(None, Vec::new()));
+        assert!(
+            bare.starts_with(
+                "{\"kind\":\"trace\",\"trace_id\":\"0000000000abc123\",\
+                 \"root\":\"serve.\\\"request\\\"\",\"parent_span\":4,\"request_id\":null,\
+                 \"start_us\":1000,\"dur_us\":250,\"sampled\":true,\"retain_reasons\":[],\
+                 \"spans\":2,\"truncated\":3}\n"
+            ),
+            "{bare}"
+        );
+    }
+
+    #[test]
+    fn chrome_trace_bytes_are_pinned() {
+        let _g = lock_tests();
+        let path = std::env::temp_dir().join(format!(
+            "odt_trace_chrome_golden_{}.json",
+            std::process::id()
+        ));
+        let kept = take_retained();
+        write_chrome_trace(&path).unwrap();
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n"
+        );
+        store()
+            .lock()
+            .unwrap()
+            .retained
+            .push_back(golden_trace(None, vec!["deadline_breach", "fallback_rung"]));
+        let n = write_chrome_trace(&path).unwrap();
+        take_retained();
+        store().lock().unwrap().retained.extend(kept);
+        assert_eq!(n, 2);
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
+             {\"ph\":\"X\",\"pid\":1,\"cat\":\"odt\",\"name\":\"stage1.denoise_step\",\
+             \"ts\":1010,\"dur\":200,\"tid\":2,\"args\":{\"trace_id\":\"0000000000abc123\",\
+             \"span_id\":2,\"parent_id\":1,\"sampled\":true,\
+             \"retained\":\"deadline_breach,fallback_rung\"}},\n\
+             {\"ph\":\"X\",\"pid\":1,\"cat\":\"odt\",\"name\":\"serve.\\\"request\\\"\",\
+             \"ts\":1000,\"dur\":250,\"tid\":1,\"args\":{\"trace_id\":\"0000000000abc123\",\
+             \"span_id\":1,\"parent_id\":0,\"sampled\":true,\
+             \"retained\":\"deadline_breach,fallback_rung\"}}\n]}\n"
+        );
+        let _ = fs::remove_file(&path);
+    }
 }
