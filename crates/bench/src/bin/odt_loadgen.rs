@@ -46,6 +46,7 @@
 //! Exit status is non-zero if any run got zero OK replies.
 
 use odt_net::loadgen::{self, LoadConfig, LoadMode, LoadReport, Region};
+use odt_obs::json;
 use std::time::Duration;
 
 fn arg_flag(name: &str) -> bool {
@@ -59,59 +60,47 @@ fn arg_value(name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn kv_json(pairs: &[(String, u64)]) -> String {
-    if pairs.is_empty() {
-        return "{}".to_string();
-    }
-    let inner: Vec<String> = pairs
-        .iter()
-        .map(|(k, v)| {
-            let mut key = String::new();
-            odt_obs::json::push_str_escaped(&mut key, k);
-            format!("{key}: {v}")
-        })
-        .collect();
-    format!("{{ {} }}", inner.join(", "))
+fn counts(o: &mut json::Obj<'_, String>, key: &str, pairs: &[(String, u64)]) {
+    o.object(key, |o| {
+        for (k, v) in pairs {
+            o.field(k, v);
+        }
+    });
 }
 
-fn row_json(r: &LoadReport) -> String {
+fn row_members(o: &mut json::Obj<'_, String>, r: &LoadReport) {
     let l = &r.latency;
     // Every request that got no OK answer, whatever the failure mode —
     // the one number cluster smoke tests gate to zero.
     let failed_requests = r.lost + r.errors.iter().map(|(_, n)| n).sum::<u64>();
-    format!(
-        "    {{ \"mode\": \"{}\", \"offered_rps\": {:.1}, \"sent\": {}, \"ok\": {}, \
-         \"lost\": {}, \"failed_requests\": {}, \"connect_retries\": {}, \"errors\": {}, \
-         \"wall_s\": {:.3}, \"throughput_rps\": {:.1}, \
-         \"latency\": {{ \"p50_ms\": {:.3}, \"p90_ms\": {:.3}, \"p99_ms\": {:.3}, \
-         \"max_ms\": {:.3}, \"mean_ms\": {:.3} }}, \"rungs\": {}, \"deadline_met\": {}, \
-         \"send_lag_max_ms\": {:.3}, \"traces_sent\": {}, \"served_by\": {}, \"key_skew\": {{ \
-         \"distinct\": {}, \"total\": {}, \"top1_share\": {:.4}, \"top10_share\": {:.4} }} }}",
-        r.mode,
-        r.offered_rps,
-        r.sent,
-        r.ok,
-        r.lost,
-        failed_requests,
-        r.connect_retries,
-        kv_json(&r.errors),
-        r.wall_s,
-        r.throughput_rps,
-        l.p50_ms,
-        l.p90_ms,
-        l.p99_ms,
-        l.max_ms,
-        l.mean_ms,
-        kv_json(&r.rungs),
-        r.deadline_met,
-        r.send_lag_max_ms,
-        r.traces_sent,
-        kv_json(&r.served_by),
-        r.key_skew.distinct,
-        r.key_skew.total,
-        r.key_skew.top1_share,
-        r.key_skew.top10_share,
-    )
+    o.field("mode", &r.mode)
+        .field("offered_rps", r.offered_rps)
+        .field("sent", r.sent)
+        .field("ok", r.ok)
+        .field("lost", r.lost)
+        .field("failed_requests", failed_requests)
+        .field("connect_retries", r.connect_retries);
+    counts(o, "errors", &r.errors);
+    o.field("wall_s", r.wall_s)
+        .field("throughput_rps", r.throughput_rps)
+        .object("latency", |o| {
+            o.field("p50_ms", l.p50_ms)
+                .field("p90_ms", l.p90_ms)
+                .field("p99_ms", l.p99_ms)
+                .field("max_ms", l.max_ms)
+                .field("mean_ms", l.mean_ms);
+        });
+    counts(o, "rungs", &r.rungs);
+    o.field("deadline_met", r.deadline_met)
+        .field("send_lag_max_ms", r.send_lag_max_ms)
+        .field("traces_sent", r.traces_sent);
+    counts(o, "served_by", &r.served_by);
+    o.object("key_skew", |o| {
+        o.field("distinct", r.key_skew.distinct)
+            .field("total", r.key_skew.total)
+            .field("top1_share", r.key_skew.top1_share)
+            .field("top10_share", r.key_skew.top10_share);
+    });
 }
 
 fn main() {
@@ -183,7 +172,7 @@ fn main() {
         },
     };
 
-    let mut rows = Vec::new();
+    let mut reports = Vec::new();
     let mut all_ok = true;
     for mode in modes {
         let mut cfg = LoadConfig {
@@ -224,7 +213,7 @@ fn main() {
         if report.ok == 0 {
             all_ok = false;
         }
-        rows.push(row_json(&report));
+        reports.push(report);
     }
 
     let quiet = arg_flag("--quiet");
@@ -236,13 +225,24 @@ fn main() {
         std::env::consts::ARCH,
         std::thread::available_parallelism().map_or(0, |n| n.get()),
     );
-    let json = format!(
-        "{{\n  \"schema\": \"odt-bench-net/v1\",\n  \"host\": \"{host}\",\n  \"addr\": \"{addr}\",\n  \"conns\": {conns},\n  \"secs\": {secs},\n  \"deadline_ms\": {},\n  \"seed\": {seed},\n  \"zipf_s\": {zipf_s},\n  \"center_drift\": {center_drift},\n  \"runs\": [\n{}\n  ],\n  \"pass\": {all_ok}\n}}\n",
-        deadline_ms
-            .map(|d| d.to_string())
-            .unwrap_or_else(|| "null".to_string()),
-        rows.join(",\n"),
-    );
+    let mut json = json::object_string(|o| {
+        o.field("schema", "odt-bench-net/v1")
+            .field("host", &host)
+            .field("addr", &addr)
+            .field("conns", conns)
+            .field("secs", secs)
+            .field("deadline_ms", deadline_ms)
+            .field("seed", seed)
+            .field("zipf_s", zipf_s)
+            .field("center_drift", center_drift)
+            .array_lines("runs", |a| {
+                for r in &reports {
+                    a.object(|o| row_members(o, r));
+                }
+            })
+            .field("pass", all_ok);
+    });
+    json.push('\n');
     std::fs::write(&report_path, json).unwrap_or_else(|e| panic!("writing {report_path}: {e}"));
     if !quiet {
         println!("wrote {report_path}");

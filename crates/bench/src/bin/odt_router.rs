@@ -57,14 +57,14 @@
 
 use odt_net::admin::{start_admin, AdminConfig, AdminSources};
 use odt_net::cluster::{
-    render_router_varz, start_health_prober, ClusterConfig, ClusterShared, ClusterSnapshot,
+    cluster_members, render_router_varz, start_health_prober, ClusterConfig, ClusterShared,
     ReplicaAddr, RouterBackend,
 };
 use odt_net::fed::{start_scraper, ClusterScraper};
 use odt_net::loadgen::Region;
 use odt_net::server::{set_instance_name, ServerConfig};
 use odt_net::signal;
-use odt_obs::json::push_str_escaped;
+use odt_obs::json::{self, Text};
 use std::io::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -110,48 +110,6 @@ fn parse_region(spec: &str) -> Region {
         lng1: parts[2],
         lat1: parts[3],
     }
-}
-
-/// The report's cluster block (same shape as the varz cluster block).
-fn cluster_json(snap: &ClusterSnapshot) -> String {
-    let mut o = String::with_capacity(512);
-    o.push_str(&format!(
-        "{{ \"quorum_ready\": {}, \"forwarded_total\": {}, \"failovers_total\": {}, \
-         \"prior_serves_total\": {}, \"refusals_total\": {}, \"transport_errors_total\": {}, \
-         \"shards\": [",
-        snap.quorum_ready,
-        snap.forwarded,
-        snap.failovers,
-        snap.prior_serves,
-        snap.refusals,
-        snap.transport_errors
-    ));
-    for (s, replicas) in snap.shards.iter().enumerate() {
-        if s > 0 {
-            o.push(',');
-        }
-        o.push_str("{\"replicas\":[");
-        for (r, rep) in replicas.iter().enumerate() {
-            if r > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"addr\":");
-            push_str_escaped(&mut o, &rep.addr);
-            o.push_str(&format!(
-                ",\"health\":\"{}\",\"breaker\":\"{}\",\"breaker_trips\":{},\
-                 \"forwarded\":{},\"refusals\":{},\"transport_errors\":{}}}",
-                rep.health,
-                rep.breaker,
-                rep.breaker_trips,
-                rep.forwarded,
-                rep.refusals,
-                rep.transport_errors
-            ));
-        }
-        o.push_str("]}");
-    }
-    o.push_str("] }");
-    o
 }
 
 fn main() {
@@ -310,32 +268,35 @@ fn main() {
         report.clean, report.forced_conns, c.active, snap.forwarded, snap.failovers, snap.prior_serves
     );
 
-    let admin_json = match &admin {
-        Some(a) => format!(
-            "{{ \"addr\": \"{}\", \"requests\": {} }}",
-            a.addr(),
-            a.requests()
-        ),
-        None => "null".to_string(),
-    };
-    let json = format!(
-        "{{\n  \"schema\": \"odt-router/v1\",\n  \"addr\": \"{addr}\",\n  \"uptime_s\": {uptime_s:.3},\n  \"conns\": {{ \"opened\": {}, \"closed\": {}, \"active\": {}, \"rejected_capacity\": {}, \"rejected_draining\": {}, \"frames_in\": {}, \"frames_out\": {}, \"malformed\": {}, \"dispatch_shed\": {}, \"forced_closes\": {} }},\n  \"cluster\": {},\n  \"admin\": {admin_json},\n  \"drain\": {{ \"clean\": {}, \"forced_conns\": {}, \"wait_ms\": {} }},\n  \"pass\": {pass}\n}}\n",
-        c.opened,
-        c.closed,
-        c.active,
-        c.rejected_capacity,
-        c.rejected_draining,
-        c.frames_in,
-        c.frames_out,
-        c.malformed,
-        c.dispatch_shed,
-        c.forced_closes,
-        cluster_json(&snap),
-        report.clean,
-        report.forced_conns,
-        report.wait_ms,
-        addr = bound,
-    );
+    let mut json = json::object_string(|o| {
+        o.field("schema", "odt-router/v1")
+            .field("addr", Text(bound))
+            .field("uptime_s", uptime_s)
+            .object("conns", |o| {
+                o.field("opened", c.opened)
+                    .field("closed", c.closed)
+                    .field("active", c.active)
+                    .field("rejected_capacity", c.rejected_capacity)
+                    .field("rejected_draining", c.rejected_draining)
+                    .field("frames_in", c.frames_in)
+                    .field("frames_out", c.frames_out)
+                    .field("malformed", c.malformed)
+                    .field("dispatch_shed", c.dispatch_shed)
+                    .field("forced_closes", c.forced_closes);
+            })
+            .object("cluster", |o| cluster_members(o, &snap))
+            .object_or_null("admin", admin.as_ref(), |o, a| {
+                o.field("addr", Text(a.addr()))
+                    .field("requests", a.requests());
+            })
+            .object("drain", |o| {
+                o.field("clean", report.clean)
+                    .field("forced_conns", report.forced_conns)
+                    .field("wait_ms", report.wait_ms);
+            })
+            .field("pass", pass);
+    });
+    json.push('\n');
     std::fs::write(&report_path, json).unwrap_or_else(|e| panic!("writing {report_path}: {e}"));
     println!("wrote {report_path}");
 

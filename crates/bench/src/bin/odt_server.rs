@@ -75,10 +75,11 @@
 //! connections.
 
 use odt_core::{Dot, DotConfig, ModelRegistry, RegistryError};
-use odt_net::admin::{render_varz, start_admin, AdminConfig, AdminSources, SwapFn};
+use odt_net::admin::{render_varz, start_admin, swap_refusal, AdminConfig, AdminSources, SwapFn};
 use odt_net::loadgen::Region;
 use odt_net::server::{set_instance_name, FrontendBridge, ServerConfig, SharedFrontendStats};
 use odt_net::signal;
+use odt_obs::json::{self, Text};
 use odt_obs::QualitySnapshot;
 use odt_roadnet::LngLat;
 use odt_serve::{
@@ -156,16 +157,6 @@ fn region_of(grid: &GridSpec) -> Region {
 /// the dispatcher's swap tick: candidate path + where to send the
 /// outcome.
 type SwapRequest = (String, std::sync::mpsc::Sender<SwapOutcome>);
-
-/// An `odt-swap/v1` refusal body.
-fn swap_json_err(code: &str, detail: &str) -> String {
-    let mut out = String::from("{\"schema\":\"odt-swap/v1\",\"accepted\":false,\"code\":\"");
-    out.push_str(code);
-    out.push_str("\",\"detail\":\"");
-    odt_obs::json::push_str_escaped(&mut out, detail);
-    out.push_str("\"}");
-    out
-}
 
 fn main() {
     odt_obs::flightrec::install_panic_hook();
@@ -450,7 +441,7 @@ fn main() {
                     .send((path.to_string(), reply_tx))
                     .is_err()
                 {
-                    return (503u16, swap_json_err("unavailable", "dispatcher is gone"));
+                    return (503u16, swap_refusal("unavailable", "dispatcher is gone"));
                 }
                 match reply_rx.recv_timeout(Duration::from_secs(120)) {
                     Ok(SwapOutcome::Promoted {
@@ -459,11 +450,13 @@ fn main() {
                         serving_mae_s,
                     }) => (
                         200,
-                        format!(
-                            "{{\"schema\":\"odt-swap/v1\",\"accepted\":true,\
-                             \"version\":{version},\"cand_mae_s\":{cand_mae_s:.3},\
-                             \"serving_mae_s\":{serving_mae_s:.3}}}"
-                        ),
+                        json::object_string(|o| {
+                            o.field("schema", "odt-swap/v1")
+                                .field("accepted", true)
+                                .field("version", version)
+                                .field("cand_mae_s", cand_mae_s)
+                                .field("serving_mae_s", serving_mae_s);
+                        }),
                     ),
                     Ok(SwapOutcome::Rejected(e)) => {
                         let status = if matches!(e, SwapError::Busy) {
@@ -471,11 +464,11 @@ fn main() {
                         } else {
                             422
                         };
-                        (status, swap_json_err(e.code(), &e.to_string()))
+                        (status, swap_refusal(e.code(), &e.to_string()))
                     }
                     Err(_) => (
                         504,
-                        swap_json_err("timeout", "swap did not conclude in time"),
+                        swap_refusal("timeout", "swap did not conclude in time"),
                     ),
                 }
             }) as SwapFn
@@ -500,6 +493,7 @@ fn main() {
                     )
                 })),
                 swap,
+                ..AdminSources::default()
             },
         )
         .expect("binding the admin address");
@@ -579,106 +573,104 @@ fn main() {
         );
     }
 
-    let slo_json = match &snap.slo {
-        Some(s) => format!(
-            "{{ \"fast_burn\": {:.4}, \"slow_burn\": {:.4}, \"alerts\": {} }}",
-            s.fast_burn, s.slow_burn, s.alerts
-        ),
-        None => "null".to_string(),
-    };
-    let admin_json = match &admin {
-        Some((a, _)) => format!(
-            "{{ \"addr\": \"{}\", \"requests\": {} }}",
-            a.addr(),
-            a.requests()
-        ),
-        None => "null".to_string(),
-    };
-    let quality_json = match &quality {
-        Some(q) => format!(
-            "{{ \"samples\": {}, \"mae_s\": {:.3}, \"mape\": {:.4}, \"bias_s\": {:.3}, \"drift_score\": {:.4}, \"drift_alerts\": {}, \"reference_frozen\": {} }}",
-            q.samples, q.mae_s, q.mape, q.bias_s, q.drift_score, q.drift_alerts, q.reference_frozen
-        ),
-        None => "null".to_string(),
-    };
-    let cache_json = match &cache_stats {
-        Some(cs) => format!(
-            "{{ \"len\": {}, \"capacity\": {}, \"generation\": {}, \"hits\": {}, \"stale_hits\": {}, \"misses\": {}, \"hit_rate\": {}, \"evictions\": {}, \"admission_rejects\": {}, \"prewarm_batches\": {}, \"invalidations\": {}, \"invalidated_entries\": {} }}",
-            cs.len,
-            cs.capacity,
-            cs.generation,
-            cs.hits,
-            cs.stale_hits,
-            cs.misses,
-            if cs.hit_rate().is_finite() {
-                format!("{:.4}", cs.hit_rate())
-            } else {
-                "null".to_string()
-            },
-            cs.evictions,
-            cs.admission_rejects,
-            cs.prewarm_batches,
-            cs.invalidations,
-            cs.invalidated_entries
-        ),
-        None => "null".to_string(),
-    };
-    let swap_json = match &swap_stats {
-        Some(s) => format!(
-            "{{ \"model_version\": {model_version}, \"state\": \"{}\", \"requested\": {}, \"promoted\": {}, \"rejected\": {}, \"last_reject_code\": {}, \"last_promoted_version\": {} }}",
-            s.state,
-            s.requested,
-            s.promoted,
-            s.rejected,
-            s.last_reject_code
-                .map(|c| format!("\"{c}\""))
-                .unwrap_or_else(|| "null".to_string()),
-            s.last_promoted_version
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-        ),
-        None => "null".to_string(),
-    };
-    let json = format!(
-        "{{\n  \"schema\": \"odt-net-server/v4\",\n  \"addr\": \"{addr}\",\n  \"quick\": {quick},\n  \"uptime_s\": {uptime_s:.3},\n  \"conns\": {{ \"opened\": {}, \"closed\": {}, \"active\": {}, \"rejected_capacity\": {}, \"rejected_draining\": {}, \"frames_in\": {}, \"frames_out\": {}, \"malformed\": {}, \"too_large\": {}, \"timeouts_idle\": {}, \"timeouts_frame\": {}, \"read_errors\": {}, \"write_errors\": {}, \"backpressure_stalls\": {}, \"dispatch_shed\": {}, \"reply_drops\": {}, \"forced_closes\": {} }},\n  \"frontend\": {{ \"submitted\": {}, \"admitted\": {}, \"served\": {}, \"shed\": {{ \"queue_full\": {}, \"queue_expired\": {}, \"invalid_query\": {}, \"internal\": {} }}, \"rung_hits\": {{ \"cached\": {}, \"full_ddpm\": {}, \"ddim\": {}, \"ddim_reduced\": {}, \"cached_stale\": {}, \"fallback\": {} }}, \"deadline\": {{ \"met\": {}, \"missed\": {} }}, \"slo\": {slo_json} }},\n  \"cache\": {cache_json},\n  \"swap\": {swap_json},\n  \"adopted_traces\": {adopted},\n  \"admin\": {admin_json},\n  \"quality\": {quality_json},\n  \"drain\": {{ \"clean\": {}, \"forced_conns\": {}, \"wait_ms\": {} }},\n  \"flightrec_dumps\": {},\n  \"pass\": {pass}\n}}\n",
-        c.opened,
-        c.closed,
-        c.active,
-        c.rejected_capacity,
-        c.rejected_draining,
-        c.frames_in,
-        c.frames_out,
-        c.malformed,
-        c.too_large,
-        c.timeouts_idle,
-        c.timeouts_frame,
-        c.read_errors,
-        c.write_errors,
-        c.backpressure_stalls,
-        c.dispatch_shed,
-        c.reply_drops,
-        c.forced_closes,
-        snap.submitted,
-        snap.admitted,
-        snap.served,
-        snap.shed_queue_full,
-        snap.shed_deadline,
-        snap.shed_invalid,
-        snap.shed_internal,
-        snap.rung_hits[0],
-        snap.rung_hits[1],
-        snap.rung_hits[2],
-        snap.rung_hits[3],
-        snap.rung_hits[4],
-        snap.rung_hits[5],
-        snap.deadline_met,
-        snap.deadline_missed,
-        report.clean,
-        report.forced_conns,
-        report.wait_ms,
-        odt_obs::flightrec::dump_count(),
-        addr = bound,
-    );
+    let mut json = json::object_string(|o| {
+        o.field("schema", "odt-net-server/v4")
+            .field("addr", Text(bound))
+            .field("quick", quick)
+            .field("uptime_s", uptime_s)
+            .object("conns", |o| {
+                o.field("opened", c.opened)
+                    .field("closed", c.closed)
+                    .field("active", c.active)
+                    .field("rejected_capacity", c.rejected_capacity)
+                    .field("rejected_draining", c.rejected_draining)
+                    .field("frames_in", c.frames_in)
+                    .field("frames_out", c.frames_out)
+                    .field("malformed", c.malformed)
+                    .field("too_large", c.too_large)
+                    .field("timeouts_idle", c.timeouts_idle)
+                    .field("timeouts_frame", c.timeouts_frame)
+                    .field("read_errors", c.read_errors)
+                    .field("write_errors", c.write_errors)
+                    .field("backpressure_stalls", c.backpressure_stalls)
+                    .field("dispatch_shed", c.dispatch_shed)
+                    .field("reply_drops", c.reply_drops)
+                    .field("forced_closes", c.forced_closes);
+            })
+            .object("frontend", |o| {
+                o.field("submitted", snap.submitted)
+                    .field("admitted", snap.admitted)
+                    .field("served", snap.served)
+                    .object("shed", |o| {
+                        o.field("queue_full", snap.shed_queue_full)
+                            .field("queue_expired", snap.shed_deadline)
+                            .field("invalid_query", snap.shed_invalid)
+                            .field("internal", snap.shed_internal);
+                    })
+                    .object("rung_hits", |o| {
+                        o.field("cached", snap.rung_hits[0])
+                            .field("full_ddpm", snap.rung_hits[1])
+                            .field("ddim", snap.rung_hits[2])
+                            .field("ddim_reduced", snap.rung_hits[3])
+                            .field("cached_stale", snap.rung_hits[4])
+                            .field("fallback", snap.rung_hits[5]);
+                    })
+                    .object("deadline", |o| {
+                        o.field("met", snap.deadline_met)
+                            .field("missed", snap.deadline_missed);
+                    })
+                    .object_or_null("slo", snap.slo.as_ref(), |o, s| {
+                        o.field("fast_burn", s.fast_burn)
+                            .field("slow_burn", s.slow_burn)
+                            .field("alerts", s.alerts);
+                    });
+            })
+            .object_or_null("cache", cache_stats.as_ref(), |o, cs| {
+                o.field("len", cs.len)
+                    .field("capacity", cs.capacity)
+                    .field("generation", cs.generation)
+                    .field("hits", cs.hits)
+                    .field("stale_hits", cs.stale_hits)
+                    .field("misses", cs.misses)
+                    .field("hit_rate", cs.hit_rate())
+                    .field("evictions", cs.evictions)
+                    .field("admission_rejects", cs.admission_rejects)
+                    .field("prewarm_batches", cs.prewarm_batches)
+                    .field("invalidations", cs.invalidations)
+                    .field("invalidated_entries", cs.invalidated_entries);
+            })
+            .object_or_null("swap", swap_stats.as_ref(), |o, s| {
+                o.field("model_version", model_version)
+                    .field("state", s.state)
+                    .field("requested", s.requested)
+                    .field("promoted", s.promoted)
+                    .field("rejected", s.rejected)
+                    .field("last_reject_code", s.last_reject_code)
+                    .field("last_promoted_version", s.last_promoted_version);
+            })
+            .field("adopted_traces", adopted)
+            .object_or_null("admin", admin.as_ref(), |o, (a, _)| {
+                o.field("addr", Text(a.addr()))
+                    .field("requests", a.requests());
+            })
+            .object_or_null("quality", quality.as_ref(), |o, q| {
+                o.field("samples", q.samples)
+                    .field("mae_s", q.mae_s)
+                    .field("mape", q.mape)
+                    .field("bias_s", q.bias_s)
+                    .field("drift_score", q.drift_score)
+                    .field("drift_alerts", q.drift_alerts)
+                    .field("reference_frozen", q.reference_frozen);
+            })
+            .object("drain", |o| {
+                o.field("clean", report.clean)
+                    .field("forced_conns", report.forced_conns)
+                    .field("wait_ms", report.wait_ms);
+            })
+            .field("flightrec_dumps", odt_obs::flightrec::dump_count())
+            .field("pass", pass);
+    });
+    json.push('\n');
     std::fs::write(&report_path, json).unwrap_or_else(|e| panic!("writing {report_path}: {e}"));
     println!("wrote {report_path}");
 

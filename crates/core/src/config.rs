@@ -15,7 +15,7 @@ pub enum EstimatorKind {
 }
 
 /// The Table 7 ablation switches. Defaults are the full DOT model.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AblationOptions {
     /// Include origin/destination coordinates in the conditioning
     /// (`false` = *No-od*).
@@ -45,7 +45,7 @@ impl Default for AblationOptions {
 
 /// Fault-tolerance knobs for training and serving (the robustness layer;
 /// DESIGN.md "Failure modes and recovery").
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RobustnessOptions {
     /// A stage loss counts as a spike when it exceeds this multiple of the
     /// running loss EMA (after warmup). Non-finite losses always trip.
@@ -73,7 +73,7 @@ impl Default for RobustnessOptions {
 }
 
 /// Full DOT configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DotConfig {
     /// Grid side length `L_G` (Table 2 optimum: 20).
     pub lg: usize,
@@ -220,5 +220,21 @@ mod tests {
         assert_eq!(c.mask_features(f), [0.0, 0.0, 0.0, 0.0, 0.5]);
         c.ablation.condition_on_t = false;
         assert_eq!(c.mask_features(f), [0.0; 5]);
+    }
+
+    #[test]
+    fn configs_differing_in_one_field_are_unequal() {
+        // What `train_resumable` compares before continuing a checkpoint.
+        let base = DotConfig::fast();
+        assert_eq!(base, base.clone());
+        let mut top = base.clone();
+        top.stage2_iters += 1;
+        assert_ne!(base, top);
+        let mut nested = base.clone();
+        nested.robustness.snapshot_every += 1;
+        assert_ne!(base, nested);
+        let mut ablated = base.clone();
+        ablated.ablation.latent_cast = !ablated.ablation.latent_cast;
+        assert_ne!(base, ablated);
     }
 }

@@ -14,12 +14,14 @@
 //!
 //! The CRC32 (IEEE) is computed over the payload bytes, so a truncated file
 //! fails the length check and a bit-flipped one fails the CRC check *before*
-//! any JSON parsing. Writes go to a temp file in the target directory and
-//! are `rename`d into place, so a crash mid-save can never leave a
-//! half-written checkpoint at the destination path. Loading validates every
-//! tensor's shape and finiteness against the freshly built architecture
-//! before any parameter is overwritten; failures surface as a typed
-//! [`PersistError`] instead of a panic or a silently-wrong model.
+//! any JSON parsing. Writes go through [`odt_obs::atomic_write`]: a temp
+//! file in the target directory, synced to disk and then `rename`d into
+//! place, so a crash mid-save (or a power loss right after it) can never
+//! leave a half-written or empty checkpoint at the destination path.
+//! Loading validates every tensor's shape and finiteness against the
+//! freshly built architecture before any parameter is overwritten; failures
+//! surface as a typed [`PersistError`] instead of a panic or a
+//! silently-wrong model.
 
 use crate::config::DotConfig;
 use crate::guard::{RobustnessSnapshot, RobustnessStats};
@@ -160,7 +162,7 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Serialize `payload`, frame it with a `magic v1 crc32 len` header and
-/// write it atomically: temp file in the destination directory, then rename.
+/// write it atomically ([`odt_obs::atomic_write`]).
 pub(crate) fn write_versioned<T: Serialize>(
     path: &Path,
     magic: &str,
@@ -181,19 +183,10 @@ pub(crate) fn write_framed(path: &Path, magic: &str, body: &[u8]) -> Result<(), 
     let mut bytes = header.into_bytes();
     bytes.extend_from_slice(body);
 
-    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    if let Some(dir) = dir {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)?;
     }
-    std::fs::write(&tmp, &bytes)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            std::fs::remove_file(&tmp).ok();
-            Err(e.into())
-        }
-    }
+    Ok(odt_obs::atomic_write(path, &bytes)?)
 }
 
 /// Read a file written by [`write_versioned`], verifying magic, version,
@@ -576,8 +569,8 @@ mod tests {
         let (_data, model) = tiny_trained();
         let path = unique_ckpt_path("atomic");
         model.save(&path).unwrap();
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        assert!(!tmp.exists(), "temp file must be renamed away");
+        let tmp = format!("{}.tmp.{}", path.display(), std::process::id());
+        assert!(!Path::new(&tmp).exists(), "temp file must be renamed away");
         assert!(path.exists());
         std::fs::remove_file(&path).ok();
     }

@@ -13,9 +13,10 @@
 //! ```
 //!
 //! Every mutation is crash-safe the same way checkpoints themselves
-//! are: content lands under a temp name in the same directory and is
-//! renamed into place, so a torn write can never leave a half-visible
-//! version or a `CURRENT` pointing at garbage. Candidate files are
+//! are ([`odt_obs::atomic_write`]): content lands under a temp name in the
+//! same directory, is synced, and is renamed into place, so a torn write
+//! can never leave a half-visible version or a `CURRENT` pointing at
+//! garbage. Candidate files are
 //! framing-validated (magic, version, declared length, CRC32) **before**
 //! they're admitted into the registry; schema/shape validation happens
 //! at [`Dot::load`] time, and the swap machinery on top adds shadow
@@ -24,7 +25,6 @@
 
 use crate::oracle::Dot;
 use crate::persist::{read_validated_bytes, PersistError, CKPT_MAGIC};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// File extension of registry checkpoint versions.
@@ -152,18 +152,12 @@ impl ModelRegistry {
     }
 
     /// Admit an external checkpoint file as the next version and point
-    /// `CURRENT` at it: framing-validate, copy into the registry under
-    /// a temp name, rename into the version slot. Returns the version.
+    /// `CURRENT` at it: framing-validate, then copy into the version slot
+    /// through [`odt_obs::atomic_write`]. Returns the version.
     pub fn promote_file(&self, candidate: &Path) -> Result<u64, RegistryError> {
         self.validate_file(candidate)?;
         let v = self.next_version()?;
-        let dst = self.version_path(v);
-        let tmp = dst.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::copy(candidate, &tmp)?;
-        if let Err(e) = std::fs::rename(&tmp, &dst) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(e.into());
-        }
+        odt_obs::atomic_write(&self.version_path(v), &std::fs::read(candidate)?)?;
         self.set_current(v)?;
         Ok(v)
     }
@@ -173,21 +167,8 @@ impl ModelRegistry {
         if !self.version_path(v).exists() {
             return Err(RegistryError::MissingVersion { version: v });
         }
-        let tmp = self
-            .dir
-            .join(format!("{CURRENT_FILE}.tmp.{}", std::process::id()));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            writeln!(f, "{v}")?;
-            f.sync_all().ok();
-        }
-        match std::fs::rename(&tmp, self.dir.join(CURRENT_FILE)) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                std::fs::remove_file(&tmp).ok();
-                Err(e.into())
-            }
-        }
+        odt_obs::atomic_write(&self.dir.join(CURRENT_FILE), format!("{v}\n").as_bytes())?;
+        Ok(())
     }
 
     /// Load the `CURRENT` model (full integrity + shape validation).

@@ -17,7 +17,7 @@
 //! to continue an interrupted run from its last [`TrainCheckpoint`].
 
 use crate::config::{DotConfig, EstimatorKind};
-use crate::guard::RobustnessSnapshot;
+use crate::guard::{RobustnessSnapshot, RobustnessStats};
 use crate::oracle::Dot;
 use crate::persist::{read_versioned, write_versioned, PersistError};
 use odt_diffusion::{ConditionedDenoiser, Ddpm, DenoiserConfig, NoiseSchedule};
@@ -26,7 +26,7 @@ use odt_estimator::{CnnEstimator, EmbedderConfig, MVit, PitEstimator, VanillaVit
 use odt_nn::serialize::StateDict;
 use odt_nn::{load_state_dict, state_dict, Adam, HasParams};
 use odt_obs::{event, Level};
-use odt_tensor::{Graph, Tensor};
+use odt_tensor::{Graph, Param, Tensor, Var};
 use odt_traj::{Dataset, GridSpec, OdtInput, Pit, Split, Trajectory};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -176,6 +176,123 @@ impl Watchdog {
     }
 }
 
+/// One stage's optimizer behind the divergence watchdog: everything the
+/// two stages do alike once a batch's loss is known. A healthy loss is
+/// back-propagated and stepped, and every `snapshot_every` healthy steps
+/// the parameters become the new rollback point (and, in a resumable run,
+/// a [`TrainCheckpoint`] on disk); a suspicious one is discarded, and
+/// after `watchdog_patience` of those in a row the parameters return to
+/// the rollback point and Adam restarts from it.
+struct GuardedOptimizer<'a> {
+    stage: u8,
+    cfg: &'a DotConfig,
+    params: Vec<Param>,
+    opt: Adam,
+    watchdog: Watchdog,
+    last_good: StateDict,
+    healthy_streak: usize,
+    stats: &'a RobustnessStats,
+    ckpt_path: Option<&'a Path>,
+}
+
+impl<'a> GuardedOptimizer<'a> {
+    fn new(
+        stage: u8,
+        params: Vec<Param>,
+        cfg: &'a DotConfig,
+        stats: &'a RobustnessStats,
+        ckpt_path: Option<&'a Path>,
+    ) -> Self {
+        GuardedOptimizer {
+            stage,
+            opt: Adam::new(params.clone(), cfg.lr).with_clip(2.0),
+            watchdog: Watchdog::new(
+                cfg.robustness.watchdog_spike_factor,
+                cfg.robustness.watchdog_patience,
+            ),
+            last_good: state_dict(&params),
+            params,
+            cfg,
+            healthy_streak: 0,
+            stats,
+            ckpt_path,
+        }
+    }
+
+    /// Act on iteration `it`'s loss (`loss_val`, as the watchdog is to see
+    /// it, of graph node `loss`). Returns whether the update was applied.
+    /// `checkpoint` builds the stage's [`TrainCheckpoint`] around the new
+    /// rollback point; it runs only when one is due and there is a path.
+    fn step(
+        &mut self,
+        it: usize,
+        g: &Graph,
+        loss: Var,
+        loss_val: f32,
+        progress: &mut dyn FnMut(&str),
+        checkpoint: impl FnOnce(&StateDict) -> TrainCheckpoint,
+    ) -> bool {
+        let stage = self.stage;
+        let verdict = self.watchdog.observe(loss_val);
+        if verdict != Verdict::Healthy {
+            self.stats.record_watchdog_trip();
+            self.stats.record_batch_skipped();
+        }
+        match verdict {
+            Verdict::Healthy => {
+                g.backward(loss);
+                self.opt.step();
+                self.healthy_streak += 1;
+                if self.healthy_streak >= self.cfg.robustness.snapshot_every.max(1) {
+                    self.healthy_streak = 0;
+                    self.last_good = state_dict(&self.params);
+                    if let Some(path) = self.ckpt_path {
+                        match checkpoint(&self.last_good).save(path) {
+                            Ok(()) => event(Level::Debug, "train.ckpt.saved")
+                                .field("stage", stage)
+                                .field("iter", it + 1)
+                                .emit(),
+                            Err(e) => emit_ckpt_issue(
+                                progress,
+                                CkptIssue::WriteFailed {
+                                    stage,
+                                    iter: it,
+                                    err: &e,
+                                },
+                            ),
+                        }
+                    }
+                }
+            }
+            Verdict::Skip => notify(
+                progress,
+                event(Level::Warn, "train.watchdog.trip")
+                    .field("stage", stage)
+                    .field("iter", it)
+                    .field("loss", loss_val)
+                    .msg(format!(
+                        "stage {stage} iter {it}: watchdog tripped (loss {loss_val}), batch skipped"
+                    )),
+            ),
+            Verdict::Rollback => {
+                self.stats.record_rollback();
+                load_state_dict(&self.params, &self.last_good);
+                self.opt = Adam::new(self.params.clone(), self.cfg.lr).with_clip(2.0);
+                notify(
+                    progress,
+                    event(Level::Warn, "train.watchdog.rollback")
+                        .field("stage", stage)
+                        .field("iter", it)
+                        .msg(format!(
+                            "stage {stage} iter {it}: watchdog rollback to last good snapshot"
+                        )),
+                );
+            }
+        }
+        verdict == Verdict::Healthy
+    }
+}
+
 /// Derive the RNG for one training iteration from `(seed, stage salt,
 /// iteration)` — the key to deterministic resume: iteration `k` draws the
 /// same batch and noise whether or not the process restarted at `k-1`.
@@ -307,9 +424,7 @@ impl Dot {
         let resume = if ckpt_path.exists() {
             match TrainCheckpoint::load(ckpt_path) {
                 Ok(tc) => {
-                    let same =
-                        serde_json::to_string(&tc.cfg).ok() == serde_json::to_string(&cfg).ok();
-                    if same {
+                    if tc.cfg == cfg {
                         notify(
                             &mut progress,
                             event(Level::Info, "train.resume")
@@ -456,19 +571,13 @@ impl Dot {
         let iter_hist = odt_obs::histogram("train.stage1.iter");
         let t0 = Instant::now();
         let stage1_seconds_before = model.report.stage1_seconds;
-        let params = model.denoiser.params();
-        let mut opt = Adam::new(params.clone(), cfg.lr).with_clip(2.0);
-        let mut watchdog = Watchdog::new(
-            cfg.robustness.watchdog_spike_factor,
-            cfg.robustness.watchdog_patience,
-        );
-        let mut last_good = state_dict(&params);
-        let mut healthy_streak = 0usize;
+        let mut guard =
+            GuardedOptimizer::new(1, model.denoiser.params(), &cfg, &model.stats, ckpt_path);
         let mut final_loss = model.report.stage1_final_loss;
         for it in stage1_start..cfg.stage1_iters {
             let iter_t0 = Instant::now();
             let mut brng = iter_rng(cfg.seed, STAGE1_SALT, it);
-            opt.zero_grad();
+            guard.opt.zero_grad();
             let idx: Vec<usize> = (0..cfg.stage1_batch)
                 .map(|_| brng.gen_range(0..n))
                 .collect();
@@ -493,79 +602,26 @@ impl Dot {
             if let Some(tamper) = hooks.stage1_loss_tamper.as_mut() {
                 loss_val = tamper(it, loss_val);
             }
-            match watchdog.observe(loss_val) {
-                Verdict::Healthy => {
-                    g.backward(loss);
-                    opt.step();
-                    final_loss = loss_val;
-                    healthy_streak += 1;
-                    if healthy_streak >= cfg.robustness.snapshot_every.max(1) {
-                        healthy_streak = 0;
-                        last_good = state_dict(&params);
-                        if let Some(path) = ckpt_path {
-                            let tc = TrainCheckpoint {
-                                stage: 1,
-                                next_iter: it + 1,
-                                cfg: cfg.clone(),
-                                grid,
-                                tt_mean,
-                                tt_std,
-                                stage1: last_good.clone(),
-                                stage2: None,
-                                best_state: None,
-                                best_val_mae: f64::INFINITY,
-                                stage1_seconds: stage1_seconds_before + t0.elapsed().as_secs_f64(),
-                                stage2_seconds: 0.0,
-                                stage1_final_loss: final_loss,
-                                robustness: model.stats.snapshot(),
-                            };
-                            match tc.save(path) {
-                                Ok(()) => event(Level::Debug, "train.ckpt.saved")
-                                    .field("stage", 1u8)
-                                    .field("iter", it + 1)
-                                    .emit(),
-                                Err(e) => emit_ckpt_issue(
-                                    &mut progress,
-                                    CkptIssue::WriteFailed {
-                                        stage: 1,
-                                        iter: it,
-                                        err: &e,
-                                    },
-                                ),
-                            }
-                        }
-                    }
+            let applied = guard.step(it, &g, loss, loss_val, &mut progress, |last_good| {
+                TrainCheckpoint {
+                    stage: 1,
+                    next_iter: it + 1,
+                    cfg: cfg.clone(),
+                    grid,
+                    tt_mean,
+                    tt_std,
+                    stage1: last_good.clone(),
+                    stage2: None,
+                    best_state: None,
+                    best_val_mae: f64::INFINITY,
+                    stage1_seconds: stage1_seconds_before + t0.elapsed().as_secs_f64(),
+                    stage2_seconds: 0.0,
+                    stage1_final_loss: loss_val,
+                    robustness: model.stats.snapshot(),
                 }
-                Verdict::Skip => {
-                    model.stats.record_watchdog_trip();
-                    model.stats.record_batch_skipped();
-                    notify(
-                        &mut progress,
-                        event(Level::Warn, "train.watchdog.trip")
-                            .field("stage", 1u8)
-                            .field("iter", it)
-                            .field("loss", loss_val)
-                            .msg(format!(
-                                "stage 1 iter {it}: watchdog tripped (loss {loss_val}), batch skipped"
-                            )),
-                    );
-                }
-                Verdict::Rollback => {
-                    model.stats.record_watchdog_trip();
-                    model.stats.record_batch_skipped();
-                    model.stats.record_rollback();
-                    load_state_dict(&params, &last_good);
-                    opt = Adam::new(params.clone(), cfg.lr).with_clip(2.0);
-                    notify(
-                        &mut progress,
-                        event(Level::Warn, "train.watchdog.rollback")
-                            .field("stage", 1u8)
-                            .field("iter", it)
-                            .msg(format!(
-                                "stage 1 iter {it}: watchdog rollback to last good snapshot"
-                            )),
-                    );
-                }
+            });
+            if applied {
+                final_loss = loss_val;
             }
             iter_hist.record(iter_t0.elapsed());
             if it % 100 == 0 {
@@ -688,23 +744,17 @@ fn train_stage2(
     );
     let iter_hist = odt_obs::histogram("train.stage2.iter");
     let params = model.estimator.estimator_params();
-    let mut opt = Adam::new(params.clone(), cfg.lr).with_clip(2.0);
-    let mut watchdog = Watchdog::new(
-        cfg.robustness.watchdog_spike_factor,
-        cfg.robustness.watchdog_patience,
-    );
+    let mut guard = GuardedOptimizer::new(2, params.clone(), &cfg, &model.stats, ckpt_path);
     let (start_iter, resumed_best, resumed_mae) = match resume {
         Some((it, best, mae)) => (it, best, mae),
         None => (0, None, f64::INFINITY),
     };
     let mut best_mae = resumed_mae;
     let mut best_state = resumed_best.unwrap_or_else(|| state_dict(&params));
-    let mut last_good = state_dict(&params);
-    let mut healthy_streak = 0usize;
     for it in start_iter..cfg.stage2_iters {
         let iter_t0 = Instant::now();
         let mut brng = iter_rng(cfg.seed, STAGE2_SALT, it);
-        opt.zero_grad();
+        guard.opt.zero_grad();
         let g = Graph::new();
         let mut loss_acc = None;
         for _ in 0..cfg.stage2_batch {
@@ -725,79 +775,24 @@ fn train_stage2(
         if let Some(tamper) = loss_tamper.as_mut() {
             loss_val = tamper(it, loss_val);
         }
-        match watchdog.observe(loss_val) {
-            Verdict::Healthy => {
-                g.backward(loss);
-                opt.step();
-                healthy_streak += 1;
-                if healthy_streak >= cfg.robustness.snapshot_every.max(1) {
-                    healthy_streak = 0;
-                    last_good = state_dict(&params);
-                    if let Some(path) = ckpt_path {
-                        let tc = TrainCheckpoint {
-                            stage: 2,
-                            next_iter: it + 1,
-                            cfg: cfg.clone(),
-                            grid,
-                            tt_mean,
-                            tt_std,
-                            stage1: state_dict(&model.denoiser.params()),
-                            stage2: Some(last_good.clone()),
-                            best_state: Some(best_state.clone()),
-                            best_val_mae: best_mae,
-                            stage1_seconds: model.report.stage1_seconds,
-                            stage2_seconds: stage2_seconds_before + t1.elapsed().as_secs_f64(),
-                            stage1_final_loss: model.report.stage1_final_loss,
-                            robustness: model.stats.snapshot(),
-                        };
-                        match tc.save(path) {
-                            Ok(()) => event(Level::Debug, "train.ckpt.saved")
-                                .field("stage", 2u8)
-                                .field("iter", it + 1)
-                                .emit(),
-                            Err(e) => emit_ckpt_issue(
-                                progress,
-                                CkptIssue::WriteFailed {
-                                    stage: 2,
-                                    iter: it,
-                                    err: &e,
-                                },
-                            ),
-                        }
-                    }
-                }
+        guard.step(it, &g, loss, loss_val, progress, |last_good| {
+            TrainCheckpoint {
+                stage: 2,
+                next_iter: it + 1,
+                cfg: cfg.clone(),
+                grid,
+                tt_mean,
+                tt_std,
+                stage1: state_dict(&model.denoiser.params()),
+                stage2: Some(last_good.clone()),
+                best_state: Some(best_state.clone()),
+                best_val_mae: best_mae,
+                stage1_seconds: model.report.stage1_seconds,
+                stage2_seconds: stage2_seconds_before + t1.elapsed().as_secs_f64(),
+                stage1_final_loss: model.report.stage1_final_loss,
+                robustness: model.stats.snapshot(),
             }
-            Verdict::Skip => {
-                model.stats.record_watchdog_trip();
-                model.stats.record_batch_skipped();
-                notify(
-                    progress,
-                    event(Level::Warn, "train.watchdog.trip")
-                        .field("stage", 2u8)
-                        .field("iter", it)
-                        .field("loss", loss_val)
-                        .msg(format!(
-                            "stage 2 iter {it}: watchdog tripped (loss {loss_val}), batch skipped"
-                        )),
-                );
-            }
-            Verdict::Rollback => {
-                model.stats.record_watchdog_trip();
-                model.stats.record_batch_skipped();
-                model.stats.record_rollback();
-                load_state_dict(&params, &last_good);
-                opt = Adam::new(params.clone(), cfg.lr).with_clip(2.0);
-                notify(
-                    progress,
-                    event(Level::Warn, "train.watchdog.rollback")
-                        .field("stage", 2u8)
-                        .field("iter", it)
-                        .msg(format!(
-                            "stage 2 iter {it}: watchdog rollback to last good snapshot"
-                        )),
-                );
-            }
-        }
+        });
         iter_hist.record(iter_t0.elapsed());
 
         if (it + 1) % cfg.early_stop_every == 0 || it + 1 == cfg.stage2_iters {

@@ -51,7 +51,7 @@
 //! finishes) and back to 503 when a drain starts.
 
 use crate::server::ConnStatsSnapshot;
-use odt_obs::json::{push_f64, push_str_escaped};
+use odt_obs::json;
 use odt_obs::QualitySnapshot;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -310,16 +310,12 @@ fn accept_loop(listener: TcpListener, shared: Arc<AdminShared>) {
 
 fn over_capacity(mut stream: TcpStream, cfg: &AdminConfig) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(cfg.write_timeout_ms.max(1))));
-    let _ = stream.write_all(
-        response(
-            503,
-            "text/plain; charset=utf-8",
-            "admin connection cap reached\n",
-        )
-        .as_bytes(),
-    );
+    let _ = stream.write_all(response(503, TEXT, "admin connection cap reached\n").as_bytes());
     let _ = stream.shutdown(Shutdown::Both);
 }
+
+const TEXT: &str = "text/plain; charset=utf-8";
+const JSON: &str = "application/json; charset=utf-8";
 
 /// Serialize one HTTP/1.1 response; every admin reply closes the
 /// connection (no keep-alive state to manage or abuse).
@@ -373,11 +369,11 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<AdminShared>) {
     let reply = match head_end {
         None if buf.len() > cfg.max_request_bytes => {
             odt_obs::counter("admin.errors").inc();
-            response(431, "text/plain; charset=utf-8", "request too large\n")
+            response(431, TEXT, "request too large\n")
         }
         None => {
             odt_obs::counter("admin.errors").inc();
-            response(400, "text/plain; charset=utf-8", "incomplete request\n")
+            response(400, TEXT, "incomplete request\n")
         }
         Some(pos) => {
             let head = String::from_utf8_lossy(&buf[..pos]).into_owned();
@@ -423,11 +419,7 @@ fn read_body(
     }
     if declared > cfg.max_request_bytes {
         odt_obs::counter("admin.errors").inc();
-        return Err(response(
-            431,
-            "text/plain; charset=utf-8",
-            "request body too large\n",
-        ));
+        return Err(response(431, TEXT, "request body too large\n"));
     }
     let mut chunk = [0u8; 1024];
     while buf.len() < body_start + declared {
@@ -440,11 +432,7 @@ fn read_body(
     }
     if buf.len() < body_start + declared {
         odt_obs::counter("admin.errors").inc();
-        return Err(response(
-            400,
-            "text/plain; charset=utf-8",
-            "incomplete request body\n",
-        ));
+        return Err(response(400, TEXT, "incomplete request body\n"));
     }
     Ok(String::from_utf8_lossy(&buf[body_start..body_start + declared]).into_owned())
 }
@@ -456,57 +444,50 @@ fn route(head: &str, body: &str, shared: &Arc<AdminShared>) -> String {
     let path = first.next().unwrap_or("").split('?').next().unwrap_or("");
     match (method, path) {
         ("GET", "/metrics") => response(200, odt_obs::expo::CONTENT_TYPE, &odt_obs::expo::render()),
-        ("GET", "/healthz") => response(200, "text/plain; charset=utf-8", "ok\n"),
+        ("GET", "/healthz") => response(200, TEXT, "ok\n"),
         ("GET", "/readyz") => {
             if shared.ready.load(Ordering::Acquire) {
-                response(200, "text/plain; charset=utf-8", "ready\n")
+                response(200, TEXT, "ready\n")
             } else {
-                response(
-                    503,
-                    "text/plain; charset=utf-8",
-                    "not ready: backend unavailable\n",
-                )
+                response(503, TEXT, "not ready: backend unavailable\n")
             }
         }
         ("GET", "/varz") => {
             let body = match &shared.sources.varz {
                 Some(f) => f(),
-                None => "{\"schema\":\"odt-varz/v1\",\"available\":false}".to_string(),
+                None => unavailable("odt-varz/v1"),
             };
-            response(200, "application/json; charset=utf-8", &body)
+            response(200, JSON, &body)
         }
-        ("GET", "/tracez") => response(
-            200,
-            "application/json; charset=utf-8",
-            &render_tracez(shared.cfg.tracez_limit),
-        ),
+        ("GET", "/tracez") => response(200, JSON, &render_tracez(shared.cfg.tracez_limit)),
         ("GET", "/metrics/cluster") => match &shared.sources.metrics_cluster {
             Some(f) => response(200, odt_obs::expo::CONTENT_TYPE, &f()),
             None => response(
                 503,
-                "text/plain; charset=utf-8",
+                TEXT,
                 "no cluster federation: this process is not a router\n",
             ),
         },
         ("GET", "/varz/cluster") => match &shared.sources.varz_cluster {
-            Some(f) => response(200, "application/json; charset=utf-8", &f()),
-            None => response(
-                503,
-                "application/json; charset=utf-8",
-                "{\"schema\":\"odt-cluster-varz/v1\",\"available\":false}",
-            ),
+            Some(f) => response(200, JSON, &f()),
+            None => response(503, JSON, &unavailable("odt-cluster-varz/v1")),
         },
         ("POST", "/flightrec") => match odt_obs::flightrec::trigger("admin_request") {
-            Some(path) => {
-                let mut body = String::from("{\"schema\":\"odt-admin/v1\",\"dump\":");
-                push_str_escaped(&mut body, &path.display().to_string());
-                body.push('}');
-                response(200, "application/json; charset=utf-8", &body)
-            }
+            Some(path) => response(
+                200,
+                JSON,
+                &json::object_string(|o| {
+                    o.field("schema", "odt-admin/v1")
+                        .field("dump", json::Text(path.display()));
+                }),
+            ),
             None => response(
                 503,
-                "application/json; charset=utf-8",
-                "{\"schema\":\"odt-admin/v1\",\"error\":\"flight recorder disabled\"}",
+                JSON,
+                &json::object_string(|o| {
+                    o.field("schema", "odt-admin/v1")
+                        .field("error", "flight recorder disabled");
+                }),
             ),
         },
         ("POST", "/swap") => match &shared.sources.swap {
@@ -515,27 +496,23 @@ fn route(head: &str, body: &str, shared: &Arc<AdminShared>) -> String {
                 if candidate.is_empty() {
                     response(
                         400,
-                        "application/json; charset=utf-8",
-                        "{\"schema\":\"odt-swap/v1\",\"accepted\":false,\
-                         \"code\":\"bad_request\",\
-                         \"detail\":\"body must be the candidate checkpoint path\"}",
+                        JSON,
+                        &swap_refusal("bad_request", "body must be the candidate checkpoint path"),
                     )
                 } else {
                     let (status, reply) = f(candidate);
-                    response(status, "application/json; charset=utf-8", &reply)
+                    response(status, JSON, &reply)
                 }
             }
             None => response(
                 503,
-                "application/json; charset=utf-8",
-                "{\"schema\":\"odt-swap/v1\",\"accepted\":false,\
-                 \"code\":\"unavailable\",\
-                 \"detail\":\"this process has no swappable model\"}",
+                JSON,
+                &swap_refusal("unavailable", "this process has no swappable model"),
             ),
         },
         ("GET", "/") => response(
             200,
-            "text/plain; charset=utf-8",
+            TEXT,
             "odt admin plane\n\nGET  /metrics    Prometheus exposition\n\
              GET  /healthz    liveness\nGET  /readyz     readiness\n\
              GET  /varz       server/frontend/quality JSON\n\
@@ -545,33 +522,39 @@ fn route(head: &str, body: &str, shared: &Arc<AdminShared>) -> String {
              POST /flightrec  trigger a flight-recorder dump\n\
              POST /swap       hot-swap the model (body: checkpoint path)\n",
         ),
-        ("GET", _) | ("POST", _) => {
-            response(404, "text/plain; charset=utf-8", "unknown admin route\n")
-        }
-        _ => response(405, "text/plain; charset=utf-8", "method not allowed\n"),
+        ("GET", _) | ("POST", _) => response(404, TEXT, "unknown admin route\n"),
+        _ => response(405, TEXT, "method not allowed\n"),
     }
 }
 
-fn push_u64_array(out: &mut String, vals: &[u64]) {
-    out.push('[');
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
+/// The body of a JSON route whose source this process does not have.
+fn unavailable(schema: &str) -> String {
+    json::object_string(|o| {
+        o.field("schema", schema).field("available", false);
+    })
 }
 
-fn push_slo(out: &mut String, slo: &odt_obs::slo::BurnRateSnapshot) {
-    out.push_str("{\"fast_burn\":");
-    push_f64(out, slo.fast_burn);
-    out.push_str(",\"slow_burn\":");
-    push_f64(out, slo.slow_burn);
-    out.push_str(&format!(
-        ",\"alerting\":{},\"alerts\":{},\"total\":{},\"errors\":{}}}",
-        slo.alerting, slo.alerts, slo.total, slo.errors
-    ));
+/// An `odt-swap/v1` refusal body (`POST /swap` answers that never reached
+/// a swap controller; the server binary renders the controller's own).
+pub fn swap_refusal(code: &str, detail: &str) -> String {
+    json::object_string(|o| {
+        o.field("schema", "odt-swap/v1")
+            .field("accepted", false)
+            .field("code", code)
+            .field("detail", detail);
+    })
+}
+
+/// `"slo":{burn-rate block}`, or `"slo":null` for a monitor that is off.
+fn slo_field(o: &mut json::Obj<'_, String>, slo: &Option<odt_obs::slo::BurnRateSnapshot>) {
+    o.object_or_null("slo", slo.as_ref(), |o, slo| {
+        o.field("fast_burn", slo.fast_burn)
+            .field("slow_burn", slo.slow_burn)
+            .field("alerting", slo.alerting)
+            .field("alerts", slo.alerts)
+            .field("total", slo.total)
+            .field("errors", slo.errors);
+    });
 }
 
 /// Render the `/varz` JSON body (`odt-varz/v1`) from the server's live
@@ -587,125 +570,80 @@ pub fn render_varz(
     quality: Option<&QualitySnapshot>,
     cache: Option<&odt_serve::CacheStats>,
 ) -> String {
-    let mut o = String::with_capacity(1024);
-    o.push_str("{\"schema\":\"odt-varz/v1\",\"state\":");
-    push_str_escaped(&mut o, state);
-    o.push_str(&format!(",\"inflight\":{inflight},\"conns\":{{"));
-    o.push_str(&format!(
-        "\"opened\":{},\"closed\":{},\"active\":{},\"rejected_capacity\":{},\
-         \"rejected_draining\":{},\"frames_in\":{},\"frames_out\":{},\
-         \"malformed\":{},\"too_large\":{},\"timeouts_idle\":{},\
-         \"timeouts_frame\":{},\"read_errors\":{},\"write_errors\":{},\
-         \"backpressure_stalls\":{},\"dispatch_shed\":{},\"reply_drops\":{},\
-         \"forced_closes\":{}}}",
-        conn.opened,
-        conn.closed,
-        conn.active,
-        conn.rejected_capacity,
-        conn.rejected_draining,
-        conn.frames_in,
-        conn.frames_out,
-        conn.malformed,
-        conn.too_large,
-        conn.timeouts_idle,
-        conn.timeouts_frame,
-        conn.read_errors,
-        conn.write_errors,
-        conn.backpressure_stalls,
-        conn.dispatch_shed,
-        conn.reply_drops,
-        conn.forced_closes
-    ));
-    o.push_str(",\"frontend\":");
-    match frontend {
-        None => o.push_str("null"),
-        Some((fe, adopted)) => {
-            o.push_str(&format!(
-                "{{\"submitted\":{},\"admitted\":{},\"served\":{},\
-                 \"shed\":{{\"queue_full\":{},\"deadline\":{},\"invalid\":{},\
-                 \"internal\":{}}},\"rung_hits\":",
-                fe.submitted,
-                fe.admitted,
-                fe.served,
-                fe.shed_queue_full,
-                fe.shed_deadline,
-                fe.shed_invalid,
-                fe.shed_internal
-            ));
-            push_u64_array(&mut o, &fe.rung_hits);
-            o.push_str(",\"rung_failures\":");
-            push_u64_array(&mut o, &fe.rung_failures);
-            o.push_str(",\"ladder_cost_us\":");
-            push_u64_array(&mut o, &fe.ladder_cost_us);
-            o.push_str(",\"breaker\":{\"trips\":");
-            push_u64_array(&mut o, &fe.breaker_trips);
-            o.push_str(",\"states\":[");
-            for (i, s) in fe.breaker_states.iter().enumerate() {
-                if i > 0 {
-                    o.push(',');
-                }
-                push_str_escaped(&mut o, s);
-            }
-            o.push_str(&format!(
-                "]}},\"deadline\":{{\"met\":{},\"missed\":{}}},\"slo\":",
-                fe.deadline_met, fe.deadline_missed
-            ));
-            match &fe.slo {
-                Some(slo) => push_slo(&mut o, slo),
-                None => o.push_str("null"),
-            }
-            o.push_str(&format!(",\"adopted_traces\":{adopted}}}"));
-        }
-    }
-    o.push_str(",\"quality\":");
-    match quality {
-        None => o.push_str("null"),
-        Some(q) => {
-            o.push_str(&format!(
-                "{{\"samples\":{},\"window_len\":{},\"mae_s\":",
-                q.samples, q.window_len
-            ));
-            push_f64(&mut o, q.mae_s);
-            o.push_str(",\"mape\":");
-            push_f64(&mut o, q.mape);
-            o.push_str(",\"bias_s\":");
-            push_f64(&mut o, q.bias_s);
-            o.push_str(",\"drift_score\":");
-            push_f64(&mut o, q.drift_score);
-            o.push_str(&format!(
-                ",\"reference_frozen\":{},\"drift_alerting\":{},\"drift_alerts\":{},\"slo\":",
-                q.reference_frozen, q.drift_alerting, q.drift_alerts
-            ));
-            match &q.slo {
-                Some(slo) => push_slo(&mut o, slo),
-                None => o.push_str("null"),
-            }
-            o.push('}');
-        }
-    }
-    o.push_str(",\"cache\":");
-    match cache {
-        None => o.push_str("null"),
-        Some(c) => {
-            o.push_str(&format!(
-                "{{\"len\":{},\"capacity\":{},\"generation\":{},\"hits\":{},\
-                 \"stale_hits\":{},\"misses\":{},\"hit_rate\":",
-                c.len, c.capacity, c.generation, c.hits, c.stale_hits, c.misses
-            ));
-            push_f64(&mut o, c.hit_rate());
-            o.push_str(&format!(
-                ",\"evictions\":{},\"admission_rejects\":{},\"prewarm_batches\":{},\
-                 \"invalidations\":{},\"invalidated_entries\":{}}}",
-                c.evictions,
-                c.admission_rejects,
-                c.prewarm_batches,
-                c.invalidations,
-                c.invalidated_entries
-            ));
-        }
-    }
-    o.push('}');
-    o
+    json::object_string(|o| {
+        o.field("schema", "odt-varz/v1")
+            .field("state", state)
+            .field("inflight", inflight)
+            .object("conns", |o| {
+                o.field("opened", conn.opened)
+                    .field("closed", conn.closed)
+                    .field("active", conn.active)
+                    .field("rejected_capacity", conn.rejected_capacity)
+                    .field("rejected_draining", conn.rejected_draining)
+                    .field("frames_in", conn.frames_in)
+                    .field("frames_out", conn.frames_out)
+                    .field("malformed", conn.malformed)
+                    .field("too_large", conn.too_large)
+                    .field("timeouts_idle", conn.timeouts_idle)
+                    .field("timeouts_frame", conn.timeouts_frame)
+                    .field("read_errors", conn.read_errors)
+                    .field("write_errors", conn.write_errors)
+                    .field("backpressure_stalls", conn.backpressure_stalls)
+                    .field("dispatch_shed", conn.dispatch_shed)
+                    .field("reply_drops", conn.reply_drops)
+                    .field("forced_closes", conn.forced_closes);
+            });
+        o.object_or_null("frontend", frontend, |o, (fe, adopted)| {
+            o.field("submitted", fe.submitted)
+                .field("admitted", fe.admitted)
+                .field("served", fe.served)
+                .object("shed", |o| {
+                    o.field("queue_full", fe.shed_queue_full)
+                        .field("deadline", fe.shed_deadline)
+                        .field("invalid", fe.shed_invalid)
+                        .field("internal", fe.shed_internal);
+                })
+                .field("rung_hits", fe.rung_hits)
+                .field("rung_failures", fe.rung_failures)
+                .field("ladder_cost_us", fe.ladder_cost_us)
+                .object("breaker", |o| {
+                    o.field("trips", fe.breaker_trips)
+                        .field("states", fe.breaker_states);
+                })
+                .object("deadline", |o| {
+                    o.field("met", fe.deadline_met)
+                        .field("missed", fe.deadline_missed);
+                });
+            slo_field(o, &fe.slo);
+            o.field("adopted_traces", adopted);
+        });
+        o.object_or_null("quality", quality, |o, q| {
+            o.field("samples", q.samples)
+                .field("window_len", q.window_len)
+                .field("mae_s", q.mae_s)
+                .field("mape", q.mape)
+                .field("bias_s", q.bias_s)
+                .field("drift_score", q.drift_score)
+                .field("reference_frozen", q.reference_frozen)
+                .field("drift_alerting", q.drift_alerting)
+                .field("drift_alerts", q.drift_alerts);
+            slo_field(o, &q.slo);
+        });
+        o.object_or_null("cache", cache, |o, c| {
+            o.field("len", c.len)
+                .field("capacity", c.capacity)
+                .field("generation", c.generation)
+                .field("hits", c.hits)
+                .field("stale_hits", c.stale_hits)
+                .field("misses", c.misses)
+                .field("hit_rate", c.hit_rate())
+                .field("evictions", c.evictions)
+                .field("admission_rejects", c.admission_rejects)
+                .field("prewarm_batches", c.prewarm_batches)
+                .field("invalidations", c.invalidations)
+                .field("invalidated_entries", c.invalidated_entries);
+        });
+    })
 }
 
 /// Render the `/tracez` JSON body (`odt-tracez/v1`): the most recent
@@ -715,69 +653,52 @@ pub fn render_varz(
 pub fn render_tracez(limit: usize) -> String {
     let traces = odt_obs::trace::retained_traces();
     let skip = traces.len().saturating_sub(limit);
-    let mut o = String::with_capacity(1024);
-    o.push_str("{\"schema\":\"odt-tracez/v1\",\"instance\":");
-    push_str_escaped(&mut o, crate::server::instance_name());
-    o.push_str(&format!(",\"retained\":{},\"traces\":[", traces.len()));
-    for (ti, t) in traces[skip..].iter().enumerate() {
-        if ti > 0 {
-            o.push(',');
-        }
-        push_trace(&mut o, t);
-    }
-    o.push_str("]}");
-    o
+    json::object_string(|o| {
+        o.field("schema", "odt-tracez/v1")
+            .field("instance", crate::server::instance_name())
+            .field("retained", traces.len())
+            .array("traces", |a| {
+                for t in &traces[skip..] {
+                    a.object(|o| trace_members(o, t));
+                }
+            });
+    })
 }
 
-fn push_trace(o: &mut String, t: &odt_obs::trace::TraceRecord) {
+fn trace_members(o: &mut json::Obj<'_, String>, t: &odt_obs::trace::TraceRecord) {
     // Sum of each span's direct children's durations, keyed by parent.
     let mut child_us: HashMap<u64, u64> = HashMap::new();
     for s in &t.spans {
         *child_us.entry(s.parent_id).or_insert(0) += s.dur_us;
     }
-    o.push_str("{\"trace_id\":");
-    push_str_escaped(o, &t.trace_id.to_hex());
-    o.push_str(",\"root\":");
-    push_str_escaped(o, t.root_name);
-    // Remote parent span ordinal (0 = rooted in this process) — the
-    // cross-process stitcher attaches this fragment under that span of
-    // the same trace id in the caller's `/tracez`.
-    o.push_str(&format!(",\"parent_span\":{}", t.parent_span));
-    o.push_str(",\"request_id\":");
-    match t.request_id {
-        Some(id) => o.push_str(&id.to_string()),
-        None => o.push_str("null"),
-    }
-    o.push_str(&format!(
-        ",\"start_us\":{},\"dur_us\":{},\"sampled\":{},\"truncated\":{},\
-         \"retain_reasons\":[",
-        t.start_us, t.dur_us, t.sampled, t.truncated
-    ));
-    for (i, r) in t.retain_reasons.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        push_str_escaped(o, r);
-    }
-    o.push_str("],\"spans\":[");
-    for (i, s) in t.spans.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        let self_us = s
-            .dur_us
-            .saturating_sub(*child_us.get(&s.span_id).unwrap_or(&0));
-        o.push_str(&format!(
-            "{{\"span_id\":{},\"parent_id\":{},\"name\":",
-            s.span_id, s.parent_id
-        ));
-        push_str_escaped(o, s.name);
-        o.push_str(&format!(
-            ",\"start_us\":{},\"dur_us\":{},\"self_us\":{self_us},\"tid\":{}}}",
-            s.start_us, s.dur_us, s.tid
-        ));
-    }
-    o.push_str("]}");
+    o.field("trace_id", t.trace_id)
+        .field("root", t.root_name)
+        // Remote parent span ordinal (0 = rooted in this process) — the
+        // cross-process stitcher attaches this fragment under that span of
+        // the same trace id in the caller's `/tracez`.
+        .field("parent_span", t.parent_span)
+        .field("request_id", t.request_id)
+        .field("start_us", t.start_us)
+        .field("dur_us", t.dur_us)
+        .field("sampled", t.sampled)
+        .field("truncated", t.truncated)
+        .field("retain_reasons", &t.retain_reasons[..])
+        .array("spans", |a| {
+            for s in &t.spans {
+                let self_us = s
+                    .dur_us
+                    .saturating_sub(*child_us.get(&s.span_id).unwrap_or(&0));
+                a.object(|o| {
+                    o.field("span_id", s.span_id)
+                        .field("parent_id", s.parent_id)
+                        .field("name", s.name)
+                        .field("start_us", s.start_us)
+                        .field("dur_us", s.dur_us)
+                        .field("self_us", self_us)
+                        .field("tid", s.tid);
+                });
+            }
+        });
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ use crate::loadgen::Region;
 use crate::server::{instance_name, ConnStatsSnapshot, NetBackend, NetRequest};
 use crate::shard::ShardMap;
 use crate::wire::{Client, WireErrorCode, WireRequest, WireResponse, DEFAULT_MAX_FRAME_BYTES};
-use odt_obs::json::push_str_escaped;
+use odt_obs::json;
 use odt_obs::{counter, event, gauge, Level};
 use odt_serve::{
     fallback_estimate_seconds, BreakerConfig, BreakerState, CircuitBreaker, LngLat, OdtInput,
@@ -766,56 +766,51 @@ pub fn render_router_varz(
     conn: &ConnStatsSnapshot,
     cluster: &ClusterSnapshot,
 ) -> String {
-    let mut o = String::with_capacity(1024);
-    o.push_str("{\"schema\":\"odt-router-varz/v1\",\"state\":");
-    push_str_escaped(&mut o, state);
-    o.push_str(",\"conns\":{");
-    o.push_str(&format!(
-        "\"opened\":{},\"closed\":{},\"active\":{},\"frames_in\":{},\"frames_out\":{},\
-         \"malformed\":{},\"rejected_capacity\":{},\"rejected_draining\":{}}}",
-        conn.opened,
-        conn.closed,
-        conn.active,
-        conn.frames_in,
-        conn.frames_out,
-        conn.malformed,
-        conn.rejected_capacity,
-        conn.rejected_draining
-    ));
-    o.push_str(&format!(
-        ",\"cluster\":{{\"quorum_ready\":{},\"forwarded_total\":{},\"failovers_total\":{},\
-         \"prior_serves_total\":{},\"refusals_total\":{},\"transport_errors_total\":{},\"shards\":[",
-        cluster.quorum_ready,
-        cluster.forwarded,
-        cluster.failovers,
-        cluster.prior_serves,
-        cluster.refusals,
-        cluster.transport_errors
-    ));
-    for (s, replicas) in cluster.shards.iter().enumerate() {
-        if s > 0 {
-            o.push(',');
-        }
-        o.push_str("{\"replicas\":[");
-        for (r, rep) in replicas.iter().enumerate() {
-            if r > 0 {
-                o.push(',');
+    json::object_string(|o| {
+        o.field("schema", "odt-router-varz/v1")
+            .field("state", state)
+            .object("conns", |o| {
+                o.field("opened", conn.opened)
+                    .field("closed", conn.closed)
+                    .field("active", conn.active)
+                    .field("frames_in", conn.frames_in)
+                    .field("frames_out", conn.frames_out)
+                    .field("malformed", conn.malformed)
+                    .field("rejected_capacity", conn.rejected_capacity)
+                    .field("rejected_draining", conn.rejected_draining);
+            })
+            .object("cluster", |o| cluster_members(o, cluster));
+    })
+}
+
+/// The members of the `cluster` block of `odt-router-varz/v1` (the router
+/// binary's exit report carries the same block).
+pub fn cluster_members(o: &mut json::Obj<'_, String>, cluster: &ClusterSnapshot) {
+    o.field("quorum_ready", cluster.quorum_ready)
+        .field("forwarded_total", cluster.forwarded)
+        .field("failovers_total", cluster.failovers)
+        .field("prior_serves_total", cluster.prior_serves)
+        .field("refusals_total", cluster.refusals)
+        .field("transport_errors_total", cluster.transport_errors)
+        .array("shards", |a| {
+            for replicas in &cluster.shards {
+                a.object(|o| {
+                    o.array("replicas", |a| {
+                        for rep in replicas {
+                            a.object(|o| {
+                                o.field("addr", &rep.addr)
+                                    .field("health", rep.health)
+                                    .field("breaker", rep.breaker)
+                                    .field("breaker_trips", rep.breaker_trips)
+                                    .field("forwarded", rep.forwarded)
+                                    .field("refusals", rep.refusals)
+                                    .field("transport_errors", rep.transport_errors);
+                            });
+                        }
+                    });
+                });
             }
-            o.push_str("{\"addr\":");
-            push_str_escaped(&mut o, &rep.addr);
-            o.push_str(",\"health\":");
-            push_str_escaped(&mut o, rep.health);
-            o.push_str(",\"breaker\":");
-            push_str_escaped(&mut o, rep.breaker);
-            o.push_str(&format!(
-                ",\"breaker_trips\":{},\"forwarded\":{},\"refusals\":{},\"transport_errors\":{}}}",
-                rep.breaker_trips, rep.forwarded, rep.refusals, rep.transport_errors
-            ));
-        }
-        o.push_str("]}");
-    }
-    o.push_str("]}}");
-    o
+        });
 }
 
 #[cfg(test)]

@@ -35,9 +35,8 @@
 
 use crate::admin::http_request;
 use crate::cluster::{PollerHandle, ReplicaAddr};
-use crate::json::JsonValue;
 use odt_obs::expo::{self, ParsedExposition};
-use odt_obs::json::push_str_escaped;
+use odt_obs::json::{self, JsonValue};
 use odt_obs::{counter, event, HistogramData, Level};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -277,81 +276,58 @@ impl ClusterScraper {
             .map(|m| m.lock().expect("scrape state poisoned"))
             .collect();
         let shards = self.targets.iter().map(|t| t.shard + 1).max().unwrap_or(0);
-        let mut o = String::with_capacity(1024);
-        o.push_str("{\"schema\":\"odt-cluster-varz/v1\",\"shards\":[");
-        for s in 0..shards {
-            if s > 0 {
-                o.push(',');
-            }
-            o.push_str(&format!("{{\"shard\":{s},\"replicas\":["));
-            let mut worst_mae = f64::NAN;
-            let mut worst_drift = f64::NAN;
-            let mut live = 0u64;
-            let mut first = true;
-            for (t, st) in self.targets.iter().zip(&states) {
-                if t.shard != s {
-                    continue;
-                }
-                if !first {
-                    o.push(',');
-                }
-                first = false;
-                o.push_str(&format!("{{\"replica\":{},\"admin\":", t.replica));
-                match &t.admin {
-                    Some(a) => push_str_escaped(&mut o, a),
-                    None => o.push_str("null"),
-                }
-                o.push_str(&format!(
-                    ",\"stale\":{},\"scrapes_ok\":{},\"scrapes_failed\":{}",
-                    st.stale, st.ok, st.failed
-                ));
-                let v = st.varz.as_ref();
-                o.push_str(",\"state\":");
-                match v.and_then(|v| v.get("state")).and_then(|s| s.as_str()) {
-                    Some(state) => push_str_escaped(&mut o, state),
-                    None => o.push_str("null"),
-                }
-                for key in ["quality", "cache", "frontend"] {
-                    o.push_str(&format!(",\"{key}\":"));
-                    match v.and_then(|v| v.get(key)) {
-                        Some(val) => val.render(&mut o),
-                        None => o.push_str("null"),
+        json::object_string(|o| {
+            o.field("schema", "odt-cluster-varz/v1")
+                .array("shards", |a| {
+                    for s in 0..shards {
+                        let rows: Vec<(&ScrapeTarget, &TargetState)> = self
+                            .targets
+                            .iter()
+                            .zip(states.iter().map(|st| &**st))
+                            .filter(|(t, _)| t.shard == s)
+                            .collect();
+                        a.object(|o| shard_members(o, s, &rows));
                     }
-                }
-                o.push('}');
-                if !st.stale {
-                    live += 1;
-                    if let Some(q) = v.and_then(|v| v.get("quality")) {
-                        if let Some(mae) = q.get("mae_s").and_then(|x| x.as_f64()) {
-                            if !(worst_mae >= mae) {
-                                worst_mae = mae;
-                            }
-                        }
-                        if let Some(d) = q.get("drift_score").and_then(|x| x.as_f64()) {
-                            if !(worst_drift >= d) {
-                                worst_drift = d;
-                            }
-                        }
-                    }
-                }
-            }
-            o.push_str(&format!("],\"live_replicas\":{live},\"worst_mae_s\":"));
-            push_json_f64(&mut o, worst_mae);
-            o.push_str(",\"worst_drift_score\":");
-            push_json_f64(&mut o, worst_drift);
-            o.push('}');
-        }
-        o.push_str("]}");
-        o
+                });
+        })
     }
 }
 
-/// NaN-safe JSON float (JSON has no NaN literal; `null` means "no data").
-fn push_json_f64(o: &mut String, v: f64) {
-    if v.is_finite() {
-        odt_obs::json::push_f64(o, v);
-    } else {
-        o.push_str("null");
+/// One shard of the roll-up: its replicas' rows, then the worst quality
+/// over the live ones (NaN, no data, renders as `null`).
+fn shard_members(
+    o: &mut json::Obj<'_, String>,
+    shard: usize,
+    rows: &[(&ScrapeTarget, &TargetState)],
+) {
+    o.field("shard", shard).array("replicas", |a| {
+        for (t, st) in rows {
+            a.object(|o| replica_members(o, t, st));
+        }
+    });
+    let live = || rows.iter().filter(|(_, st)| !st.stale);
+    let worst = |key: &str| {
+        live()
+            .filter_map(|(_, st)| st.varz.as_ref()?.get("quality")?.get(key)?.as_f64())
+            .fold(f64::NAN, |worst, v| if worst >= v { worst } else { v })
+    };
+    o.field("live_replicas", live().count())
+        .field("worst_mae_s", worst("mae_s"))
+        .field("worst_drift_score", worst("drift_score"));
+}
+
+/// One replica's row of the roll-up: scrape bookkeeping, then the state
+/// and the three blocks of its last good `/varz`, re-serialized verbatim.
+fn replica_members(o: &mut json::Obj<'_, String>, t: &ScrapeTarget, st: &TargetState) {
+    let v = st.varz.as_ref();
+    o.field("replica", t.replica)
+        .field("admin", &t.admin)
+        .field("stale", st.stale)
+        .field("scrapes_ok", st.ok)
+        .field("scrapes_failed", st.failed)
+        .field("state", v.and_then(|v| v.get("state")?.as_str()));
+    for key in ["quality", "cache", "frontend"] {
+        o.field(key, v.and_then(|v| v.get(key)));
     }
 }
 

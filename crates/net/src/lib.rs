@@ -34,7 +34,6 @@ pub mod admin;
 pub mod cluster;
 pub mod drill;
 pub mod fed;
-pub mod json;
 pub mod loadgen;
 pub mod server;
 pub mod shard;

@@ -53,8 +53,7 @@
 //! | `malformed_frame` | payload not valid `odt-wire/v1` JSON                 |
 //! | `server_draining` | server is draining; retry against another replica    |
 
-use crate::json::JsonValue;
-use odt_obs::json::{write_f64, write_str_escaped};
+use odt_obs::json::{self, JsonValue};
 use odt_obs::TraceId;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -248,7 +247,7 @@ impl WireResponse {
     }
 
     fn write_json<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
-        match self {
+        json::object(w, |o| match self {
             WireResponse::Ok {
                 id,
                 seconds,
@@ -259,34 +258,28 @@ impl WireResponse {
                 trace,
                 served_by,
             } => {
-                write!(w, "{{\"v\":\"{WIRE_SCHEMA}\",\"id\":{id},\"seconds\":")?;
-                write_f64(w, *seconds)?;
-                w.write_str(",\"rung\":")?;
-                write_str_escaped(w, rung)?;
-                write!(
-                    w,
-                    ",\"queue_wait_us\":{queue_wait_us},\"service_us\":{service_us},\
-                     \"deadline_met\":{deadline_met}"
-                )?;
+                o.field("v", WIRE_SCHEMA)
+                    .field("id", id)
+                    .field("seconds", seconds)
+                    .field("rung", rung)
+                    .field("queue_wait_us", queue_wait_us)
+                    .field("service_us", service_us)
+                    .field("deadline_met", deadline_met);
                 if let Some(t) = trace {
-                    write!(w, ",\"trace\":\"{t}\"")?;
+                    o.field("trace", t);
                 }
                 if let Some(by) = served_by {
-                    w.write_str(",\"served_by\":")?;
-                    write_str_escaped(w, by)?;
+                    o.field("served_by", by);
                 }
-                w.write_char('}')
             }
             WireResponse::Err { id, code, detail } => {
-                write!(
-                    w,
-                    "{{\"v\":\"{WIRE_SCHEMA}\",\"id\":{id},\"error\":{{\"code\":\"{}\",\"detail\":",
-                    code.name()
-                )?;
-                write_str_escaped(w, detail)?;
-                w.write_str("}}")
+                o.field("v", WIRE_SCHEMA)
+                    .field("id", id)
+                    .object("error", |e| {
+                        e.field("code", code.name()).field("detail", detail);
+                    });
             }
-        }
+        })
     }
 
     /// Parse a response payload (client side).
@@ -359,26 +352,22 @@ impl WireRequest {
 
     fn write_json<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
         let q = &self.query;
-        write!(w, "{{\"v\":\"{WIRE_SCHEMA}\",\"id\":{},\"o\":[", self.id)?;
-        write_f64(w, q.o_lng)?;
-        w.write_char(',')?;
-        write_f64(w, q.o_lat)?;
-        w.write_str("],\"d\":[")?;
-        write_f64(w, q.d_lng)?;
-        w.write_char(',')?;
-        write_f64(w, q.d_lat)?;
-        w.write_str("],\"t_dep\":")?;
-        write_f64(w, q.t_dep)?;
-        if let Some(ms) = self.deadline_ms {
-            write!(w, ",\"deadline_ms\":{ms}")?;
-        }
-        if let Some(t) = self.trace {
-            write!(w, ",\"trace\":\"{t}\"")?;
-            if let Some(p) = self.parent_span {
-                write!(w, ",\"parent_span\":{p}")?;
+        json::object(w, |o| {
+            o.field("v", WIRE_SCHEMA)
+                .field("id", self.id)
+                .field("o", [q.o_lng, q.o_lat])
+                .field("d", [q.d_lng, q.d_lat])
+                .field("t_dep", q.t_dep);
+            if let Some(ms) = self.deadline_ms {
+                o.field("deadline_ms", ms);
             }
-        }
-        w.write_char('}')
+            if let Some(t) = self.trace {
+                o.field("trace", t);
+                if let Some(p) = self.parent_span {
+                    o.field("parent_span", p);
+                }
+            }
+        })
     }
 
     /// Parse a request payload (server side). Errors are human-readable

@@ -1,9 +1,9 @@
 //! Leveled, structured events with named fields.
 
-use crate::json;
+use crate::json::{self, ToJson as _};
 use crate::ring;
 use crate::sink;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -117,20 +117,16 @@ impl FieldValue {
             _ => None,
         }
     }
+}
 
-    fn push_json(&self, out: &mut String) {
+impl json::ToJson for FieldValue {
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            FieldValue::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            FieldValue::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            FieldValue::F64(v) => json::push_f64(out, *v),
-            FieldValue::Bool(v) => {
-                let _ = write!(out, "{v}");
-            }
-            FieldValue::Str(s) => json::push_str_escaped(out, s),
+            FieldValue::I64(v) => v.write_json(out),
+            FieldValue::U64(v) => v.write_json(out),
+            FieldValue::F64(v) => v.write_json(out),
+            FieldValue::Bool(v) => v.write_json(out),
+            FieldValue::Str(s) => s.write_json(out),
         }
     }
 }
@@ -217,9 +213,8 @@ impl Event {
                         let _ = write!(out, "{k}={s}");
                     }
                     other => {
-                        let mut tmp = String::new();
-                        other.push_json(&mut tmp);
-                        let _ = write!(out, "{k}={tmp}");
+                        let _ = write!(out, "{k}=");
+                        let _ = other.write_json(&mut out);
                     }
                 }
             }
@@ -231,24 +226,21 @@ impl Event {
     /// One JSONL line (no trailing newline):
     /// `{"ts_us":…,"level":"…","name":"…","msg":"…","fields":{…}}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(out, "{{\"ts_us\":{},\"level\":", self.ts_micros);
-        json::push_str_escaped(&mut out, self.level.as_str());
-        out.push_str(",\"name\":");
-        json::push_str_escaped(&mut out, self.name);
-        out.push_str(",\"msg\":");
-        json::push_str_escaped(&mut out, &self.msg);
-        out.push_str(",\"fields\":{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_str_escaped(&mut out, k);
-            out.push(':');
-            v.push_json(&mut out);
-        }
-        out.push_str("}}");
-        out
+        json::object_string(|o| self.write_members(o))
+    }
+
+    /// The members of [`Event::to_json`]'s object, appended to one the
+    /// caller opened (the flight recorder puts a `kind` in front).
+    pub(crate) fn write_members<W: fmt::Write>(&self, o: &mut json::Obj<'_, W>) {
+        o.field("ts_us", self.ts_micros)
+            .field("level", self.level.as_str())
+            .field("name", self.name)
+            .field("msg", &self.msg)
+            .object("fields", |f| {
+                for (k, v) in &self.fields {
+                    f.field(k, v);
+                }
+            });
     }
 }
 

@@ -23,10 +23,8 @@
 
 use crate::json;
 use std::cell::Cell;
-use std::fmt::Write as _;
 use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 
@@ -101,75 +99,71 @@ pub fn last_dump() -> Option<PathBuf> {
 }
 
 fn render_dump(reason: &str, seq: u64) -> String {
+    fn line(out: &mut String, members: impl FnOnce(&mut json::Obj<'_, String>)) {
+        // Writing into a `String` cannot fail.
+        let _ = json::object(out, members);
+        out.push('\n');
+    }
     let mut out = String::with_capacity(16 * 1024);
 
     // Header: schema, trigger, and the trace active on the triggering
     // thread (how a chaos-drill report line links to its dump).
-    out.push_str("{\"schema\":");
-    json::push_str_escaped(&mut out, SCHEMA);
-    out.push_str(",\"kind\":\"header\",\"reason\":");
-    json::push_str_escaped(&mut out, reason);
-    let _ = write!(out, ",\"seq\":{seq},\"ts_us\":{}", crate::trace::now_us());
-    out.push_str(",\"trace_id\":");
-    match crate::trace::current_context() {
-        Some(ctx) => json::push_str_escaped(&mut out, &ctx.trace_id().to_hex()),
-        None => out.push_str("null"),
-    }
-    out.push_str("}\n");
+    line(&mut out, |o| {
+        o.field("schema", SCHEMA)
+            .field("kind", "header")
+            .field("reason", reason)
+            .field("seq", seq)
+            .field("ts_us", crate::trace::now_us())
+            .field(
+                "trace_id",
+                crate::trace::current_context().map(|ctx| ctx.trace_id()),
+            );
+    });
 
     // The event ring, oldest first.
     for ev in crate::recent_events() {
-        let line = ev.to_json();
-        out.push_str("{\"kind\":\"event\",");
-        out.push_str(&line[1..]); // splice: line is `{...}`, keep `...}`
-        out.push('\n');
+        line(&mut out, |o| ev.write_members(o.field("kind", "event")));
     }
 
     // Every span currently open anywhere in the process: what each thread
     // was in the middle of when the incident fired.
     for s in crate::trace::open_spans() {
-        out.push_str("{\"kind\":\"open_span\",\"trace_id\":");
-        json::push_str_escaped(&mut out, &s.trace_id.to_hex());
-        let _ = write!(out, ",\"span_id\":{},\"name\":", s.span_id);
-        json::push_str_escaped(&mut out, s.name);
-        let _ = write!(out, ",\"start_us\":{},\"tid\":{}}}", s.start_us, s.tid);
-        out.push('\n');
+        line(&mut out, |o| {
+            o.field("kind", "open_span")
+                .field("trace_id", s.trace_id)
+                .field("span_id", s.span_id)
+                .field("name", s.name)
+                .field("start_us", s.start_us)
+                .field("tid", s.tid);
+        });
     }
 
     // Metrics snapshot.
     let snap = crate::snapshot();
-    for (name, v) in &snap.counters {
-        out.push_str("{\"kind\":\"counter\",\"name\":");
-        json::push_str_escaped(&mut out, name);
-        let _ = write!(out, ",\"value\":{v}}}");
-        out.push('\n');
-    }
-    for (name, v) in &snap.gauges {
-        out.push_str("{\"kind\":\"gauge\",\"name\":");
-        json::push_str_escaped(&mut out, name);
-        out.push_str(",\"value\":");
-        json::push_f64(&mut out, *v);
-        out.push_str("}\n");
-    }
-    for (name, s) in &snap.histograms {
-        out.push_str("{\"kind\":\"histogram\",\"name\":");
-        json::push_str_escaped(&mut out, name);
-        let _ = write!(out, ",\"count\":{},\"mean_us\":", s.count);
-        json::push_f64(&mut out, s.mean_us);
-        out.push_str(",\"p50_us\":");
-        json::push_f64(&mut out, s.p50_us);
-        out.push_str(",\"p95_us\":");
-        json::push_f64(&mut out, s.p95_us);
-        out.push_str(",\"p99_us\":");
-        json::push_f64(&mut out, s.p99_us);
-        out.push_str(",\"max_us\":");
-        json::push_f64(&mut out, s.max_us);
-        out.push_str(",\"p99_exemplar\":");
-        match s.p99_exemplar {
-            Some(id) => json::push_str_escaped(&mut out, &format!("{id:016x}")),
-            None => out.push_str("null"),
+    fn scalars<V: json::ToJson>(out: &mut String, kind: &str, rows: &[(&'static str, V)]) {
+        for (name, v) in rows {
+            line(out, |o| {
+                o.field("kind", kind).field("name", name).field("value", v);
+            });
         }
-        out.push_str("}\n");
+    }
+    scalars(&mut out, "counter", &snap.counters);
+    scalars(&mut out, "gauge", &snap.gauges);
+    for (name, s) in &snap.histograms {
+        line(&mut out, |o| {
+            o.field("kind", "histogram")
+                .field("name", name)
+                .field("count", s.count)
+                .field("mean_us", s.mean_us)
+                .field("p50_us", s.p50_us)
+                .field("p95_us", s.p95_us)
+                .field("p99_us", s.p99_us)
+                .field("max_us", s.max_us)
+                .field(
+                    "p99_exemplar",
+                    s.p99_exemplar.and_then(crate::TraceId::from_raw),
+                );
+        });
     }
     out
 }
@@ -211,22 +205,12 @@ pub fn trigger(reason: &str) -> Option<PathBuf> {
         "flightrec_{seq:03}_{}.jsonl",
         sanitize_reason(reason)
     ));
-    if atomic_write(&path, &content).is_err() {
+    if crate::atomic_write(&path, content.as_bytes()).is_err() {
         return None;
     }
     crate::counter("flightrec.dumps").inc();
     state().lock().expect("flightrec state poisoned").last_dump = Some(path.clone());
     Some(path)
-}
-
-fn atomic_write(path: &Path, content: &str) -> std::io::Result<()> {
-    let tmp = PathBuf::from(format!("{}.tmp", path.display()));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(content.as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
 }
 
 thread_local! {

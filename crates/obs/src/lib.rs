@@ -88,7 +88,9 @@ pub use metrics::{
 pub use quality::{QualityConfig, QualitySnapshot, QualityTracker};
 pub use ring::{recent_events, ring_capacity, set_ring_capacity};
 pub use rng::SplitMix64;
-pub use sink::{add_sink, flush_sinks, remove_sink, FnSink, JsonlSink, Sink, SinkId, StderrSink};
+pub use sink::{
+    add_sink, atomic_write, flush_sinks, remove_sink, FnSink, JsonlSink, Sink, SinkId, StderrSink,
+};
 pub use span::{span, span_depth, span_if_traced, SpanTimer};
 pub use trace::{SpanId, TraceContext, TraceId};
 

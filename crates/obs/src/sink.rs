@@ -98,17 +98,38 @@ impl<F: Fn(&Event) + Send + Sync> Sink for FnSink<F> {
     }
 }
 
+/// Replace the file at `path` with `bytes`, all or nothing: the bytes go to
+/// a temporary file in the same directory, are synced to disk, and only
+/// then renamed over `path`. A reader (or a crash at any point) sees the
+/// old content or the new, never a torn file, and a rename that reports
+/// success names bytes that are on disk. The temporary file is removed
+/// when any step fails.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = PathBuf::from(format!("{}.tmp.{}", path.display(), std::process::id()));
+    let res = fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| fs::rename(&tmp, path));
+    if res.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    res
+}
+
 /// Auto-flush cadence of [`JsonlSink`] (events between flushes), bounding
 /// how much telemetry a crash can lose.
 const JSONL_AUTOFLUSH_EVERY: usize = 128;
 
 struct JsonlState {
-    lines: Vec<String>,
+    /// Every accepted event, one JSON line each.
+    log: String,
     unflushed: usize,
 }
 
 /// Accumulates events as JSONL and flushes **atomically**: the full
-/// accumulated log is written to `<path>.tmp` and renamed over `<path>`, so
+/// accumulated log replaces `<path>` through [`atomic_write`], so
 /// the file at `path` is always complete, valid JSONL — a crash mid-flush
 /// leaves the previous complete version, never a torn line.
 pub struct JsonlSink {
@@ -123,7 +144,7 @@ impl JsonlSink {
         JsonlSink {
             path: path.into(),
             state: Mutex::new(JsonlState {
-                lines: Vec::new(),
+                log: String::new(),
                 unflushed: 0,
             }),
         }
@@ -135,18 +156,10 @@ impl JsonlSink {
     }
 
     fn flush_locked(&self, state: &mut JsonlState) -> std::io::Result<()> {
-        if state.unflushed == 0 && state.lines.is_empty() {
+        if state.unflushed == 0 && state.log.is_empty() {
             return Ok(());
         }
-        let tmp = PathBuf::from(format!("{}.tmp", self.path.display()));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            for line in &state.lines {
-                writeln!(f, "{line}")?;
-            }
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &self.path)?;
+        atomic_write(&self.path, state.log.as_bytes())?;
         state.unflushed = 0;
         Ok(())
     }
@@ -155,7 +168,9 @@ impl JsonlSink {
 impl Sink for JsonlSink {
     fn accept(&self, event: &Event) {
         let mut state = self.state.lock().expect("jsonl sink poisoned");
-        state.lines.push(event.to_json());
+        // Writing into a `String` cannot fail.
+        let _ = crate::json::object(&mut state.log, |o| event.write_members(o));
+        state.log.push('\n');
         state.unflushed += 1;
         if state.unflushed >= JSONL_AUTOFLUSH_EVERY {
             // Best-effort: telemetry must never take the run down.
@@ -223,10 +238,33 @@ mod tests {
     }
 
     #[test]
+    fn atomic_write_replaces_whole_files_and_cleans_up_after_a_failed_rename() {
+        let dir = std::env::temp_dir().join(format!("odt_obs_atomic_{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("file");
+        atomic_write(&path, b"first").unwrap();
+        atomic_write(&path, b"second, longer").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"second, longer");
+        // A destination that cannot be renamed over (a directory) is an
+        // error, and the temporary file does not outlive it.
+        let blocked = dir.join("blocked");
+        fs::create_dir_all(blocked.join("occupied")).unwrap();
+        assert!(atomic_write(&blocked, b"x").is_err());
+        // So is a destination directory that does not exist.
+        assert!(atomic_write(&dir.join("missing").join("file"), b"x").is_err());
+        let left: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left.len(), 2, "only `file` and `blocked` remain: {left:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn jsonl_sink_flushes_atomically_via_rename() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("odt_obs_jsonl_{}.jsonl", std::process::id()));
-        let tmp = PathBuf::from(format!("{}.tmp", path.display()));
+        let tmp = PathBuf::from(format!("{}.tmp.{}", path.display(), std::process::id()));
         let _ = fs::remove_file(&path);
         let sink = JsonlSink::new(&path);
         for i in 0..5u64 {

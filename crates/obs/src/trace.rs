@@ -36,10 +36,7 @@
 use crate::json;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -104,6 +101,13 @@ impl TraceId {
 impl std::fmt::Display for TraceId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:016x}", self.0)
+    }
+}
+
+/// As JSON a trace id is its 16-hex-digit string.
+impl json::ToJson for TraceId {
+    fn write_json<W: std::fmt::Write>(&self, out: &mut W) -> std::fmt::Result {
+        json::Text(self).write_json(out)
     }
 }
 
@@ -725,70 +729,39 @@ pub fn trace_stats() -> (u64, u64, u64) {
     (st.finished, st.dropped_unsampled, st.evicted_retained)
 }
 
-fn push_span_json(out: &mut String, trace_hex: &str, s: &SpanRecord) {
-    out.push_str("{\"kind\":\"span\",\"trace_id\":");
-    json::push_str_escaped(out, trace_hex);
-    let _ = write!(
-        out,
-        ",\"span_id\":{},\"parent_id\":{},\"name\":",
-        s.span_id, s.parent_id
-    );
-    json::push_str_escaped(out, s.name);
-    let _ = write!(
-        out,
-        ",\"start_us\":{},\"dur_us\":{},\"tid\":{}}}",
-        s.start_us, s.dur_us, s.tid
-    );
-}
-
 /// Serialize one retained trace as JSONL: a `kind:"trace"` header line
 /// followed by one `kind:"span"` line per span (no trailing newline).
 pub fn trace_to_jsonl(t: &TraceRecord) -> String {
-    let hex = t.trace_id.to_hex();
     let mut out = String::with_capacity(128 * (t.spans.len() + 1));
-    out.push_str("{\"kind\":\"trace\",\"trace_id\":");
-    json::push_str_escaped(&mut out, &hex);
-    out.push_str(",\"root\":");
-    json::push_str_escaped(&mut out, t.root_name);
-    let _ = write!(out, ",\"parent_span\":{}", t.parent_span);
-    match t.request_id {
-        Some(id) => {
-            let _ = write!(out, ",\"request_id\":{id}");
-        }
-        None => out.push_str(",\"request_id\":null"),
-    }
-    let _ = write!(
-        out,
-        ",\"start_us\":{},\"dur_us\":{},\"sampled\":{},\"retain_reasons\":[",
-        t.start_us, t.dur_us, t.sampled
-    );
-    for (i, r) in t.retain_reasons.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_str_escaped(&mut out, r);
-    }
-    let _ = write!(
-        out,
-        "],\"spans\":{},\"truncated\":{}}}",
-        t.spans.len(),
-        t.truncated
-    );
+    // Writing into a `String` cannot fail.
+    let _ = json::object(&mut out, |o| {
+        o.field("kind", "trace")
+            .field("trace_id", t.trace_id)
+            .field("root", t.root_name)
+            .field("parent_span", t.parent_span)
+            .field("request_id", t.request_id)
+            .field("start_us", t.start_us)
+            .field("dur_us", t.dur_us)
+            .field("sampled", t.sampled)
+            .field("retain_reasons", &t.retain_reasons[..])
+            .field("spans", t.spans.len())
+            .field("truncated", t.truncated);
+    });
     for s in &t.spans {
         out.push('\n');
-        push_span_json(&mut out, &hex, s);
+        // Writing into a `String` cannot fail.
+        let _ = json::object(&mut out, |o| {
+            o.field("kind", "span")
+                .field("trace_id", t.trace_id)
+                .field("span_id", s.span_id)
+                .field("parent_id", s.parent_id)
+                .field("name", s.name)
+                .field("start_us", s.start_us)
+                .field("dur_us", s.dur_us)
+                .field("tid", s.tid);
+        });
     }
     out
-}
-
-fn atomic_write(path: &Path, content: &str) -> std::io::Result<()> {
-    let tmp = PathBuf::from(format!("{}.tmp", path.display()));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(content.as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
 }
 
 /// Write every retained trace as JSONL (see [`trace_to_jsonl`]) to `path`
@@ -800,7 +773,7 @@ pub fn write_spans_jsonl(path: impl AsRef<Path>) -> std::io::Result<usize> {
         out.push_str(&trace_to_jsonl(t));
         out.push('\n');
     }
-    atomic_write(path.as_ref(), &out)?;
+    crate::atomic_write(path.as_ref(), out.as_bytes())?;
     Ok(traces.len())
 }
 
@@ -809,42 +782,35 @@ pub fn write_spans_jsonl(path: impl AsRef<Path>) -> std::io::Result<usize> {
 /// atomically. Returns the number of trace events written.
 pub fn write_chrome_trace(path: impl AsRef<Path>) -> std::io::Result<usize> {
     let traces = retained_traces();
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut n = 0usize;
-    for t in &traces {
-        let hex = t.trace_id.to_hex();
-        for s in &t.spans {
-            if n > 0 {
-                out.push(',');
-            }
-            out.push_str("\n{\"ph\":\"X\",\"pid\":1,\"cat\":\"odt\",\"name\":");
-            json::push_str_escaped(&mut out, s.name);
-            let _ = write!(
-                out,
-                ",\"ts\":{},\"dur\":{},\"tid\":{},\"args\":{{\"trace_id\":",
-                s.start_us, s.dur_us, s.tid
-            );
-            json::push_str_escaped(&mut out, &hex);
-            let _ = write!(
-                out,
-                ",\"span_id\":{},\"parent_id\":{},\"sampled\":{},\"retained\":",
-                s.span_id, s.parent_id, t.sampled
-            );
-            let mut reasons = String::new();
-            for (i, r) in t.retain_reasons.iter().enumerate() {
-                if i > 0 {
-                    reasons.push(',');
+    let mut out = json::object_string(|o| {
+        o.field("displayTimeUnit", "ms")
+            .array_lines("traceEvents", |a| {
+                for t in &traces {
+                    let reasons = t.retain_reasons.join(",");
+                    for s in &t.spans {
+                        a.object(|o| {
+                            o.field("ph", "X")
+                                .field("pid", 1u8)
+                                .field("cat", "odt")
+                                .field("name", s.name)
+                                .field("ts", s.start_us)
+                                .field("dur", s.dur_us)
+                                .field("tid", s.tid)
+                                .object("args", |o| {
+                                    o.field("trace_id", t.trace_id)
+                                        .field("span_id", s.span_id)
+                                        .field("parent_id", s.parent_id)
+                                        .field("sampled", t.sampled)
+                                        .field("retained", &reasons);
+                                });
+                        });
+                    }
                 }
-                reasons.push_str(r);
-            }
-            json::push_str_escaped(&mut out, &reasons);
-            out.push_str("}}");
-            n += 1;
-        }
-    }
-    out.push_str("\n]}\n");
-    atomic_write(path.as_ref(), &out)?;
-    Ok(n)
+            });
+    });
+    out.push('\n');
+    crate::atomic_write(path.as_ref(), out.as_bytes())?;
+    Ok(traces.iter().map(|t| t.spans.len()).sum())
 }
 
 /// Serialize tests that toggle the process-global sampling state (shared
@@ -858,6 +824,7 @@ pub(crate) fn test_gate() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     /// Serialize trace-store-global tests (sampling counters and the
     /// retained deque are process-wide).

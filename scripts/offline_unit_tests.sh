@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Unit tests of the kernel, model, oracle, serving and wire crates
-# (odt-compute, odt-tensor, odt-nn, odt-diffusion, odt-estimator, odt-core,
-# odt-serve, odt-net) without a crate registry.
+# Unit tests of the observability, kernel, model, oracle, serving and wire
+# crates (odt-obs, odt-compute, odt-tensor, odt-nn, odt-diffusion,
+# odt-estimator, odt-core, odt-serve, odt-net) and a type check of the three
+# serving binaries, without a crate registry.
 #
 #   scripts/offline_unit_tests.sh [test-name-filter]
 #
@@ -12,7 +13,8 @@
 # directory; this script compiles each crate's `#[cfg(test)]` modules with
 # rustc against those rlibs and runs them. Integration tests under
 # crates/*/tests need proptest and stay CI-only, except the proptest-free
-# crates/serve/tests/frontend_dot.rs.
+# crates/serve/tests/frontend_dot.rs. The serving binaries import only
+# query-path crates plus rand, so the same rlibs type-check them.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 deps="$root/benchmark/target/release/deps"
@@ -53,7 +55,23 @@ unit_tests() {
     tests "crates/$dir/src/lib.rs" "$@"
 }
 
+# bins <dependency>... -- <binary>...: type-check crates/bench/src/bin/<binary>.rs
+bins() {
+    local externs=()
+    while [ "$1" != "--" ]; do
+        externs+=(--extern "$1=$(rlib "$1")")
+        shift
+    done
+    shift
+    for bin in "$@"; do
+        echo "== $bin type check"
+        rustc --edition 2021 --emit=metadata "$root/crates/bench/src/bin/$bin.rs" \
+            -L dependency="$deps" "${externs[@]}" -o "$out/$bin.rmeta"
+    done
+}
+
 filter="${1:-}"
+unit_tests obs odt_obs
 unit_tests compute odt_compute odt_obs
 unit_tests tensor odt_tensor odt_compute odt_obs rand serde
 # The two skipped tests call StateDict::to_json/from_json, and the stand-in
@@ -77,3 +95,7 @@ unit_tests core odt_core odt_obs odt_tensor odt_nn odt_roadnet odt_traj odt_diff
 unit_tests serve odt_serve odt_obs odt_core odt_traj rand
 tests crates/serve/tests/frontend_dot.rs frontend_dot odt_serve odt_core odt_traj odt_roadnet
 unit_tests net odt_net odt_obs odt_serve
+# bench_serving.rs is not in the list: it needs the odt-bench library (and
+# through it odt-baselines), which the benchmark package does not build.
+bins odt_compute odt_core odt_net odt_obs odt_roadnet odt_serve odt_traj rand -- \
+    odt_server odt_router odt_loadgen
