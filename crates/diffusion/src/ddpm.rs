@@ -1,6 +1,15 @@
 //! The two Markov processes of the diffusion framework (paper §4.1) —
 //! forward noising, the training objective of Algorithm 2, and the
 //! conditioned sampling loop of Algorithm 1.
+//!
+//! A [`NoisePredictor`] has two entries. Training records
+//! [`NoisePredictor::predict`] on the tape, because backward needs it.
+//! Sampling never does: [`Ddpm::sample`] asks
+//! [`NoisePredictor::evaluator`] once for a forward-only step function and
+//! calls that once per reverse step, so whatever the predictor can set up
+//! per run (the denoiser: a workspace and everything that depends on the
+//! query alone) is paid once, and no step records a graph. Both entries
+//! return the same bits.
 
 use crate::schedule::NoiseSchedule;
 use odt_tensor::{Graph, Tensor, Var};
@@ -12,9 +21,29 @@ use rand::Rng;
 /// step indices (1-based) and the conditioning features `[B, F]`, and must
 /// return a tensor shaped like the input.
 pub trait NoisePredictor {
-    /// Predict the noise added at step `n` for each sample.
+    /// Predict the noise added at step `n` for each sample, on the tape:
+    /// the forward training differentiates and diagnostics inspect.
     fn predict(&self, g: &Graph, x_noisy: Var, steps: &[usize], cond: &Tensor) -> Var;
+
+    /// The forward-only entry, the one [`Ddpm::sample`] calls: a function
+    /// `(x, i, eps)` that writes `ε_θ(x, steps[i], cond)` for the whole
+    /// batch `x` into `eps`. Whatever lives as long as one sampling run
+    /// (a workspace, everything that depends on `cond` and `steps` only) is
+    /// set up here, once. The default records [`NoisePredictor::predict`] on
+    /// a throw-away tape per call; an implementation that overrides it must
+    /// return the same bits.
+    fn evaluator<'a>(&'a self, cond: &'a Tensor, steps: &'a [usize]) -> StepEval<'a> {
+        Box::new(move |x, i, eps| {
+            let g = Graph::new();
+            let each = vec![steps[i]; cond.shape()[0]];
+            let out = self.predict(&g, g.input(x.clone()), &each, cond);
+            eps.copy_from_slice(g.value(out).data());
+        })
+    }
 }
+
+/// What [`NoisePredictor::evaluator`] returns.
+pub type StepEval<'a> = Box<dyn FnMut(&Tensor, usize, &mut [f32]) + 'a>;
 
 /// The diffusion process: schedule plus the algorithms built on it.
 #[derive(Clone, Debug)]
@@ -138,15 +167,15 @@ impl Ddpm {
             PitSampler::Ddpm => vec![0.0f32; x.numel()],
             PitSampler::Ddim(_) => Vec::new(),
         };
+        let mut eps = vec![0.0f32; x.numel()];
+        let mut eps_theta = predictor.evaluator(cond, &steps);
         for (i, &n) in steps.iter().enumerate() {
             // Span guard: records the step into the `stage1.denoise_step`
             // histogram and, when a request trace is active, emits a child
             // span so per-step cost shows up on the request's critical path.
             let _step = odt_obs::span("stage1.denoise_step");
-            let g = Graph::new();
-            let xv = g.input(x.clone());
-            let eps = g.value(predictor.predict(&g, xv, &vec![n; b], cond));
-            let ep = eps.data();
+            eps_theta(&x, i, &mut eps);
+            let ep = &eps[..];
             let ab = self.schedule.alpha_bar(n);
             let next = steps.get(i + 1);
             let ab_next = next.map_or(1.0, |&m| self.schedule.alpha_bar(m));
@@ -602,6 +631,73 @@ mod reference {
         x
     }
 
+    /// [`Ddpm::sample`] as it was while every reverse step recorded
+    /// `predict` on a fresh tape, verbatim.
+    #[allow(clippy::too_many_arguments)]
+    fn sample_on_tape(
+        ddpm: &Ddpm,
+        predictor: &dyn NoisePredictor,
+        cond: &Tensor,
+        channels: usize,
+        lg: usize,
+        sampler: PitSampler,
+        clamp: Option<(f32, f32)>,
+        rng: &mut impl Rng,
+    ) -> Tensor {
+        let steps = ddpm.reverse_steps(sampler);
+        let b = cond.shape()[0];
+        let mut x = Ddpm::sample_noise(vec![b, channels, lg, lg], rng);
+        let mut z = match sampler {
+            PitSampler::Ddpm => vec![0.0f32; x.numel()],
+            PitSampler::Ddim(_) => Vec::new(),
+        };
+        for (i, &n) in steps.iter().enumerate() {
+            let g = Graph::new();
+            let xv = g.input(x.clone());
+            let eps = g.value(predictor.predict(&g, xv, &vec![n; b], cond));
+            let ep = eps.data();
+            let ab = ddpm.schedule.alpha_bar(n);
+            let next = steps.get(i + 1);
+            let ab_next = next.map_or(1.0, |&m| ddpm.schedule.alpha_bar(m));
+            let inv_sqrt_ab = 1.0 / ab.sqrt();
+            let noise_scale = (1.0 - ab).sqrt();
+            match sampler {
+                PitSampler::Ddpm => {
+                    let beta = ddpm.schedule.beta(n);
+                    let sigma = ((1.0 - ab_next) / (1.0 - ab) * beta).sqrt();
+                    let coef_x0 = ab_next.sqrt() * beta / (1.0 - ab);
+                    let coef_xn = ddpm.schedule.alpha(n).sqrt() * (1.0 - ab_next) / (1.0 - ab);
+                    if next.is_some() {
+                        odt_tensor::init::normal_into(rng, &mut z, 1.0);
+                    } else {
+                        z.fill(0.0);
+                    }
+                    reverse_update(
+                        x.data_mut(),
+                        ep,
+                        inv_sqrt_ab,
+                        noise_scale,
+                        clamp,
+                        |x0_hat, xn, j| coef_x0 * x0_hat + coef_xn * xn + sigma * z[j],
+                    );
+                }
+                PitSampler::Ddim(_) => {
+                    let sqrt_ab_next = ab_next.sqrt();
+                    let next_noise = (1.0 - ab_next).sqrt();
+                    reverse_update(
+                        x.data_mut(),
+                        ep,
+                        inv_sqrt_ab,
+                        noise_scale,
+                        clamp,
+                        |x0_hat, _, j| sqrt_ab_next * x0_hat + next_noise * ep[j],
+                    );
+                }
+            }
+        }
+        x
+    }
+
     /// `f32` bits of a sample plus the RNG's next draw after producing it.
     fn bits_and_next_draw(sample: impl FnOnce(&mut StdRng) -> Tensor) -> (Vec<u32>, u64) {
         let mut rng = StdRng::seed_from_u64(0x0d07);
@@ -651,6 +747,40 @@ mod reference {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_only_sampling_reproduces_the_tape_loop_bit_for_bit() {
+        use crate::{ConditionedDenoiser, DenoiserConfig};
+        // Padded grid (10 -> 12) with attention at 36 and 9 tokens.
+        let cfg = DenoiserConfig {
+            channels: 3,
+            lg: 10,
+            base_channels: 4,
+            depth: 2,
+            cond_dim: 16,
+            attn_max_tokens: 64,
+        };
+        let denoiser = ConditionedDenoiser::new(&mut StdRng::seed_from_u64(5), cfg);
+        let ddpm = Ddpm::new(NoiseSchedule::linear_scaled(10));
+        let clamp = Some((-1.0f32, 1.0f32));
+        for b in [1usize, 3] {
+            let cond = odt_tensor::init::uniform(
+                &mut StdRng::seed_from_u64(b as u64),
+                vec![b, 5],
+                -1.0,
+                1.0,
+            );
+            for sampler in [PitSampler::Ddpm, PitSampler::Ddim(8)] {
+                let want = bits_and_next_draw(|rng| {
+                    sample_on_tape(&ddpm, &denoiser, &cond, 3, 10, sampler, clamp, rng)
+                });
+                let got = bits_and_next_draw(|rng| {
+                    ddpm.sample(&denoiser, &cond, 3, 10, sampler, clamp, rng)
+                });
+                assert_eq!(got, want, "{sampler:?} b={b}");
             }
         }
     }

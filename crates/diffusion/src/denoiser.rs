@@ -3,11 +3,11 @@
 //! spatial attention, fed by the positional step encoding (Eq. 12) and the
 //! `FC_OD` projection of the ODT-Input (Eq. 13).
 
-use crate::ddpm::NoisePredictor;
+use crate::ddpm::{NoisePredictor, StepEval};
 use odt_nn::{
-    positional_encoding, Conv2d, GroupNorm, HasParams, LayerNorm, Linear, MultiHeadAttention,
+    positional_encoding_row, Conv2d, GroupNorm, HasParams, LayerNorm, Linear, MultiHeadAttention,
 };
-use odt_tensor::{Graph, Param, Tensor, Var};
+use odt_tensor::{Buf, Epilogue, Graph, Param, Tensor, Var, Workspace};
 use rand::Rng;
 
 /// Architecture hyper-parameters of the denoiser.
@@ -117,6 +117,19 @@ impl OcConv {
         let out = self.conv3.forward(g, g.gelu(self.conv2.forward(g, fused)));
         g.add(out, self.res.forward(g, x))
     }
+
+    /// [`OcConv::forward`] without the tape: the condition add, the GELU
+    /// and the shortcut add ride the convolutions as epilogues.
+    fn eval(&self, ws: &mut Workspace, x: Buf, cond: Buf) -> Buf {
+        let mark = ws.mark();
+        let normed = self.norm.eval(ws, x, false);
+        let cvec = self.fc_cond.eval(ws, cond, Epilogue::None);
+        let fused = self.conv1.eval(ws, normed, Epilogue::AddChannel(cvec));
+        let hid = self.conv2.eval(ws, fused, Epilogue::Gelu);
+        let shortcut = self.res.eval(ws, x, Epilogue::None);
+        let out = self.conv3.eval(ws, hid, Epilogue::AddMap(shortcut));
+        ws.compact(mark, out)
+    }
 }
 
 impl HasParams for OcConv {
@@ -159,6 +172,16 @@ impl SpatialAttention {
         let back = g.reshape(g.permute(att, &[0, 2, 1]), vec![b, c, h, w]);
         g.add(x, back)
     }
+
+    /// [`SpatialAttention::forward`] without the tape: the `[c, h·w]` map
+    /// is already the transpose of the token matrix, so the norm and the
+    /// attention run on it as it lies.
+    fn eval(&self, ws: &mut Workspace, x: Buf) -> Buf {
+        let mark = ws.mark();
+        let normed = self.norm.eval(ws, x);
+        let out = self.mha.eval(ws, normed, Epilogue::AddMap(x));
+        ws.compact(mark, out)
+    }
 }
 
 impl HasParams for SpatialAttention {
@@ -189,11 +212,16 @@ struct MidBlock {
     oc2: OcConv,
 }
 
+/// Centre of cell `i` of `lg`, normalized to `[-1, 1]`.
+fn coordinate(i: usize, lg: usize) -> f32 {
+    2.0 * (i as f32 + 0.5) / lg as f32 - 1.0
+}
+
 /// Constant coordinate maps in `[-1, 1]`: channel 0 = normalized row
 /// (latitude index), channel 1 = normalized column (longitude index),
 /// matching the normalization of the ODT-Input features.
 fn coordinate_channels(batch: usize, lg: usize) -> Tensor {
-    let coord = |i: usize| 2.0 * (i as f32 + 0.5) / lg as f32 - 1.0;
+    let coord = |i: usize| coordinate(i, lg);
     let mut t = Tensor::zeros(vec![batch, 2, lg, lg]);
     for sample in t.data_mut().chunks_mut(2 * lg * lg) {
         let (row_map, col_map) = sample.split_at_mut(lg * lg);
@@ -207,6 +235,18 @@ fn coordinate_channels(batch: usize, lg: usize) -> Tensor {
         }
     }
     t
+}
+
+/// What [`ConditionedDenoiser::eval`] needs of a batch of queries that no
+/// reverse step changes, computed once by [`ConditionedDenoiser::hoist`] at
+/// the bottom of a [`Workspace`]: the padded network input with its zero
+/// margin and CoordConv planes in place, `FC_OD(odt)`, and the step
+/// encodings of the step list.
+pub struct Hoisted {
+    input: Buf,
+    od: Buf,
+    pe: Buf,
+    mark: usize,
 }
 
 /// The full conditioned UNet denoiser (Figure 6(a)).
@@ -336,12 +376,130 @@ impl ConditionedDenoiser {
     /// inner sum).
     fn condition(&self, g: &Graph, steps: &[usize], cond: &Tensor) -> Var {
         let d = self.cfg.cond_dim;
-        let max_step = steps.iter().copied().max().unwrap_or(0);
-        let table = positional_encoding(max_step + 1, d);
-        let pe_rows = table.index_select0(steps);
+        let mut pe_rows = Tensor::zeros(vec![steps.len(), d]);
+        for (row, &n) in pe_rows.data_mut().chunks_exact_mut(d).zip(steps) {
+            positional_encoding_row(n, row);
+        }
         let pe = g.input(pe_rows);
         let od = self.fc_od.forward(g, g.input(cond.clone()));
         g.add(pe, od)
+    }
+
+    /// Set up `ws` for [`ConditionedDenoiser::eval`] calls on the queries
+    /// `cond` (`[b, 5]`) at steps taken from `steps`. Everything `ws` held
+    /// is dead afterwards.
+    pub fn hoist(&self, ws: &mut Workspace, cond: &Tensor, steps: &[usize]) -> Hoisted {
+        let (b, d) = (cond.shape()[0], self.cfg.cond_dim);
+        assert_eq!(cond.shape(), &[b, 5], "cond must be [b, 5]");
+        let (lg, p, c) = (self.cfg.lg, self.padded, self.cfg.channels);
+        ws.release(0);
+        let input = ws.alloc([b, c + 2, p, p]);
+        let data = ws.data_mut(input);
+        data.fill(0.0);
+        for sample in data.chunks_exact_mut((c + 2) * p * p) {
+            let (row_map, col_map) = sample[c * p * p..].split_at_mut(p * p);
+            for row in 0..lg {
+                row_map[row * p..row * p + lg].fill(coordinate(row, lg));
+                for col in 0..lg {
+                    col_map[row * p + col] = coordinate(col, lg);
+                }
+            }
+        }
+        let features = ws.alloc([b, 5, 1, 1]);
+        ws.data_mut(features).copy_from_slice(cond.data());
+        let od = self.fc_od.eval(ws, features, Epilogue::None);
+        let pe = ws.alloc([1, 1, steps.len(), d]);
+        for (row, &n) in ws.data_mut(pe).chunks_exact_mut(d).zip(steps) {
+            positional_encoding_row(n, row);
+        }
+        let mark = ws.mark();
+        Hoisted {
+            input,
+            od,
+            pe,
+            mark,
+        }
+    }
+
+    /// [`NoisePredictor::predict`] without the tape: `ε_θ` for the noisy
+    /// batch `x` (`[b, c, lg, lg]`, flat) into `eps`, sample `j` at the
+    /// step `hoisted` was given at index `step_rows[j]`. Exactly the bits of
+    /// `predict` for finite inputs. Rewinds `ws` to the hoisted state first,
+    /// so each call reuses the arena the first one grew.
+    pub fn eval(
+        &self,
+        ws: &mut Workspace,
+        hoisted: &Hoisted,
+        x: &[f32],
+        step_rows: &[usize],
+        eps: &mut [f32],
+    ) {
+        let [b, c_in, p, _] = hoisted.input.shape();
+        let (lg, c, d) = (self.cfg.lg, self.cfg.channels, self.cfg.cond_dim);
+        assert_eq!(x.len(), b * c * lg * lg, "x must be [b, c, lg, lg]");
+        assert_eq!(eps.len(), x.len(), "eps must be shaped like x");
+        assert_eq!(step_rows.len(), b, "one step per sample");
+        ws.release(hoisted.mark);
+        // The noisy image goes into the first `c` planes of the hoisted
+        // input; its margin and coordinate planes are already there.
+        let input = ws.data_mut(hoisted.input);
+        for (i, plane) in x.chunks_exact(lg * lg).enumerate() {
+            let at = (i / c * c_in + i % c) * p * p;
+            let padded = input[at..at + p * p].chunks_exact_mut(p);
+            for (dst, line) in padded.zip(plane.chunks_exact(lg)) {
+                dst[..lg].copy_from_slice(line);
+            }
+        }
+        let cvec = ws.alloc(hoisted.od.shape());
+        let (cv, rest) = ws.write(cvec);
+        let (od, pe) = (rest.get(hoisted.od), rest.get(hoisted.pe));
+        for ((row, od), &at) in cv
+            .chunks_exact_mut(d)
+            .zip(od.chunks_exact(d))
+            .zip(step_rows)
+        {
+            let pe = &pe[at * d..(at + 1) * d];
+            for ((v, &p), &o) in row.iter_mut().zip(pe).zip(od) {
+                *v = p + o;
+            }
+        }
+
+        let mut x = self.in_conv.eval(ws, hoisted.input, Epilogue::None);
+        let mut skips = Vec::with_capacity(self.downs.len());
+        for block in &self.downs {
+            x = block.oc1.eval(ws, x, cvec);
+            x = block.oc2.eval(ws, x, cvec);
+            if let Some(attn) = &block.attn {
+                x = attn.eval(ws, x);
+            }
+            skips.push(x);
+            x = block.down.eval(ws, x, Epilogue::None);
+        }
+        x = self.mid.oc1.eval(ws, x, cvec);
+        if let Some(attn) = &self.mid.attn {
+            x = attn.eval(ws, x);
+        }
+        x = self.mid.oc2.eval(ws, x, cvec);
+        for block in &self.ups {
+            let skip = skips.pop().expect("skip per up block");
+            x = ws.upsample_nearest2(x);
+            x = block.up_conv.eval(ws, x, Epilogue::None);
+            x = ws.concat_channels(x, skip);
+            x = block.oc1.eval(ws, x, cvec);
+            x = block.oc2.eval(ws, x, cvec);
+            if let Some(attn) = &block.attn {
+                x = attn.eval(ws, x);
+            }
+        }
+        let normed = self.out_norm.eval(ws, x, true);
+        let out = self.out_conv.eval(ws, normed, Epilogue::None);
+        // Crop the padded output back to `lg × lg`.
+        let planes = ws.data(out).chunks_exact(p * p);
+        for (dst, plane) in eps.chunks_exact_mut(lg * lg).zip(planes) {
+            for (dst, line) in dst.chunks_exact_mut(lg).zip(plane.chunks_exact(p)) {
+                dst.copy_from_slice(&line[..lg]);
+            }
+        }
     }
 }
 
@@ -388,6 +546,16 @@ impl NoisePredictor for ConditionedDenoiser {
             .out_conv
             .forward(g, g.silu(self.out_norm.forward(g, x)));
         self.crop(g, out)
+    }
+
+    fn evaluator<'a>(&'a self, cond: &'a Tensor, steps: &'a [usize]) -> StepEval<'a> {
+        let mut ws = Workspace::new();
+        let hoisted = self.hoist(&mut ws, cond, steps);
+        let mut rows = vec![0usize; cond.shape()[0]];
+        Box::new(move |x, i, eps| {
+            rows.fill(i);
+            self.eval(&mut ws, &hoisted, x.data(), &rows, eps);
+        })
     }
 }
 
@@ -580,5 +748,132 @@ mod tests {
             last < first * 0.9,
             "loss did not decrease: {first} -> {last}"
         );
+    }
+
+    fn config(
+        lg: usize,
+        base_channels: usize,
+        cond_dim: usize,
+        attn_max_tokens: usize,
+    ) -> DenoiserConfig {
+        DenoiserConfig {
+            channels: 3,
+            lg,
+            base_channels,
+            depth: 2,
+            cond_dim,
+            attn_max_tokens,
+        }
+    }
+
+    /// A denoiser whose every parameter is off its initial value (biases
+    /// and `beta` start at zero, `gamma` at one), so no term drops out.
+    fn perturbed(cfg: DenoiserConfig, seed: u64) -> ConditionedDenoiser {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let den = ConditionedDenoiser::new(&mut rng, cfg);
+        for p in den.params() {
+            let noise = init::uniform(&mut rng, p.value().shape().to_vec(), -0.05, 0.05);
+            p.set_value(p.value().add(&noise));
+        }
+        den
+    }
+
+    /// One batch of queries: noisy images, one step per sample, features.
+    struct Batch {
+        x: Tensor,
+        steps: Vec<usize>,
+        cond: Tensor,
+    }
+
+    fn batch(lg: usize, b: usize, zero_cond: bool, seed: u64) -> Batch {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cond = if zero_cond {
+            Tensor::zeros(vec![b, 5])
+        } else {
+            init::uniform(&mut rng, vec![b, 5], -1.0, 1.0)
+        };
+        Batch {
+            x: init::normal(&mut rng, vec![b, 3, lg, lg], 1.0),
+            steps: [3usize, 7, 1][..b].to_vec(),
+            cond,
+        }
+    }
+
+    fn on_tape(den: &ConditionedDenoiser, q: &Batch) -> Vec<u32> {
+        let g = Graph::new();
+        let y = den.predict(&g, g.input(q.x.clone()), &q.steps, &q.cond);
+        g.value(y).data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn on_workspace(den: &ConditionedDenoiser, ws: &mut Workspace, q: &Batch) -> Vec<u32> {
+        let hoisted = den.hoist(ws, &q.cond, &q.steps);
+        let rows: Vec<usize> = (0..q.steps.len()).collect();
+        let mut eps = vec![f32::NAN; q.x.numel()];
+        den.eval(ws, &hoisted, q.x.data(), &rows, &mut eps);
+        eps.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// NaN into every float the arena owns, as the next user's stale data.
+    fn poison(ws: &mut Workspace) {
+        ws.release(0);
+        let all = ws.alloc([1, 1, 1, ws.capacity()]);
+        ws.data_mut(all).fill(f32::NAN);
+        ws.release(0);
+    }
+
+    #[test]
+    fn eval_matches_predict_bit_for_bit() {
+        // The `tiny` widths and the bench model's, on an unpadded small
+        // grid, a grid padded 10 -> 12 and the paper's 20; attention runs at
+        // 100, 64, 36, 25, 16, 9 and 4 tokens across these, and not at 400.
+        let widths = [(4usize, 16usize, 64usize), (8, 32, 128)];
+        for (w, (base, cond_dim, attn)) in widths.into_iter().enumerate() {
+            for lg in [8usize, 10, 20] {
+                let den = perturbed(config(lg, base, cond_dim, attn), 40 + w as u64);
+                for b in [1usize, 3] {
+                    for zero_cond in [true, false] {
+                        let q = batch(lg, b, zero_cond, (lg * b) as u64);
+                        let got = on_workspace(&den, &mut Workspace::new(), &q);
+                        let case = format!("base={base} lg={lg} b={b} zero_cond={zero_cond}");
+                        assert_eq!(got, on_tape(&den, &q), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_workspace_carries_nothing_over_and_stops_growing() {
+        let den = perturbed(config(10, 8, 32, 128), 50);
+        let (qa, qb) = (batch(10, 1, false, 1), batch(10, 3, false, 2));
+        let fresh = |q: &Batch| on_workspace(&den, &mut Workspace::new(), q);
+        let mut ws = Workspace::new();
+        for q in [&qa, &qb, &qa] {
+            poison(&mut ws);
+            assert_eq!(on_workspace(&den, &mut ws, q), fresh(q));
+        }
+        // The same shapes again, new values: nothing grows.
+        let hoisted = den.hoist(&mut ws, &qb.cond, &qb.steps);
+        let mut eps = vec![0.0f32; qb.x.numel()];
+        den.eval(&mut ws, &hoisted, qb.x.data(), &[0, 1, 2], &mut eps);
+        let capacity = ws.capacity();
+        let again = batch(10, 3, true, 3);
+        den.eval(&mut ws, &hoisted, again.x.data(), &[2, 2, 0], &mut eps);
+        assert_eq!(ws.capacity(), capacity);
+    }
+
+    #[test]
+    fn nan_input_propagates_like_on_the_tape() {
+        let den = perturbed(config(8, 4, 16, 64), 60);
+        let mut q = batch(8, 1, false, 4);
+        q.x.data_mut()[37] = f32::NAN;
+        let is_nan = |bits: Vec<u32>| -> Vec<bool> {
+            bits.into_iter()
+                .map(|b| f32::from_bits(b).is_nan())
+                .collect()
+        };
+        let got = is_nan(on_workspace(&den, &mut Workspace::new(), &q));
+        assert!(got.iter().any(|&n| n), "the NaN vanished");
+        assert_eq!(got, is_nan(on_tape(&den, &q)));
     }
 }

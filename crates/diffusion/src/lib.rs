@@ -22,6 +22,6 @@ mod ddpm;
 mod denoiser;
 mod schedule;
 
-pub use ddpm::{Ddpm, NoisePredictor, PitSampler};
-pub use denoiser::{ConditionedDenoiser, DenoiserConfig};
+pub use ddpm::{Ddpm, NoisePredictor, PitSampler, StepEval};
+pub use denoiser::{ConditionedDenoiser, DenoiserConfig, Hoisted};
 pub use schedule::NoiseSchedule;

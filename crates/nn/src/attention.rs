@@ -1,7 +1,7 @@
 //! Multi-head dot-product attention.
 
 use crate::{HasParams, Linear};
-use odt_tensor::{Graph, Param, Tensor, Var};
+use odt_tensor::{Buf, Epilogue, Graph, Param, Tensor, Var, Workspace};
 use rand::Rng;
 
 /// Multi-head self/cross attention over `[batch, seq, dim]` sequences.
@@ -81,6 +81,23 @@ impl MultiHeadAttention {
         let p = g.permute(r, &[0, 2, 1, 3]);
         let merged = g.reshape(p, vec![b, t, d]);
         self.wo.forward(g, merged)
+    }
+
+    /// Unmasked [`MultiHeadAttention::forward`] without the tape, on the
+    /// transpose of what `forward` takes: `x` is features-major
+    /// `[b, dim, h, w]` with one token per pixel, and so is the result.
+    /// Heads are channel ranges, so nothing is permuted; same bits as
+    /// `forward` on the `[b, h·w, dim]` tokens, `epilogue` fused behind the
+    /// output projection.
+    pub fn eval(&self, ws: &mut Workspace, x: Buf, epilogue: Epilogue) -> Buf {
+        assert_eq!(x.shape()[1], self.dim, "attention dim mismatch");
+        let mark = ws.mark();
+        let q = self.wq.eval(ws, x, Epilogue::None);
+        let k = self.wk.eval(ws, x, Epilogue::None);
+        let v = self.wv.eval(ws, x, Epilogue::None);
+        let ctx = ws.attend(q, k, v, self.heads);
+        let out = self.wo.eval(ws, ctx, epilogue);
+        ws.compact(mark, out)
     }
 }
 
@@ -163,5 +180,40 @@ mod tests {
         let mha = MultiHeadAttention::new(&mut rng, 8, 2, "a");
         // 4 linears of (8*8 + 8).
         assert_eq!(mha.num_params(), 4 * (64 + 8));
+    }
+
+    #[test]
+    fn eval_matches_forward_on_the_transposed_tokens() {
+        use crate::testutil::{bits, random, randomize, tokens, upload};
+        let mut rng = StdRng::seed_from_u64(4);
+        // (c, heads, h, w): the bench model's three attention sites, then an
+        // odd head width.
+        for (c, heads, h, w) in [
+            (32usize, 4usize, 10usize, 10usize),
+            (16, 4, 10, 10),
+            (32, 4, 5, 5),
+            (6, 2, 3, 3),
+        ] {
+            for b in [1usize, 2] {
+                let mha = MultiHeadAttention::new(&mut rng, c, heads, "a");
+                randomize(&mha.params(), c as u64);
+                let x = random(vec![b, c, h, w], 21 + b as u64);
+                let g = Graph::new();
+                let y = mha.forward(&g, g.input(tokens(&x)), None); // [b, h*w, c]
+                let want = g.value(y).permute(&[0, 2, 1]);
+                let mut ws = Workspace::new();
+                let xb = upload(&mut ws, &x);
+                let mark = ws.mark();
+                let got = mha.eval(&mut ws, xb, Epilogue::None);
+                assert_eq!(got.shape(), [b, c, h, w]);
+                assert_eq!(
+                    bits(ws.data(got)),
+                    bits(want.data()),
+                    "c={c} heads={heads} t={} b={b}",
+                    h * w
+                );
+                assert_eq!(ws.mark(), mark + got.numel(), "eval left scratch behind");
+            }
+        }
     }
 }

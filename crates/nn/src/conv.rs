@@ -1,7 +1,7 @@
 //! 2-D convolution layer (NCHW).
 
 use crate::HasParams;
-use odt_tensor::{init, Graph, Param, Tensor, Var};
+use odt_tensor::{init, Buf, Epilogue, Graph, Param, Tensor, Var, Workspace};
 use rand::Rng;
 
 /// A 2-D convolution layer with Kaiming-normal weights and zero bias.
@@ -52,6 +52,14 @@ impl Conv2d {
         let w = g.param(&self.weight);
         let b = self.bias.as_ref().map(|b| g.param(b));
         g.conv2d(x, w, b, self.stride, self.pad)
+    }
+
+    /// [`Conv2d::forward`] without the tape, `epilogue` fused behind the
+    /// bias; same bits as the tape ops it replaces.
+    pub fn eval(&self, ws: &mut Workspace, x: Buf, epilogue: Epilogue) -> Buf {
+        let bias = self.bias.as_ref().map(Param::value_ref);
+        let (w, b) = (self.weight.value_ref(), bias.as_deref());
+        ws.conv2d(x, &w, b, self.stride, self.pad, epilogue)
     }
 
     /// Output channel count.
@@ -105,5 +113,56 @@ mod tests {
         // d/dw of sum over a 1x1 conv on all-ones input = number of pixels.
         assert_eq!(c.params()[0].grad().data()[0], 4.0);
         assert_eq!(c.params()[1].grad().data()[0], 4.0);
+    }
+
+    #[test]
+    fn eval_matches_forward_bit_for_bit_under_every_epilogue() {
+        use crate::testutil::{bits, random, randomize, upload};
+        let mut rng = StdRng::seed_from_u64(2);
+        // The UNet's three kinds: same 3x3, 1x1 projection (no im2col in
+        // eval), 4x4 stride-2 downsample.
+        for (case, (k, stride, pad)) in [(3, 1, 1), (1, 1, 0), (4, 2, 1)].into_iter().enumerate() {
+            for b in [1usize, 3] {
+                let seed = 10 * case as u64 + b as u64;
+                let conv = Conv2d::new(&mut rng, 5, 6, k, stride, pad, "c");
+                randomize(&conv.params(), seed);
+                let x = random(vec![b, 5, 8, 6], seed + 100);
+                let g = Graph::new();
+                let y = conv.forward(&g, g.input(x.clone()));
+                let shape = g.shape(y);
+                let cvec = random(vec![b, 6, 1, 1], seed + 200);
+                let map = random(shape.clone(), seed + 300);
+                let want = [
+                    y,
+                    g.gelu(y),
+                    g.add(y, g.input(cvec.clone())),
+                    g.add(y, g.input(map.clone())),
+                ];
+                let mut ws = Workspace::new();
+                let (xb, cb, mb) = (
+                    upload(&mut ws, &x),
+                    upload(&mut ws, &cvec),
+                    upload(&mut ws, &map),
+                );
+                let epilogues = [
+                    Epilogue::None,
+                    Epilogue::Gelu,
+                    Epilogue::AddChannel(cb),
+                    Epilogue::AddMap(mb),
+                ];
+                for (epilogue, want) in epilogues.into_iter().zip(want) {
+                    let mark = ws.mark();
+                    let got = conv.eval(&mut ws, xb, epilogue);
+                    assert_eq!(got.shape().to_vec(), shape, "k={k} b={b}");
+                    assert_eq!(
+                        bits(ws.data(got)),
+                        bits(g.value(want).data()),
+                        "k={k} stride={stride} b={b} {epilogue:?}"
+                    );
+                    ws.release(mark);
+                    assert_eq!(ws.mark(), mark, "eval left scratch behind");
+                }
+            }
+        }
     }
 }

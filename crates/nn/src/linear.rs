@@ -1,7 +1,7 @@
 //! Fully-connected layer.
 
 use crate::HasParams;
-use odt_tensor::{init, Graph, Param, Tensor, Var};
+use odt_tensor::{init, Buf, Epilogue, Graph, Param, Tensor, Var, Workspace};
 use rand::Rng;
 
 /// A fully-connected layer `y = x Wᵀ + b`.
@@ -78,6 +78,16 @@ impl Linear {
         out_shape.push(self.out_dim);
         g.reshape(y, out_shape)
     }
+
+    /// [`Linear::forward`] without the tape, on the transpose of what
+    /// `forward` takes: `x` is features-major `[b, in_dim, h, w]` and the
+    /// result `[b, out_dim, h, w]`, each pixel one row of the tape's input.
+    /// Computed as `W·X + b` with the weight as stored; same bits as
+    /// `forward` on the transposed rows, `epilogue` fused behind the bias.
+    pub fn eval(&self, ws: &mut Workspace, x: Buf, epilogue: Epilogue) -> Buf {
+        let bias = self.bias.as_ref().map(Param::value_ref);
+        ws.conv2d(x, &self.weight.value_ref(), bias.as_deref(), 1, 0, epilogue)
+    }
 }
 
 impl HasParams for Linear {
@@ -140,5 +150,28 @@ mod tests {
         let g = Graph::new();
         let x = g.input(Tensor::zeros(vec![5, 5]));
         let _ = l.forward(&g, x);
+    }
+
+    #[test]
+    fn eval_matches_forward_on_the_transposed_rows() {
+        use crate::testutil::{bits, random, randomize, tokens, upload};
+        let mut rng = StdRng::seed_from_u64(3);
+        // m rows on the tape are m pixels here; both operands carry exact
+        // zeros, so the tape skips on `x` where eval skips on `W`.
+        for m in [1usize, 100] {
+            for b in [1usize, 2] {
+                let l = Linear::new(&mut rng, 12, 9, "l");
+                randomize(&l.params(), m as u64);
+                let x = random(vec![b, 12, m, 1], 50 + m as u64);
+                let g = Graph::new();
+                let y = l.forward(&g, g.input(tokens(&x))); // [b, m, 9]
+                let want = g.value(y).permute(&[0, 2, 1]);
+                let mut ws = Workspace::new();
+                let xb = upload(&mut ws, &x);
+                let got = l.eval(&mut ws, xb, Epilogue::None);
+                assert_eq!(got.shape(), [b, 9, m, 1]);
+                assert_eq!(bits(ws.data(got)), bits(want.data()), "m={m} b={b}");
+            }
+        }
     }
 }

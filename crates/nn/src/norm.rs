@@ -1,7 +1,7 @@
 //! Layer and group normalization.
 
 use crate::HasParams;
-use odt_tensor::{Graph, Param, Tensor, Var};
+use odt_tensor::{Buf, Graph, Param, Tensor, Var, Workspace};
 
 /// Layer normalization over the last dimension, with learnable affine.
 pub struct LayerNorm {
@@ -34,6 +34,16 @@ impl LayerNorm {
         let gamma = g.param(&self.gamma);
         let beta = g.param(&self.beta);
         g.layernorm_lastdim(x, gamma, beta, self.eps)
+    }
+
+    /// [`LayerNorm::forward`] without the tape, on the transpose of what
+    /// `forward` takes: features-major `[b, dim, h, w]`, normalized over the
+    /// channel axis per pixel. Same bits as `forward` on the `[b, h·w, dim]`
+    /// tokens.
+    pub fn eval(&self, ws: &mut Workspace, x: Buf) -> Buf {
+        assert_eq!(x.shape()[1], self.dim, "layernorm dim mismatch");
+        let (gamma, beta) = (self.gamma.value_ref(), self.beta.value_ref());
+        ws.layer_norm_channels(x, &gamma, &beta, self.eps)
     }
 }
 
@@ -89,6 +99,14 @@ impl GroupNorm {
         let gamma = g.reshape(g.param(&self.gamma), vec![c, 1, 1]);
         let beta = g.reshape(g.param(&self.beta), vec![c, 1, 1]);
         g.add(g.mul(back, gamma), beta)
+    }
+
+    /// [`GroupNorm::forward`] without the tape (one fused kernel for its
+    /// seventeen nodes, same bits), optionally followed by SiLU.
+    pub fn eval(&self, ws: &mut Workspace, x: Buf, silu_after: bool) -> Buf {
+        assert_eq!(x.shape()[1], self.channels, "groupnorm channel mismatch");
+        let (gamma, beta) = (self.gamma.value_ref(), self.beta.value_ref());
+        ws.group_norm(x, self.groups, &gamma, &beta, self.eps, silu_after)
     }
 }
 
@@ -198,5 +216,50 @@ mod tests {
     #[should_panic(expected = "must divide")]
     fn groupnorm_rejects_bad_groups() {
         let _ = GroupNorm::new(3, 4, "gn");
+    }
+
+    #[test]
+    fn layernorm_eval_matches_forward_on_the_transposed_rows() {
+        use crate::testutil::{bits, random, randomize, tokens, upload};
+        for (b, c, h, w) in [
+            (1usize, 32usize, 10usize, 10usize),
+            (3, 6, 3, 3),
+            (2, 1, 2, 2),
+        ] {
+            let ln = LayerNorm::new(c, "ln");
+            randomize(&ln.params(), c as u64);
+            let x = random(vec![b, c, h, w], 7);
+            let g = Graph::new();
+            let y = ln.forward(&g, g.input(tokens(&x))); // [b, h*w, c]
+            let want = g.value(y).permute(&[0, 2, 1]);
+            let mut ws = Workspace::new();
+            let xb = upload(&mut ws, &x);
+            let got = ln.eval(&mut ws, xb);
+            assert_eq!(bits(ws.data(got)), bits(want.data()), "b={b} c={c}");
+        }
+    }
+
+    #[test]
+    fn groupnorm_eval_matches_forward_bit_for_bit() {
+        use crate::testutil::{bits, random, randomize, upload};
+        for groups in [1usize, 2, 4] {
+            for b in [1usize, 3] {
+                let gn = GroupNorm::new(groups, 8, "gn");
+                randomize(&gn.params(), groups as u64);
+                let x = random(vec![b, 8, 5, 4], 11 + b as u64);
+                let g = Graph::new();
+                let y = gn.forward(&g, g.input(x.clone()));
+                let mut ws = Workspace::new();
+                let xb = upload(&mut ws, &x);
+                for (silu, want) in [(false, y), (true, g.silu(y))] {
+                    let got = gn.eval(&mut ws, xb, silu);
+                    assert_eq!(
+                        bits(ws.data(got)),
+                        bits(g.value(want).data()),
+                        "groups={groups} b={b} silu={silu}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -2,29 +2,30 @@
 
 use odt_tensor::Tensor;
 
-/// The positional encoding of Eq. 12 for positions `0..len`:
+/// The positional encoding of Eq. 12 for one position, into `row` (its
+/// length is the even dimension `d`):
 ///
 /// `PE(n)[2i] = sin(n / 10000^(2i/d))`, `PE(n)[2i+1] = cos(n / 10000^(2i/d))`.
-///
-/// Returns `[len, d]`. Used both to embed the diffusion step indicator `n`
-/// into the denoiser and to encode flattened-PiT positions in the MViT.
+pub fn positional_encoding_row(n: usize, row: &mut [f32]) {
+    let d = row.len();
+    assert!(d % 2 == 0, "positional encoding dimension must be even");
+    for (i, pair) in row.chunks_exact_mut(2).enumerate() {
+        let angle = n as f32 / 10000f32.powf(2.0 * i as f32 / d as f32);
+        pair[0] = angle.sin();
+        pair[1] = angle.cos();
+    }
+}
+
+/// [`positional_encoding_row`] for positions `0..len`, as `[len, d]`. Used
+/// to encode flattened-PiT positions in the MViT; the denoiser embeds the
+/// diffusion step indicator `n` row by row.
 pub fn positional_encoding(len: usize, d: usize) -> Tensor {
     assert!(d % 2 == 0, "positional encoding dimension must be even");
     let mut out = Tensor::zeros(vec![len, d]);
-    for n in 0..len {
-        for i in 0..d / 2 {
-            let angle = n as f32 / 10000f32.powf(2.0 * i as f32 / d as f32);
-            out.set(&[n, 2 * i], angle.sin());
-            out.set(&[n, 2 * i + 1], angle.cos());
-        }
+    for (n, row) in out.data_mut().chunks_exact_mut(d.max(1)).enumerate() {
+        positional_encoding_row(n, row);
     }
     out
-}
-
-/// The encoding of a single position as `[1, d]`.
-pub fn encode_position(pos: usize, d: usize) -> Tensor {
-    let full = positional_encoding(pos + 1, d);
-    full.slice(0, pos, pos + 1)
 }
 
 #[cfg(test)]
@@ -58,10 +59,16 @@ mod tests {
     }
 
     #[test]
-    fn encode_position_matches_table() {
-        let pe = positional_encoding(10, 6);
-        let p7 = encode_position(7, 6);
-        assert_eq!(p7.data(), &pe.data()[7 * 6..8 * 6]);
+    fn rows_match_table_rows_bit_for_bit() {
+        use crate::testutil::bits;
+        let d = 6;
+        let pe = positional_encoding(1001, d);
+        for n in [0usize, 1, 7, 1000] {
+            let mut row = vec![f32::NAN; d];
+            positional_encoding_row(n, &mut row);
+            let want = &pe.data()[n * d..(n + 1) * d];
+            assert_eq!(bits(&row), bits(want), "step {n}");
+        }
     }
 
     #[test]

@@ -19,6 +19,21 @@ use crate::param::Param;
 use crate::tensor::Tensor;
 use std::cell::{Cell, RefCell};
 
+const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
+const GELU_A: f32 = 0.044_715;
+
+/// GELU (tanh approximation) of one element: the one definition the tape
+/// and the forward-only kernels share, so their bits cannot drift apart.
+pub(crate) fn gelu(x: f32) -> f32 {
+    let u = GELU_C * (x + GELU_A * x * x * x);
+    0.5 * x * (1.0 + u.tanh())
+}
+
+/// SiLU of one element, shared like [`gelu`].
+pub(crate) fn silu(x: f32) -> f32 {
+    x / (1.0 + (-x).exp())
+}
+
 /// Handle to a node on the tape.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Var(usize);
@@ -212,21 +227,16 @@ impl Graph {
 
     /// GELU (tanh approximation), as used by the paper's OCConv blocks.
     pub fn gelu(&self, a: Var) -> Var {
-        const C: f32 = 0.797_884_6; // sqrt(2/pi)
-        const A: f32 = 0.044_715;
         let va = self.value(a);
-        let out = va.map(|x| {
-            let u = C * (x + A * x * x * x);
-            0.5 * x * (1.0 + u.tanh())
-        });
+        let out = va.map(gelu);
         self.push(
             out,
             vec![a.0],
             Some(Box::new(move |g| {
                 vec![g.zip_broadcast(&va, |gv, x| {
-                    let u = C * (x + A * x * x * x);
+                    let u = GELU_C * (x + GELU_A * x * x * x);
                     let t = u.tanh();
-                    let du = C * (1.0 + 3.0 * A * x * x);
+                    let du = GELU_C * (1.0 + 3.0 * GELU_A * x * x);
                     gv * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
                 })]
             })),
@@ -249,7 +259,7 @@ impl Graph {
     /// SiLU / swish: `x * sigmoid(x)`.
     pub fn silu(&self, a: Var) -> Var {
         let va = self.value(a);
-        let out = va.map(|x| x / (1.0 + (-x).exp()));
+        let out = va.map(silu);
         self.push(
             out,
             vec![a.0],

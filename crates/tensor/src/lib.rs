@@ -16,6 +16,8 @@
 //!   optimizer in `odt-nn` then consumes.
 //! * [`init`] — seedable random initializers (uniform, normal, Xavier/Glorot,
 //!   Kaiming/He).
+//! * [`Workspace`] — the forward-only executor: one arena and the kernels
+//!   that serve a trained model over it, bit-identical to the tape.
 //!
 //! Every differentiable op's gradient is validated against central finite
 //! differences in the test suite.
@@ -45,6 +47,7 @@ pub mod ops;
 mod param;
 mod shape;
 mod tensor;
+mod workspace;
 
 pub use error::TensorError;
 pub use graph::{Graph, Var};
@@ -52,3 +55,4 @@ pub use ops::{bmm, conv2d, conv_out_size, matmul, upsample_nearest2};
 pub use param::Param;
 pub use shape::{broadcast_shapes, strides_for, Shape};
 pub use tensor::Tensor;
+pub use workspace::{Buf, Epilogue, Rest, Workspace};

@@ -9,7 +9,9 @@
 //! per-thread im2col scratch buffer so no call allocates a fresh `cols`
 //! matrix. im2col fills each output row as zero edge, straight copy, zero
 //! edge, with the valid range computed once per row rather than a bounds
-//! test per element. Every parallel split writes disjoint
+//! test per element; a stride-1 kernel that keeps the width (every 3×3 same
+//! conv) copies all valid rows of a tap as one shifted run of the input
+//! plane and zeroes the edges afterwards. Every parallel split writes disjoint
 //! output rows and preserves each element's ascending-`p` accumulation order,
 //! so forward and grad-input results are **bit-identical** to the naive
 //! single-threaded kernels (kept below under `#[cfg(test)]` as oracles) for
@@ -20,7 +22,11 @@
 //!
 //! Per-kernel wall-clock latency is recorded into `odt-obs` histograms
 //! (`kernel.matmul`, `kernel.bmm`, `kernel.conv2d`, `kernel.conv2d_dx`,
-//! `kernel.conv2d_dw`).
+//! `kernel.conv2d_dw`). These are the tape's kernels: training, the
+//! estimator and the baselines run them. A served query's reverse steps run
+//! the forward-only kernels of [`crate::Workspace`] instead, which share
+//! [`im2col`] and the GEMM entry points with this module, return the same
+//! bits and record no histogram.
 
 use crate::tensor::Tensor;
 use odt_compute::gemm as pgemm;
@@ -127,7 +133,7 @@ pub fn conv_out_size(input: usize, kernel: usize, stride: usize, pad: usize) -> 
 /// straight copy at stride 1, or a gather with no bounds test per element
 /// otherwise.
 #[allow(clippy::too_many_arguments)]
-fn im2col(
+pub(crate) fn im2col(
     sample: &[f32],
     c_in: usize,
     h: usize,
@@ -152,6 +158,30 @@ fn im2col(
                 } else {
                     ox_lo
                 };
+                if stride == 1 && wo == w && ox_lo < ox_hi {
+                    // Same-width rows: entry `(oy, ox)` reads the plane at a
+                    // fixed distance, so the valid rows are one shifted run
+                    // (clipped to the plane; what the clip drops is edge).
+                    // Then the `ox` edges and the rows outside go to zero.
+                    let oy_lo = pad.saturating_sub(ky).min(ho);
+                    let oy_hi = (h + pad).saturating_sub(ky).clamp(oy_lo, ho);
+                    let dst = &mut cols[row..row + ho * wo];
+                    let plane = &sample[ci * h * w..(ci + 1) * h * w];
+                    let back = pad * w + pad; // src = dst + ky*w + kx - back
+                    let fwd = ky * w + kx;
+                    let d0 = (oy_lo * w).max(back.saturating_sub(fwd));
+                    let d1 = (oy_hi * w).min((h * w + back).saturating_sub(fwd));
+                    dst[..oy_lo * w].fill(0.0);
+                    dst[oy_hi * w..].fill(0.0);
+                    if d0 < d1 {
+                        dst[d0..d1].copy_from_slice(&plane[d0 + fwd - back..d1 + fwd - back]);
+                    }
+                    for line in dst[oy_lo * w..oy_hi * w].chunks_exact_mut(w) {
+                        line[..ox_lo].fill(0.0);
+                        line[ox_hi..].fill(0.0);
+                    }
+                    continue;
+                }
                 for oy in 0..ho {
                     let dst = &mut cols[row + oy * wo..row + (oy + 1) * wo];
                     let iy = (oy * stride + ky) as isize - pad as isize;

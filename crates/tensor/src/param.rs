@@ -1,7 +1,7 @@
 //! Shared trainable parameters.
 
 use crate::tensor::Tensor;
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
 struct ParamInner {
@@ -34,6 +34,13 @@ impl Param {
     /// Snapshot of the current value.
     pub fn value(&self) -> Tensor {
         self.0.borrow().value.clone()
+    }
+
+    /// The current value, borrowed: no new handle, so nothing is allocated
+    /// (the forward-only path reads every weight this way). Must be dropped
+    /// before the optimizer or a checkpoint load writes the parameter.
+    pub fn value_ref(&self) -> Ref<'_, Tensor> {
+        Ref::map(self.0.borrow(), |inner| &inner.value)
     }
 
     /// Snapshot of the accumulated gradient.

@@ -279,19 +279,23 @@ impl Tensor {
         }
         let out_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
         let in_strides = strides_for(&self.shape);
-        let mut data = Vec::with_capacity(self.data.len());
-        if self.data.is_empty() {
-            return Tensor::new(out_shape, data);
+        if self.data.is_empty() || perm.is_empty() {
+            return Tensor::new(out_shape, self.data.to_vec());
         }
-        let mut idx = vec![0usize; out_shape.len()];
+        let mut data = Vec::with_capacity(self.data.len());
+        // The odometer walks the outer output dims only; the last output
+        // dim is one run of the source, contiguous when its stride is 1.
+        let last = perm.len() - 1;
+        let (run, run_stride) = (out_shape[last], in_strides[perm[last]]);
+        let mut idx = vec![0usize; last];
         loop {
-            let src: usize = idx
-                .iter()
-                .enumerate()
-                .map(|(d, &i)| i * in_strides[perm[d]])
-                .sum();
-            data.push(self.data[src]);
-            if !next_index(&mut idx, &out_shape) {
+            let src: usize = idx.iter().zip(perm).map(|(&i, &p)| i * in_strides[p]).sum();
+            if run_stride == 1 {
+                data.extend_from_slice(&self.data[src..src + run]);
+            } else {
+                data.extend(self.data[src..].iter().step_by(run_stride).take(run));
+            }
+            if !next_index(&mut idx, &out_shape[..last]) {
                 break;
             }
         }
@@ -584,6 +588,18 @@ impl Tensor {
             out_shape.remove(axis);
         }
         let mut data = vec![0.0; outer * inner];
+        if inner == 1 {
+            // A trailing axis: the same ascending sum from 0.0, held in a
+            // register instead of added through memory.
+            for (out, row) in data.iter_mut().zip(self.data.chunks_exact(a.max(1))) {
+                let mut acc = 0.0f32;
+                for &v in row {
+                    acc += v;
+                }
+                *out = acc;
+            }
+            return Tensor::new(out_shape, data);
+        }
         for o in 0..outer {
             for k in 0..a {
                 let base = (o * a + k) * inner;
@@ -742,6 +758,96 @@ mod tests {
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The per-element odometer walk that [`Tensor::permute`] replaced.
+    fn permute_odometer(t: &Tensor, perm: &[usize]) -> Tensor {
+        let out_shape: Vec<usize> = perm.iter().map(|&p| t.shape[p]).collect();
+        let in_strides = strides_for(&t.shape);
+        let mut data = Vec::with_capacity(t.data.len());
+        if t.data.is_empty() {
+            return Tensor::new(out_shape, data);
+        }
+        let mut idx = vec![0usize; out_shape.len()];
+        loop {
+            let src: usize = idx
+                .iter()
+                .enumerate()
+                .map(|(d, &i)| i * in_strides[perm[d]])
+                .sum();
+            data.push(t.data[src]);
+            if !next_index(&mut idx, &out_shape) {
+                break;
+            }
+        }
+        Tensor::new(out_shape, data)
+    }
+
+    /// The add-through-memory loop that [`Tensor::sum_axis`] ran for every
+    /// `inner`, including 1.
+    fn sum_axis_in_memory(t: &Tensor, axis: usize) -> Vec<f32> {
+        let outer: usize = t.shape[..axis].iter().product();
+        let a = t.shape[axis];
+        let inner: usize = t.shape[axis + 1..].iter().product();
+        let mut data = vec![0.0; outer * inner];
+        for o in 0..outer {
+            for k in 0..a {
+                for i in 0..inner {
+                    data[o * inner + i] += t.data[(o * a + k) * inner + i];
+                }
+            }
+        }
+        data
+    }
+
+    #[test]
+    fn permute_bit_identical_to_odometer() {
+        // Ranks 1-4: the model's transposes first (weight `[1,0]`, token
+        // `[0,2,1]`, head split `[0,2,1,3]`), identities, a zero-sized dim.
+        let cases: &[(&[usize], &[usize])] = &[
+            (&[5], &[0]),
+            (&[3, 7], &[1, 0]),
+            (&[3, 7], &[0, 1]),
+            (&[2, 9, 4], &[0, 2, 1]),
+            (&[2, 9, 4], &[2, 0, 1]),
+            (&[2, 9, 4], &[0, 1, 2]),
+            (&[2, 5, 3, 4], &[0, 2, 1, 3]),
+            (&[2, 5, 3, 4], &[3, 1, 0, 2]),
+            (&[2, 5, 3, 4], &[0, 1, 2, 3]),
+            (&[1, 6, 1], &[2, 1, 0]),
+            (&[2, 0, 3], &[2, 0, 1]),
+        ];
+        for &(shape, perm) in cases {
+            let t = pseudo(shape, 13);
+            let (got, want) = (t.permute(perm), permute_odometer(&t, perm));
+            assert_eq!(got.shape(), want.shape(), "{shape:?} by {perm:?}");
+            assert_eq!(bits(&got), bits(&want), "{shape:?} by {perm:?}");
+        }
+    }
+
+    #[test]
+    fn sum_axis_bit_identical_to_in_memory_sum() {
+        // (shape, axis): inner == 1 (the register path) and inner > 1.
+        let cases: &[(&[usize], usize)] = &[
+            (&[6, 3200], 1),
+            (&[2, 4, 37], 2),
+            (&[5], 0),
+            (&[3, 0], 1),
+            (&[2, 4, 37], 1),
+            (&[2, 4, 37], 0),
+            (&[4, 1], 0),
+        ];
+        for &(shape, axis) in cases {
+            let t = pseudo(shape, 17);
+            let want: Vec<u32> = sum_axis_in_memory(&t, axis)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            for keepdim in [false, true] {
+                let got = t.sum_axis(axis, keepdim);
+                assert_eq!(bits(&got), want, "{shape:?} axis {axis}");
+            }
+        }
     }
 
     #[test]
