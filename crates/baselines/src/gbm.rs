@@ -84,6 +84,8 @@ fn grow(
     let base_sse: f64 = indices.iter().map(|&i| (residuals[i] - mean).powi(2)).sum();
     let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
 
+    // `f` is a column of the row-major `xs`, which no iterator walks.
+    #[allow(clippy::needless_range_loop)]
     for f in 0..n_features {
         // Sort candidate indices by this feature.
         let mut sorted: Vec<usize> = indices.to_vec();

@@ -64,8 +64,8 @@ impl StNn {
         for (i, t) in trips.iter().enumerate() {
             let odt = OdtInput::from_trajectory(t);
             let f = ctx.features(&odt);
-            for j in 0..4 {
-                feats.set(&[i, j], f[j]);
+            for (j, &v) in f.iter().enumerate().take(4) {
+                feats.set(&[i, j], v);
             }
             targets.set(&[i, 0], ((t.travel_time() - tt_mean) / tt_std) as f32);
             targets.set(&[i, 1], (t.travel_distance(&ctx.proj) / dist_scale) as f32);

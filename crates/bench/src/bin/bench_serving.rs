@@ -70,9 +70,10 @@
 //! ```
 
 use odt_core::{Dot, DotConfig};
+use odt_obs::json::{self, Obj};
 use odt_serve::{
-    dot_frontend, dot_frontend_cached, CacheConfig, ChaosConfig, DotFrontendConfig, EstimateCache,
-    FrontendConfig, HotTracker, Rung,
+    dot_frontend, dot_frontend_cached, CacheConfig, CacheStats, ChaosConfig, DotFrontendConfig,
+    EstimateCache, FrontendConfig, FrontendSnapshot, HotTracker, Rung,
 };
 use odt_serve::{ShadowConfig, ShadowScorer};
 use odt_traj::{OdtInput, Split};
@@ -90,6 +91,164 @@ fn arg_value(name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// `{"p50_ms":…,"p99_ms":…}` of a latency sample.
+#[derive(Copy, Clone)]
+struct Quantiles {
+    p50_ms: f64,
+    p99_ms: f64,
+}
+
+/// One `--cache-sizes` point of the cache sweep.
+struct CachePoint {
+    capacity: usize,
+    stats: CacheStats,
+    cached_serves: u64,
+    latency: Quantiles,
+}
+
+/// The cache sweep: its workload, the uncached reference and one point per
+/// capacity.
+struct CacheSweep {
+    distinct_keys: usize,
+    requests: usize,
+    zipf_s: f64,
+    uncached: Quantiles,
+    capacities: Vec<CachePoint>,
+}
+
+/// Everything `BENCH_serving.json` reports (the module docs give the schema).
+struct Report {
+    quick: bool,
+    batch_size: usize,
+    lg: usize,
+    train_seconds: f64,
+    queries: usize,
+    sequential_seconds: f64,
+    batched_seconds: f64,
+    overhead_queries: usize,
+    observer_off: Quantiles,
+    observer_on: Quantiles,
+    scored: u64,
+    shadow_mae_s: f64,
+    /// `(deadline_ms, the frontend's counters after the wave)`.
+    deadline_sweep: Vec<(u64, FrontendSnapshot)>,
+    cache_sweep: Option<CacheSweep>,
+    trace_enabled: bool,
+    finished: u64,
+    retained: usize,
+    p99_exemplar: Option<String>,
+    chrome_trace: Option<&'static str>,
+    spans_jsonl: Option<&'static str>,
+}
+
+fn quantiles_members(o: &mut Obj<'_, String>, q: Quantiles) {
+    o.field("p50_ms", q.p50_ms).field("p99_ms", q.p99_ms);
+}
+
+fn report_json(r: &Report) -> String {
+    let timed = |o: &mut Obj<'_, String>, key: &str, seconds: f64| {
+        o.object(key, |o| {
+            o.field("queries", r.queries)
+                .field("seconds", seconds)
+                .field("per_query_ms", seconds / r.queries as f64 * 1_000.0);
+        });
+    };
+    let mut out = json::object_string(|o| {
+        o.field("schema", "odt-bench-serving/v5")
+            .field("threads", odt_compute::num_threads())
+            .field("quick", r.quick)
+            .field("batch_size", r.batch_size)
+            .field("lg", r.lg)
+            .field("train_seconds", r.train_seconds);
+        timed(o, "sequential", r.sequential_seconds);
+        timed(o, "batched", r.batched_seconds);
+        o.field(
+            "speedup",
+            r.sequential_seconds / r.batched_seconds.max(1e-9),
+        )
+        .object("quality_overhead", |o| {
+            o.field("queries", r.overhead_queries)
+                .object("observer_off", |o| quantiles_members(o, r.observer_off))
+                .object("observer_on", |o| {
+                    quantiles_members(o, r.observer_on);
+                    o.field("scored", r.scored).field("mae_s", r.shadow_mae_s);
+                })
+                .field("delta_p50_ms", r.observer_on.p50_ms - r.observer_off.p50_ms)
+                .field("delta_p99_ms", r.observer_on.p99_ms - r.observer_off.p99_ms);
+        })
+        .array_lines("deadline_sweep", |a| {
+            for (ms, s) in &r.deadline_sweep {
+                let slo = s.slo.unwrap_or_default();
+                a.object(|o| {
+                    o.field("deadline_ms", *ms)
+                        .field("submitted", s.submitted)
+                        .field("served", s.served)
+                        .field("shed", s.submitted - s.served)
+                        .field("sla_attainment", sla_attainment(s))
+                        .object("rung_hits", |o| {
+                            for (i, &hits) in s.rung_hits.iter().enumerate() {
+                                o.field(Rung::from_index(i).name(), hits);
+                            }
+                        })
+                        .object("slo", |o| {
+                            o.field("fast_burn", slo.fast_burn)
+                                .field("slow_burn", slo.slow_burn)
+                                .field("alerts", slo.alerts);
+                        });
+                });
+            }
+        })
+        .object_or_null("cache_sweep", r.cache_sweep.as_ref(), |o, c| {
+            o.object("workload", |o| {
+                o.field("distinct_keys", c.distinct_keys)
+                    .field("requests", c.requests)
+                    .field("zipf_s", c.zipf_s);
+            })
+            .object("uncached", |o| quantiles_members(o, c.uncached))
+            .array_lines("capacities", |a| {
+                for p in &c.capacities {
+                    a.object(|o| {
+                        o.field("capacity", p.capacity)
+                            .field("hits", p.stats.hits)
+                            .field("stale_hits", p.stats.stale_hits)
+                            .field("misses", p.stats.misses)
+                            .field("hit_rate", p.stats.hit_rate())
+                            .field("evictions", p.stats.evictions)
+                            .field("admission_rejects", p.stats.admission_rejects)
+                            .field("cached_serves", p.cached_serves);
+                        quantiles_members(o, p.latency);
+                        o.field("speedup_p50", speedup_p50(c.uncached, p.latency));
+                    });
+                }
+            });
+        })
+        .object("trace", |o| {
+            o.field("enabled", r.trace_enabled)
+                .field("sample_every", odt_obs::trace::sample_every())
+                .field("finished", r.finished)
+                .field("retained", r.retained)
+                .field("p99_exemplar", r.p99_exemplar.as_deref())
+                .field("chrome_trace", r.chrome_trace)
+                .field("spans_jsonl", r.spans_jsonl);
+        });
+    });
+    out.push('\n');
+    out
+}
+
+/// `deadline_met / submitted` (1 for an empty wave).
+fn sla_attainment(s: &FrontendSnapshot) -> f64 {
+    if s.submitted == 0 {
+        1.0
+    } else {
+        s.deadline_met as f64 / s.submitted as f64
+    }
+}
+
+fn speedup_p50(uncached: Quantiles, cached: Quantiles) -> f64 {
+    uncached.p50_ms / cached.p50_ms.max(1e-9)
 }
 
 fn main() {
@@ -174,9 +333,15 @@ fn main() {
     // time(step + estimate), throttled exactly as in production
     // (ShadowConfig::default's min_interval). p50 should not move;
     // p99 absorbs the occasional batch-of-8 scoring spike.
-    let quantile_ms = |sorted_us: &[u64], q: f64| {
-        let i = ((sorted_us.len() as f64 - 1.0) * q).round() as usize;
-        sorted_us[i] as f64 / 1_000.0
+    let quantiles = |sorted_us: &[u64]| {
+        let at = |q: f64| {
+            let i = ((sorted_us.len() as f64 - 1.0) * q).round() as usize;
+            sorted_us[i] as f64 / 1_000.0
+        };
+        Quantiles {
+            p50_ms: at(0.50),
+            p99_ms: at(0.99),
+        }
     };
     // Enough iterations (cycling the query set) that the production
     // throttle lets several scoring steps fire during the timed loop.
@@ -212,19 +377,21 @@ fn main() {
     }
     lat_off.sort_unstable();
     lat_on.sort_unstable();
-    let (off_p50, off_p99) = (quantile_ms(&lat_off, 0.50), quantile_ms(&lat_off, 0.99));
-    let (on_p50, on_p99) = (quantile_ms(&lat_on, 0.50), quantile_ms(&lat_on, 0.99));
-    let q_snap = scorer.quality(odt_obs::trace::now_us());
-    let shadow_mae = if q_snap.mae_s.is_finite() {
-        q_snap.mae_s
-    } else {
-        0.0
-    };
+    let (off, on) = (quantiles(&lat_off), quantiles(&lat_on));
+    // NaN until something was scored; the writer would print that as null.
+    let shadow_mae = Some(scorer.quality(odt_obs::trace::now_us()).mae_s)
+        .filter(|mae| mae.is_finite())
+        .unwrap_or(0.0);
     let scored = scorer.scored();
-    let (d50, d99) = (on_p50 - off_p50, on_p99 - off_p99);
     println!(
-        "quality observer: off p50/p99 {off_p50:.2}/{off_p99:.2} ms, on {on_p50:.2}/{on_p99:.2} ms \
-         (delta {d50:+.2}/{d99:+.2}), {scored} shadow-scored (mae {shadow_mae:.1}s)"
+        "quality observer: off p50/p99 {:.2}/{:.2} ms, on {:.2}/{:.2} ms \
+         (delta {:+.2}/{:+.2}), {scored} shadow-scored (mae {shadow_mae:.1}s)",
+        off.p50_ms,
+        off.p99_ms,
+        on.p50_ms,
+        on.p99_ms,
+        on.p50_ms - off.p50_ms,
+        on.p99_ms - off.p99_ms
     );
 
     // Deadline sweep: the same queries through the odt-serve frontend at
@@ -237,7 +404,7 @@ fn main() {
             .collect(),
         None => vec![5, 20, 100, 1_000],
     };
-    let mut sweep_entries = Vec::new();
+    let mut deadline_sweep = Vec::new();
     for &ms in &deadlines_ms {
         // A fresh frontend per deadline point keeps counters clean; a
         // warmup pass seeds its latency ladder with measured rung costs.
@@ -254,34 +421,17 @@ fn main() {
         fe.warmup(&queries[..2.min(queries.len())]);
         let _ = fe.process_wave(queries.iter().map(|q| (*q, Some(ms * 1_000))));
         let s = fe.snapshot();
-        let shed = s.submitted - s.served;
-        let sla = if s.submitted == 0 {
-            1.0
-        } else {
-            s.deadline_met as f64 / s.submitted as f64
-        };
         let slo = s.slo.unwrap_or_default();
         println!(
             "deadline {ms:>5}ms: {}/{} served, sla {:.2}, burn {:.1}/{:.1}, rungs {:?}",
-            s.served, s.submitted, sla, slo.fast_burn, slo.slow_burn, s.rung_hits
-        );
-        sweep_entries.push(format!(
-            "    {{ \"deadline_ms\": {ms}, \"submitted\": {}, \"served\": {}, \"shed\": {shed}, \
-             \"sla_attainment\": {sla:.4}, \"rung_hits\": {{ \"cached\": {}, \"full_ddpm\": {}, \
-             \"ddim\": {}, \"ddim_reduced\": {}, \"cached_stale\": {}, \"fallback\": {} }}, \
-             \"slo\": {{ \"fast_burn\": {:.4}, \"slow_burn\": {:.4}, \"alerts\": {} }} }}",
-            s.submitted,
             s.served,
-            s.rung_hits[0],
-            s.rung_hits[1],
-            s.rung_hits[2],
-            s.rung_hits[3],
-            s.rung_hits[4],
-            s.rung_hits[5],
+            s.submitted,
+            sla_attainment(&s),
             slo.fast_burn,
             slo.slow_burn,
-            slo.alerts
-        ));
+            s.rung_hits
+        );
+        deadline_sweep.push((ms, s));
     }
 
     // Cache sweep: a Zipf-skewed hotspot workload over a fixed pool of
@@ -297,7 +447,7 @@ fn main() {
             .collect(),
         None => vec![16, 64, 256],
     };
-    let mut cache_sweep_json = "null".to_string();
+    let mut cache_sweep = None;
     if !cache_sizes.is_empty() {
         let zipf_s = 1.1f64;
         let pool: Vec<OdtInput> = data
@@ -315,7 +465,7 @@ fn main() {
         let mut wl_rng = StdRng::seed_from_u64(23);
         let workload: Vec<usize> = (0..reqs)
             .map(|_| {
-                let mut x = wl_rng.gen::<f64>() * total_w;
+                let mut x = wl_rng.gen_range(0.0..1.0) * total_w;
                 for (i, w) in weights.iter().enumerate() {
                     if x < *w {
                         return i;
@@ -343,13 +493,14 @@ fn main() {
             lat.push(t.elapsed().as_micros() as u64);
         }
         lat.sort_unstable();
-        let (un_p50, un_p99) = (quantile_ms(&lat, 0.50), quantile_ms(&lat, 0.99));
+        let uncached = quantiles(&lat);
         println!(
             "cache sweep: {reqs} reqs over {pool_n} keys (zipf {zipf_s}), \
-             uncached p50/p99 {un_p50:.2}/{un_p99:.2} ms"
+             uncached p50/p99 {:.2}/{:.2} ms",
+            uncached.p50_ms, uncached.p99_ms
         );
 
-        let mut cap_entries = Vec::new();
+        let mut capacities = Vec::new();
         for &capacity in &cache_sizes {
             let cache = Arc::new(EstimateCache::new(CacheConfig {
                 capacity,
@@ -372,36 +523,35 @@ fn main() {
                 lat.push(t.elapsed().as_micros() as u64);
             }
             lat.sort_unstable();
-            let (p50, p99) = (quantile_ms(&lat, 0.50), quantile_ms(&lat, 0.99));
-            let cs = cache.stats();
+            let latency = quantiles(&lat);
+            let stats = cache.stats();
             let s = fe.snapshot();
             let cached_serves =
                 s.rung_hits[Rung::Cached.index()] + s.rung_hits[Rung::CachedStale.index()];
-            let hit_rate = if cs.hit_rate().is_finite() {
-                cs.hit_rate()
-            } else {
-                0.0
-            };
-            let speedup_p50 = un_p50 / p50.max(1e-9);
             println!(
-                "  cache {capacity:>5}: hit rate {hit_rate:.3} ({} hits / {} misses), \
-                 p50 {p50:.3} ms  p99 {p99:.3} ms  ({speedup_p50:.0}x p50)",
-                cs.hits, cs.misses
+                "  cache {capacity:>5}: hit rate {:.3} ({} hits / {} misses), \
+                 p50 {:.3} ms  p99 {:.3} ms  ({:.0}x p50)",
+                stats.hit_rate(),
+                stats.hits,
+                stats.misses,
+                latency.p50_ms,
+                latency.p99_ms,
+                speedup_p50(uncached, latency)
             );
-            cap_entries.push(format!(
-                "      {{ \"capacity\": {capacity}, \"hits\": {}, \"stale_hits\": {}, \
-                 \"misses\": {}, \"hit_rate\": {hit_rate:.4}, \"evictions\": {}, \
-                 \"admission_rejects\": {}, \"cached_serves\": {cached_serves}, \
-                 \"p50_ms\": {p50:.4}, \"p99_ms\": {p99:.4}, \"speedup_p50\": {speedup_p50:.2} }}",
-                cs.hits, cs.stale_hits, cs.misses, cs.evictions, cs.admission_rejects
-            ));
+            capacities.push(CachePoint {
+                capacity,
+                stats,
+                cached_serves,
+                latency,
+            });
         }
-        cache_sweep_json = format!(
-            "{{ \"workload\": {{ \"distinct_keys\": {pool_n}, \"requests\": {reqs}, \
-             \"zipf_s\": {zipf_s} }}, \"uncached\": {{ \"p50_ms\": {un_p50:.4}, \
-             \"p99_ms\": {un_p99:.4} }}, \"capacities\": [\n{}\n    ] }}",
-            cap_entries.join(",\n")
-        );
+        cache_sweep = Some(CacheSweep {
+            distinct_keys: pool_n,
+            requests: reqs,
+            zipf_s,
+            uncached,
+            capacities,
+        });
     }
 
     // Trace export: when tracing is on (ODT_TRACE_SAMPLE > 0) the sweep's
@@ -430,50 +580,229 @@ fn main() {
     } else {
         (None, None)
     };
-    let json_opt = |v: &Option<&str>| match v {
-        Some(s) => format!("\"{s}\""),
-        None => "null".to_string(),
-    };
-
-    let json = format!(
-        "{{\n  \"schema\": \"odt-bench-serving/v5\",\n  \"threads\": {},\n  \
-         \"quick\": {},\n  \"batch_size\": {},\n  \"lg\": {},\n  \
-         \"train_seconds\": {:.3},\n  \
-         \"sequential\": {{ \"queries\": {}, \"seconds\": {:.6}, \"per_query_ms\": {:.4} }},\n  \
-         \"batched\": {{ \"queries\": {}, \"seconds\": {:.6}, \"per_query_ms\": {:.4} }},\n  \
-         \"speedup\": {:.4},\n  \
-         \"quality_overhead\": {{ \"queries\": {iters}, \
-         \"observer_off\": {{ \"p50_ms\": {off_p50:.4}, \"p99_ms\": {off_p99:.4} }}, \
-         \"observer_on\": {{ \"p50_ms\": {on_p50:.4}, \"p99_ms\": {on_p99:.4}, \
-         \"scored\": {scored}, \"mae_s\": {shadow_mae:.3} }}, \
-         \"delta_p50_ms\": {d50:.4}, \"delta_p99_ms\": {d99:.4} }},\n  \
-         \"deadline_sweep\": [\n{}\n  ],\n  \
-         \"cache_sweep\": {cache_sweep_json},\n  \
-         \"trace\": {{ \"enabled\": {}, \"sample_every\": {}, \"finished\": {}, \
-         \"retained\": {}, \"p99_exemplar\": {}, \"chrome_trace\": {}, \
-         \"spans_jsonl\": {} }}\n}}\n",
-        odt_compute::num_threads(),
+    let report = Report {
         quick,
         batch_size,
         lg,
         train_seconds,
-        n,
-        seq_s,
-        per_ms(seq_s),
-        n,
-        bat_s,
-        per_ms(bat_s),
-        speedup,
-        sweep_entries.join(",\n"),
+        queries: n,
+        sequential_seconds: seq_s,
+        batched_seconds: bat_s,
+        overhead_queries: iters,
+        observer_off: off,
+        observer_on: on,
+        scored,
+        shadow_mae_s: shadow_mae,
+        deadline_sweep,
+        cache_sweep,
         trace_enabled,
-        odt_obs::trace::sample_every(),
         finished,
         retained,
-        json_opt(&p99_exemplar.as_deref()),
-        json_opt(&chrome_path),
-        json_opt(&spans_path)
-    );
+        p99_exemplar,
+        chrome_trace: chrome_path,
+        spans_jsonl: spans_path,
+    };
     let path = "BENCH_serving.json";
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    std::fs::write(path, report_json(&report)).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("wrote {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use odt_obs::json::JsonValue;
+
+    fn keys(v: &JsonValue) -> Vec<&str> {
+        match v {
+            JsonValue::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    /// The keys and value types `bench-smoke`, `trace-smoke` and
+    /// `cache-smoke` read, and the module docs' schema.
+    #[test]
+    fn report_keys_and_types_are_pinned() {
+        let ms = |p50_ms, p99_ms| Quantiles { p50_ms, p99_ms };
+        let mut report = Report {
+            quick: true,
+            batch_size: 8,
+            lg: 8,
+            train_seconds: 1.5,
+            queries: 8,
+            sequential_seconds: 0.4,
+            batched_seconds: 0.1,
+            overhead_queries: 96,
+            observer_off: ms(40.0, 50.0),
+            observer_on: ms(41.0, 90.0),
+            scored: 16,
+            shadow_mae_s: 300.0,
+            deadline_sweep: vec![(
+                20,
+                FrontendSnapshot {
+                    submitted: 8,
+                    served: 6,
+                    deadline_met: 4,
+                    slo: Some(Default::default()),
+                    ..Default::default()
+                },
+            )],
+            cache_sweep: Some(CacheSweep {
+                distinct_keys: 64,
+                requests: 256,
+                zipf_s: 1.1,
+                uncached: ms(30.0, 60.0),
+                capacities: vec![CachePoint {
+                    capacity: 16,
+                    stats: CacheStats {
+                        hits: 3,
+                        misses: 1,
+                        ..Default::default()
+                    },
+                    cached_serves: 3,
+                    latency: ms(0.003, 35.0),
+                }],
+            }),
+            trace_enabled: true,
+            finished: 300,
+            retained: 12,
+            p99_exemplar: Some("00000000000000ab".into()),
+            chrome_trace: Some("BENCH_serving_trace.json"),
+            spans_jsonl: Some("BENCH_serving_spans.jsonl"),
+        };
+        let doc = JsonValue::parse(&report_json(&report)).unwrap();
+        let at = |path: &[&str]| path.iter().fold(&doc, |v, key| v.get(key).expect(key));
+        assert_eq!(
+            keys(&doc),
+            [
+                "schema",
+                "threads",
+                "quick",
+                "batch_size",
+                "lg",
+                "train_seconds",
+                "sequential",
+                "batched",
+                "speedup",
+                "quality_overhead",
+                "deadline_sweep",
+                "cache_sweep",
+                "trace"
+            ]
+        );
+        assert_eq!(at(&["schema"]).as_str(), Some("odt-bench-serving/v5"));
+        assert!(at(&["threads"]).as_u64().unwrap() >= 1);
+        assert_eq!(
+            keys(at(&["sequential"])),
+            ["queries", "seconds", "per_query_ms"]
+        );
+        assert_eq!(at(&["batched", "per_query_ms"]).as_f64(), Some(12.5));
+        assert_eq!(at(&["speedup"]).as_f64(), Some(4.0));
+        assert_eq!(
+            keys(at(&["quality_overhead"])),
+            [
+                "queries",
+                "observer_off",
+                "observer_on",
+                "delta_p50_ms",
+                "delta_p99_ms"
+            ]
+        );
+        assert_eq!(
+            keys(at(&["quality_overhead", "observer_on"])),
+            ["p50_ms", "p99_ms", "scored", "mae_s"]
+        );
+        assert_eq!(
+            at(&["quality_overhead", "delta_p99_ms"]).as_f64(),
+            Some(40.0)
+        );
+        let point = &at(&["deadline_sweep"]).as_arr().unwrap()[0];
+        assert_eq!(
+            keys(point),
+            [
+                "deadline_ms",
+                "submitted",
+                "served",
+                "shed",
+                "sla_attainment",
+                "rung_hits",
+                "slo"
+            ]
+        );
+        assert_eq!(point.get("shed").unwrap().as_u64(), Some(2));
+        assert_eq!(point.get("sla_attainment").unwrap().as_f64(), Some(0.5));
+        assert_eq!(
+            keys(point.get("rung_hits").unwrap()),
+            [
+                "cached",
+                "full_ddpm",
+                "ddim",
+                "ddim_reduced",
+                "cached_stale",
+                "fallback"
+            ]
+        );
+        assert_eq!(
+            keys(point.get("slo").unwrap()),
+            ["fast_burn", "slow_burn", "alerts"]
+        );
+        assert_eq!(
+            keys(at(&["cache_sweep"])),
+            ["workload", "uncached", "capacities"]
+        );
+        assert_eq!(
+            at(&["cache_sweep", "uncached", "p50_ms"]).as_f64(),
+            Some(30.0)
+        );
+        let capacity = &at(&["cache_sweep", "capacities"]).as_arr().unwrap()[0];
+        assert_eq!(
+            keys(capacity),
+            [
+                "capacity",
+                "hits",
+                "stale_hits",
+                "misses",
+                "hit_rate",
+                "evictions",
+                "admission_rejects",
+                "cached_serves",
+                "p50_ms",
+                "p99_ms",
+                "speedup_p50"
+            ]
+        );
+        assert_eq!(capacity.get("hit_rate").unwrap().as_f64(), Some(0.75));
+        assert_eq!(
+            capacity.get("speedup_p50").unwrap().as_f64(),
+            Some(10_000.0)
+        );
+        assert_eq!(
+            keys(at(&["trace"])),
+            [
+                "enabled",
+                "sample_every",
+                "finished",
+                "retained",
+                "p99_exemplar",
+                "chrome_trace",
+                "spans_jsonl"
+            ]
+        );
+        assert_eq!(at(&["trace", "enabled"]).as_bool(), Some(true));
+        assert_eq!(at(&["trace", "retained"]).as_u64(), Some(12));
+        assert_eq!(
+            at(&["trace", "p99_exemplar"]).as_str(),
+            Some("00000000000000ab")
+        );
+
+        // Sweeps skipped and tracing off: `null`, not a missing key.
+        report.cache_sweep = None;
+        report.p99_exemplar = None;
+        report.chrome_trace = None;
+        let doc = JsonValue::parse(&report_json(&report)).unwrap();
+        assert_eq!(doc.get("cache_sweep"), Some(&JsonValue::Null));
+        let trace = doc.get("trace").unwrap();
+        assert_eq!(trace.get("p99_exemplar"), Some(&JsonValue::Null));
+        assert_eq!(trace.get("chrome_trace"), Some(&JsonValue::Null));
+    }
 }

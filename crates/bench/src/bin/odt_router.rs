@@ -21,25 +21,25 @@
 //! ```
 //!
 //! * `--shard`     — one shard's replicas, comma-separated. Each replica
-//!                   is `wire_addr` or `wire_addr@admin_addr`; with an
-//!                   admin address the health prober polls its `/readyz`
-//!                   and the router routes around unready replicas.
+//!   is `wire_addr` or `wire_addr@admin_addr`; with an
+//!   admin address the health prober polls its `/readyz`
+//!   and the router routes around unready replicas.
 //! * `--region`    — the placement grid's bbox (must match the shards'
-//!                   served region; default: the loadgen default region).
+//!   served region; default: the loadgen default region).
 //! * `--instance`  — this process's name in traces (`/tracez` tags every
-//!                   span fragment with it so `cluster_report` can give
-//!                   the router its own Perfetto track).
+//!   span fragment with it so `cluster_report` can give
+//!   the router its own Perfetto track).
 //! * `--admin`     — the router's own admin plane. Its `/readyz` is the
-//!                   quorum aggregation: 200 only while every shard has
-//!                   at least one routable replica, 503 otherwise and
-//!                   during drain. `/varz` serves `odt-router-varz/v1`
-//!                   (per-replica health/breaker rows, failover and
-//!                   prior-serve totals). `/metrics/cluster` federates
-//!                   every replica's `/metrics` (shard/replica labels +
-//!                   exact merged `odt_cluster_*` histograms) and
-//!                   `/varz/cluster` rolls up per-shard health, model
-//!                   quality and cache state — both fed by a background
-//!                   scraper (`--scrape-interval-ms`).
+//!   quorum aggregation: 200 only while every shard has
+//!   at least one routable replica, 503 otherwise and
+//!   during drain. `/varz` serves `odt-router-varz/v1`
+//!   (per-replica health/breaker rows, failover and
+//!   prior-serve totals). `/metrics/cluster` federates
+//!   every replica's `/metrics` (shard/replica labels +
+//!   exact merged `odt_cluster_*` histograms) and
+//!   `/varz/cluster` rolls up per-shard health, model
+//!   quality and cache state — both fed by a background
+//!   scraper (`--scrape-interval-ms`).
 //!
 //! Startup prints machine-readable lines in this order:
 //!

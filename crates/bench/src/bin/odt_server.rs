@@ -16,40 +16,40 @@
 //! ```
 //!
 //! * `--addr`        — listen address (default `127.0.0.1:7878`; port `0`
-//!                     picks a free port, printed on the listening line).
+//!   picks a free port, printed on the listening line).
 //! * `--admin`       — admin plane address (e.g. `127.0.0.1:9878`; port
-//!                     `0` works; omitted = no admin plane).
+//!   `0` works; omitted = no admin plane).
 //! * `--quick`       — tiny model, CI smoke mode.
 //! * `--registry`    — model registry directory (created if missing). An
-//!                     existing `CURRENT` model is reloaded instead of
-//!                     retrained; a fresh registry gets the trained model
-//!                     published as v1. Enables zero-downtime hot swap:
-//!                     `POST /swap` on the admin plane (body = candidate
-//!                     checkpoint path) validates framing + grid shape,
-//!                     shadow-scores the candidate against the serving
-//!                     model on dispatcher ticks, then promotes it into
-//!                     the live [`ModelSlot`] — or refuses it with a
-//!                     typed code (`corrupt`, `shape_mismatch`,
-//!                     `drift_failed`, `busy`) — without ever pausing
-//!                     serving.
+//!   existing `CURRENT` model is reloaded instead of
+//!   retrained; a fresh registry gets the trained model
+//!   published as v1. Enables zero-downtime hot swap:
+//!   `POST /swap` on the admin plane (body = candidate
+//!   checkpoint path) validates framing + grid shape,
+//!   shadow-scores the candidate against the serving
+//!   model on dispatcher ticks, then promotes it into
+//!   the live [`ModelSlot`] — or refuses it with a
+//!   typed code (`corrupt`, `shape_mismatch`,
+//!   `drift_failed`, `busy`) — without ever pausing
+//!   serving.
 //! * `--cache`       — attach the hot-path OD estimate cache with this
-//!                     many entries (default: off). Turns on the cached
-//!                     ladder rungs, a background prewarmer on dispatcher
-//!                     idle ticks, and drift-alert invalidation (the
-//!                     shadow scorer's drift alert flushes every cached
-//!                     estimate).
+//!   many entries (default: off). Turns on the cached
+//!   ladder rungs, a background prewarmer on dispatcher
+//!   idle ticks, and drift-alert invalidation (the
+//!   shadow scorer's drift alert flushes every cached
+//!   estimate).
 //! * `--holdout`     — ground-truth trajectories shadow-scored on idle
-//!                     ticks for model-quality telemetry (default 64;
-//!                     `0` disables the quality observer).
+//!   ticks for model-quality telemetry (default 64;
+//!   `0` disables the quality observer).
 //! * `--instance`    — this process's name in wire `served_by` replies
-//!                     and `/tracez` fragments (default `pid-<pid>`);
-//!                     give each replica a distinct name so
-//!                     `cluster_report` and the federated metrics can
-//!                     tell them apart.
+//!   and `/tracez` fragments (default `pid-<pid>`);
+//!   give each replica a distinct name so
+//!   `cluster_report` and the federated metrics can
+//!   tell them apart.
 //! * `--max-run-s`   — self-drain after this many seconds even without a
-//!                     signal (CI watchdog; default: run until signaled).
+//!   signal (CI watchdog; default: run until signaled).
 //! * `--report`      — final JSON report path (default
-//!                     `BENCH_net_server.json`).
+//!   `BENCH_net_server.json`).
 //!
 //! Startup prints machine-readable lines in this order:
 //!

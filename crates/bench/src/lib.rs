@@ -1,40 +1,28 @@
 //! # odt-bench
 //!
-//! Criterion benchmarks backing the paper's timing results:
+//! The binaries that run the serving stack, and one that measures it:
 //!
-//! * `benches/table5_efficiency.rs` — per-query estimation latency of every
-//!   ODT-Oracle method (Table 5's "estimation speed" column).
-//! * `benches/figure8_mvit_vs_vit.rs` — MViT vs vanilla ViT forward latency
-//!   across grid lengths (Figure 8(c,d)).
-//! * `benches/substrates.rs` — micro-benchmarks of the substrates (conv2d,
-//!   matmul, Dijkstra, PiT rasterization, trip simulation).
+//! * `odt_server`, `odt_router`, `odt_loadgen`: a replica, the shard
+//!   router and the load generator CI's smoke jobs boot.
+//! * `bench_serving`: N sequential `estimate` calls vs one
+//!   `estimate_batch(N)`, the deadline and cache sweeps →
+//!   `BENCH_serving.json`.
 //!
-//! The kernels themselves (`compute.*` / `tensor.*` rows) are measured by the
-//! repository benchmark, `benchmark/run.sh --trace 1`. One plain binary
-//! emits a machine-readable report:
+//! Timings live elsewhere: the kernels and a query's layers (`compute.*`,
+//! `tensor.*`, ... rows) in the repository benchmark, `benchmark/run.sh
+//! --trace 1`; the paper's Table 5 and Figure 8 in `odt-eval`'s
+//! `table5_efficiency` and `figure8_grid_efficiency` bins.
 //!
-//! * `bench_serving` — N sequential `estimate` calls vs one
-//!   `estimate_batch(N)` → `BENCH_serving.json`.
-//!
-//! Shared fixtures live in this library crate.
+//! This library holds the dataset `bench_serving` trains on.
 
 #![forbid(unsafe_code)]
 
-use odt_baselines::OracleContext;
 use odt_traj::Dataset;
 
-/// A small, deterministic dataset shared by the benchmarks.
+/// A small, deterministic dataset.
 pub fn bench_dataset(lg: usize) -> Dataset {
     let mut cfg = odt_traj::sim::CitySimConfig::chengdu_like();
     cfg.nx = 12;
     cfg.ny = 12;
     Dataset::simulated(cfg, 400, lg, 99)
-}
-
-/// The oracle context of a dataset.
-pub fn ctx_of(data: &Dataset) -> OracleContext {
-    OracleContext {
-        grid: data.grid,
-        proj: data.proj,
-    }
 }

@@ -846,7 +846,7 @@ pub(crate) fn build_estimator(cfg: &DotConfig, rng: &mut StdRng) -> Box<dyn PitE
     let mvit_cfg = EstimatorMVitConfig {
         d_e: cfg.d_e,
         l_e: cfg.l_e,
-        heads: if cfg.d_e % 4 == 0 { 4 } else { 2 },
+        heads: if cfg.d_e.is_multiple_of(4) { 4 } else { 2 },
         ffn_hidden: cfg.d_e * 2,
     };
     match cfg.ablation.estimator {

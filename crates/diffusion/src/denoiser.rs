@@ -55,9 +55,9 @@ impl DenoiserConfig {
 }
 
 fn heads_for(c: usize) -> usize {
-    if c >= 16 && c % 4 == 0 {
+    if c >= 16 && c.is_multiple_of(4) {
         4
-    } else if c % 2 == 0 {
+    } else if c.is_multiple_of(2) {
         2
     } else {
         1
@@ -69,7 +69,7 @@ fn groups_for(c: usize) -> usize {
     // every channel independently (groups == channels) starves the network
     // of per-channel magnitude information.
     for g in [4, 2, 1] {
-        if c % g == 0 && c / g >= 2 {
+        if c.is_multiple_of(g) && c / g >= 2 {
             return g;
         }
     }

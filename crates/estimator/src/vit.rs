@@ -60,7 +60,7 @@ impl PitEstimator for VanillaVit {
             .iter()
             .map(|&v| if v { 0.0 } else { -1e9 })
             .collect();
-        let any_valid = mask_vals.iter().any(|&v| v == 0.0);
+        let any_valid = mask_vals.contains(&0.0);
         let key_mask = Tensor::from_vec(
             if any_valid {
                 mask_vals

@@ -9,11 +9,11 @@
 //!
 //! * `--scenario` — one scenario by name, or `all` (default).
 //! * `--seed`     — perturbs every scenario's fault stream (default 7);
-//!                  the same seed replays the same faults.
+//!   the same seed replays the same faults.
 //! * `--quick`    — smaller waves, CI smoke mode.
 //! * `--report`   — JSONL report path (default `CHAOS_drill.jsonl`).
 //! * `--flightrec-dir` — flight-recorder dump directory (default
-//!                  `CHAOS_flightrec`; `ODT_FLIGHTREC_DIR` overrides).
+//!   `CHAOS_flightrec`; `ODT_FLIGHTREC_DIR` overrides).
 //!
 //! Besides the serving and network catalogs, the standing
 //! `quality_drift` drill shadow-scores the drill oracle against its
@@ -59,30 +59,187 @@ use odt_net::{
     run_cluster_trace_loss, ClusterDrillOutcome, FrontendBridge, NetScenarioSpec, Region,
     WireQuery,
 };
+use odt_obs::json::{self, Obj};
 use odt_roadnet::LngLat;
 use odt_serve::{
     dot_frontend, dot_frontend_cached, CacheConfig, ChaosConfig, ChaosExecutor, DotExecutor,
     DotFrontendConfig, DotSwapHost, DotSwapHostConfig, DriftInvalidator, EstimateCache,
-    FrontendConfig, HotTracker, ModelSlot, Response, Rung, ScenarioSpec, ServeFrontend, SwapConfig,
-    SwapController, SwapError, SwapOutcome, NUM_RUNGS,
+    FrontendConfig, FrontendSnapshot, HotTracker, ModelSlot, Response, Rung, ScenarioSpec,
+    ServeFrontend, SwapConfig, SwapController, SwapError, SwapOutcome, MODEL_RUNGS, NUM_RUNGS,
 };
 use odt_serve::{ShadowConfig, ShadowScorer};
 use odt_traj::{Dataset, GridSpec, OdtInput, Split};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde_json::json;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Render a per-rung counter array as a name-keyed JSON object (the
-/// report's stable interface: names, not ladder indices).
-fn rung_json(counts: &[u64; NUM_RUNGS]) -> serde_json::Value {
-    let mut m = serde_json::Map::new();
-    for (i, &v) in counts.iter().enumerate() {
-        m.insert(Rung::from_index(i).name().to_string(), json!(v));
+const SCHEMA: &str = "odt-chaos-drill/v2";
+
+/// One report line, and the verdict `main` counts.
+struct Line {
+    json: String,
+    pass: bool,
+}
+
+/// What every drill opens with. Its own root trace: request roots nest
+/// above it on the context stack, and force-retaining it keeps the
+/// scenario id resolvable in the retained set even when every request
+/// sails through cleanly. And the flight recorder's dump count so far.
+struct DrillTrace {
+    root: odt_obs::trace::RootSpan,
+    dumps_before: u64,
+}
+
+/// A finished drill's trace id and the flight-recorder dumps it caused.
+struct Evidence {
+    trace_id: Option<String>,
+    dumps: u64,
+    last_dump: Option<String>,
+}
+
+impl DrillTrace {
+    fn start() -> Self {
+        let root = odt_obs::trace::root_span("chaos.scenario");
+        odt_obs::trace::force_retain_current("chaos_scenario");
+        DrillTrace {
+            root,
+            dumps_before: odt_obs::flightrec::dump_count(),
+        }
     }
-    serde_json::Value::Object(m)
+
+    fn finish(self) -> Evidence {
+        let trace_id = self.root.trace_id().map(|t| t.to_hex());
+        drop(self.root);
+        let dumps = odt_obs::flightrec::dump_count() - self.dumps_before;
+        Evidence {
+            trace_id,
+            dumps,
+            last_dump: odt_obs::flightrec::last_dump()
+                .filter(|_| dumps > 0)
+                .map(|p| p.display().to_string()),
+        }
+    }
+}
+
+/// The members every scenario line opens with.
+struct Head<'a> {
+    name: &'a str,
+    description: &'a str,
+    seed: u64,
+    quick: bool,
+    wall_seconds: f64,
+    submitted: u64,
+    admitted: u64,
+    served: u64,
+}
+
+/// One `kind: "scenario"` line: the shared head, the drill's own members
+/// (`body`), then the violations and the verdict they imply.
+fn scenario_line(
+    head: Head<'_>,
+    evidence: &Evidence,
+    violations: &[String],
+    body: impl FnOnce(&mut Obj<'_, String>),
+) -> Line {
+    let pass = violations.is_empty();
+    let answer_rate = if head.submitted == 0 {
+        1.0
+    } else {
+        head.served as f64 / head.submitted as f64
+    };
+    let json = json::object_string(|o| {
+        o.field("schema", SCHEMA)
+            .field("kind", "scenario")
+            .field("name", head.name)
+            .field("description", head.description)
+            .field("trace_id", evidence.trace_id.as_deref())
+            .object("flightrec", |o| {
+                o.field("dumps", evidence.dumps)
+                    .field("last_dump", evidence.last_dump.as_deref());
+            })
+            .field("seed", head.seed)
+            .field("quick", head.quick)
+            .field("wall_seconds", head.wall_seconds)
+            .field("submitted", head.submitted)
+            .field("admitted", head.admitted)
+            .field("served", head.served)
+            .field("answer_rate", answer_rate);
+        body(o);
+        o.field("violations", violations).field("pass", pass);
+    });
+    Line { json, pass }
+}
+
+/// A frontend's shed, rung, breaker and deadline counters. Rungs are keyed
+/// by name, the report's stable interface, not by ladder index.
+fn frontend_members(o: &mut Obj<'_, String>, s: &FrontendSnapshot) {
+    let rungs = |o: &mut Obj<'_, String>, key: &str, counts: &[u64; NUM_RUNGS]| {
+        o.object(key, |o| {
+            for (i, &v) in counts.iter().enumerate() {
+                o.field(Rung::from_index(i).name(), v);
+            }
+        });
+    };
+    o.object("shed", |o| {
+        o.field("queue_full", s.shed_queue_full)
+            .field("deadline_expired", s.shed_deadline)
+            .field("invalid_query", s.shed_invalid)
+            .field("internal", s.shed_internal);
+    });
+    rungs(o, "rung_hits", &s.rung_hits);
+    rungs(o, "rung_failures", &s.rung_failures);
+    o.object("breaker", |o| {
+        o.field("trips", s.breaker_trips)
+            .field("states", s.breaker_states);
+    })
+    .object("deadline", |o| {
+        o.field("met", s.deadline_met)
+            .field("missed", s.deadline_missed);
+    });
+}
+
+/// `"err_replies":{code: count, …}`.
+fn err_replies_member(o: &mut Obj<'_, String>, errs: &[(String, u64)]) {
+    o.object("err_replies", |o| {
+        for (code, n) in errs {
+            o.field(code, *n);
+        }
+    });
+}
+
+/// `"quality":{…}`: the shadow scorer's windowed accuracy and alarm counts.
+fn quality_member(o: &mut Obj<'_, String>, q: &odt_obs::QualitySnapshot, frozen: bool) {
+    o.object("quality", |o| {
+        o.field("samples", q.samples)
+            .field("window_len", q.window_len)
+            .field("mae_s", q.mae_s)
+            .field("mape", q.mape)
+            .field("bias_s", q.bias_s)
+            .field("drift_score", q.drift_score)
+            .field("drift_alerts", q.drift_alerts)
+            .field("slo_alerts", q.slo.map_or(0, |s| s.alerts))
+            .field("reference_frozen", frozen);
+    });
+}
+
+/// The final `kind: "summary"` line.
+fn summary_line(seed: u64, quick: bool, total: usize, failed: usize) -> String {
+    let (finished, _, _) = odt_obs::trace::trace_stats();
+    json::object_string(|o| {
+        o.field("schema", SCHEMA)
+            .field("kind", "summary")
+            .field("seed", seed)
+            .field("quick", quick)
+            .field("scenarios", total)
+            .field("passed", total - failed)
+            .field("failed", failed)
+            .field("traces_finished", finished)
+            .field("traces_retained", odt_obs::trace::retained_count())
+            .field("flightrec_dumps", odt_obs::flightrec::dump_count())
+            .field("pass", failed == 0);
+    })
 }
 
 fn arg_flag(name: &str) -> bool {
@@ -118,19 +275,8 @@ fn drill_model(data: &Dataset) -> Dot {
 }
 
 /// Run one scenario against `model`; returns the scenario's report line.
-fn run_scenario(
-    spec: &ScenarioSpec,
-    model: &Dot,
-    queries: &[OdtInput],
-    quick: bool,
-) -> serde_json::Value {
-    // The scenario's own trace: request roots nest above it on the context
-    // stack, and force-retaining it keeps the scenario id resolvable in
-    // the retained set even when every request sails through cleanly.
-    let root = odt_obs::trace::root_span("chaos.scenario");
-    odt_obs::trace::force_retain_current("chaos_scenario");
-    let trace_id = root.trace_id().map(|t| t.to_hex());
-    let dumps_before = odt_obs::flightrec::dump_count();
+fn run_scenario(spec: &ScenarioSpec, model: &Dot, queries: &[OdtInput], quick: bool) -> Line {
+    let trace = DrillTrace::start();
     let wave_size = if quick {
         (spec.wave_size / 2).max(8)
     } else {
@@ -175,17 +321,8 @@ fn run_scenario(
     let wall_s = t0.elapsed().as_secs_f64();
 
     let s = fe.snapshot();
-    drop(root);
-    let dumps = odt_obs::flightrec::dump_count() - dumps_before;
-    let last_dump = odt_obs::flightrec::last_dump()
-        .filter(|_| dumps > 0)
-        .map(|p| p.display().to_string());
+    let evidence = trace.finish();
     let violations = spec.expect.check(&s);
-    let answer_rate = if s.submitted == 0 {
-        1.0
-    } else {
-        s.served as f64 / s.submitted as f64
-    };
     println!(
         "  {:<18} {:>3}/{:<3} served  rungs {:?}  trips {:?}  {}",
         spec.name,
@@ -199,38 +336,21 @@ fn run_scenario(
             format!("FAIL: {}", violations.join("; "))
         }
     );
-    json!({
-        "schema": "odt-chaos-drill/v2",
-        "kind": "scenario",
-        "name": spec.name,
-        "description": spec.description,
-        "trace_id": trace_id,
-        "flightrec": { "dumps": dumps, "last_dump": last_dump },
-        "seed": spec.chaos.seed,
-        "quick": quick,
-        "waves": spec.waves,
-        "wave_size": wave_size,
-        "shed_policy": spec.shed_policy.name(),
-        "wall_seconds": wall_s,
-        "submitted": s.submitted,
-        "admitted": s.admitted,
-        "served": s.served,
-        "answer_rate": answer_rate,
-        "shed": {
-            "queue_full": s.shed_queue_full,
-            "deadline_expired": s.shed_deadline,
-            "invalid_query": s.shed_invalid,
-            "internal": s.shed_internal,
-        },
-        "rung_hits": rung_json(&s.rung_hits),
-        "rung_failures": rung_json(&s.rung_failures),
-        "breaker": {
-            "trips": s.breaker_trips,
-            "states": s.breaker_states,
-        },
-        "deadline": { "met": s.deadline_met, "missed": s.deadline_missed },
-        "violations": violations,
-        "pass": violations.is_empty(),
+    let head = Head {
+        name: spec.name,
+        description: spec.description,
+        seed: spec.chaos.seed,
+        quick,
+        wall_seconds: wall_s,
+        submitted: s.submitted,
+        admitted: s.admitted,
+        served: s.served,
+    };
+    scenario_line(head, &evidence, &violations, |o| {
+        o.field("waves", spec.waves)
+            .field("wave_size", wave_size)
+            .field("shed_policy", spec.shed_policy.name());
+        frontend_members(o, &s);
     })
 }
 
@@ -240,11 +360,8 @@ fn run_scenario(
 /// underprediction no healthy reference window contains) and assert the
 /// full alarm chain fires: the quantile-shift drift alert, the accuracy
 /// SLO burn alert, and a `quality_drift` flight-recorder dump.
-fn run_quality_drill(model: &Dot, data: &Dataset, seed: u64, quick: bool) -> serde_json::Value {
-    let root = odt_obs::trace::root_span("chaos.scenario");
-    odt_obs::trace::force_retain_current("chaos_scenario");
-    let trace_id = root.trace_id().map(|t| t.to_hex());
-    let dumps_before = odt_obs::flightrec::dump_count();
+fn run_quality_drill(model: &Dot, data: &Dataset, seed: u64, quick: bool) -> Line {
+    let trace = DrillTrace::start();
 
     let holdout: Vec<(OdtInput, f64)> = data
         .split(Split::Test)
@@ -275,6 +392,7 @@ fn run_quality_drill(model: &Dot, data: &Dataset, seed: u64, quick: bool) -> ser
     // Phase 2: synthetic model degradation. Keep scoring until the whole
     // alarm chain has fired (or the step budget rules it never will).
     let mut q = scorer.quality(now);
+    let dumps_before = trace.dumps_before;
     let chain_done = |q: &odt_obs::QualitySnapshot, dumps: u64| {
         q.drift_alerts >= 1
             && q.slo.as_ref().map(|s| s.alerts >= 1).unwrap_or(false)
@@ -293,11 +411,7 @@ fn run_quality_drill(model: &Dot, data: &Dataset, seed: u64, quick: bool) -> ser
         q = scorer.quality(now);
     }
     let wall_s = t0.elapsed().as_secs_f64();
-    drop(root);
-    let dumps = odt_obs::flightrec::dump_count() - dumps_before;
-    let last_dump = odt_obs::flightrec::last_dump()
-        .filter(|_| dumps > 0)
-        .map(|p| p.display().to_string());
+    let evidence = trace.finish();
 
     let mut violations: Vec<String> = Vec::new();
     if !frozen {
@@ -313,7 +427,7 @@ fn run_quality_drill(model: &Dot, data: &Dataset, seed: u64, quick: bool) -> ser
     if slo_alerts < 1 {
         violations.push("accuracy SLO burn alert never fired".to_string());
     }
-    if dumps == 0 {
+    if evidence.dumps == 0 {
         violations.push("drift alert produced no flight-recorder dump".to_string());
     }
     println!(
@@ -329,47 +443,27 @@ fn run_quality_drill(model: &Dot, data: &Dataset, seed: u64, quick: bool) -> ser
             format!("FAIL: {}", violations.join("; "))
         }
     );
-    json!({
-        "schema": "odt-chaos-drill/v2",
-        "kind": "scenario",
-        "name": "quality_drift",
-        "description": "shadow-scored holdout drifts; drift + accuracy-SLO alerts and a flightrec dump must fire",
-        "trace_id": trace_id,
-        "flightrec": { "dumps": dumps, "last_dump": last_dump },
-        "seed": seed,
-        "quick": quick,
-        "wall_seconds": wall_s,
-        "submitted": scorer.scored(),
-        "admitted": scorer.scored(),
-        "served": scorer.scored(),
-        "answer_rate": 1.0,
-        "shed": { "queue_full": 0, "deadline_expired": 0, "invalid_query": 0, "internal": 0 },
-        "rung_hits": {
-            "cached": 0, "full_ddpm": scorer.scored(), "ddim": 0,
-            "ddim_reduced": 0, "cached_stale": 0, "fallback": 0,
-        },
-        "rung_failures": {
-            "cached": 0, "full_ddpm": 0, "ddim": 0,
-            "ddim_reduced": 0, "cached_stale": 0, "fallback": 0,
-        },
-        "breaker": {
-            "trips": [0, 0, 0, 0, 0],
-            "states": ["closed", "closed", "closed", "closed", "closed"],
-        },
-        "deadline": { "met": scorer.scored(), "missed": 0 },
-        "quality": {
-            "samples": q.samples,
-            "window_len": q.window_len,
-            "mae_s": q.mae_s,
-            "mape": q.mape,
-            "bias_s": q.bias_s,
-            "drift_score": q.drift_score,
-            "drift_alerts": q.drift_alerts,
-            "slo_alerts": slo_alerts,
-            "reference_frozen": frozen,
-        },
-        "violations": violations,
-        "pass": violations.is_empty(),
+    // Every scored query was answered by the full model, inside its deadline.
+    let scored = scorer.scored();
+    let mut answered = FrontendSnapshot {
+        breaker_states: ["closed"; MODEL_RUNGS],
+        deadline_met: scored,
+        ..FrontendSnapshot::default()
+    };
+    answered.rung_hits[Rung::Full.index()] = scored;
+    let head = Head {
+        name: "quality_drift",
+        description: "shadow-scored holdout drifts; drift + accuracy-SLO alerts and a flightrec dump must fire",
+        seed,
+        quick,
+        wall_seconds: wall_s,
+        submitted: scored,
+        admitted: scored,
+        served: scored,
+    };
+    scenario_line(head, &evidence, &violations, |o| {
+        frontend_members(o, &answered);
+        quality_member(o, &q, frozen);
     })
 }
 
@@ -380,11 +474,8 @@ fn run_quality_drill(model: &Dot, data: &Dataset, seed: u64, quick: bool) -> ser
 /// total — the cache generation advances and the first post-flush wave
 /// contains zero cache-rung serves (no pre-drift estimate survives the
 /// alert).
-fn run_cache_drift_drill(model: &Dot, data: &Dataset, seed: u64, quick: bool) -> serde_json::Value {
-    let root = odt_obs::trace::root_span("chaos.scenario");
-    odt_obs::trace::force_retain_current("chaos_scenario");
-    let trace_id = root.trace_id().map(|t| t.to_hex());
-    let dumps_before = odt_obs::flightrec::dump_count();
+fn run_cache_drift_drill(model: &Dot, data: &Dataset, seed: u64, quick: bool) -> Line {
+    let trace = DrillTrace::start();
 
     let cache = Arc::new(EstimateCache::new(CacheConfig {
         capacity: 512,
@@ -467,11 +558,7 @@ fn run_cache_drift_drill(model: &Dot, data: &Dataset, seed: u64, quick: bool) ->
         - before.rung_hits[Rung::Cached.index()])
         + (s.rung_hits[Rung::CachedStale.index()] - before.rung_hits[Rung::CachedStale.index()]);
     let wall_s = t0.elapsed().as_secs_f64();
-    drop(root);
-    let dumps = odt_obs::flightrec::dump_count() - dumps_before;
-    let last_dump = odt_obs::flightrec::last_dump()
-        .filter(|_| dumps > 0)
-        .map(|p| p.display().to_string());
+    let evidence = trace.finish();
 
     let cs = cache.stats();
     let mut violations: Vec<String> = Vec::new();
@@ -514,56 +601,40 @@ fn run_cache_drift_drill(model: &Dot, data: &Dataset, seed: u64, quick: bool) ->
             format!("FAIL: {}", violations.join("; "))
         }
     );
-    json!({
-        "schema": "odt-chaos-drill/v2",
-        "kind": "scenario",
-        "name": "cache_drift_invalidation",
-        "description": "drift alert flushes the estimate cache; zero pre-drift-generation serves afterwards",
-        "trace_id": trace_id,
-        "flightrec": { "dumps": dumps, "last_dump": last_dump },
-        "seed": seed,
-        "quick": quick,
-        "wall_seconds": wall_s,
-        "submitted": s.submitted,
-        "admitted": s.admitted,
-        "served": s.served,
-        "answer_rate": if s.submitted == 0 { 1.0 } else { s.served as f64 / s.submitted as f64 },
-        "shed": {
-            "queue_full": s.shed_queue_full,
-            "deadline_expired": s.shed_deadline,
-            "invalid_query": s.shed_invalid,
-            "internal": s.shed_internal,
-        },
-        "rung_hits": rung_json(&s.rung_hits),
-        "rung_failures": rung_json(&s.rung_failures),
-        "breaker": {
-            "trips": s.breaker_trips,
-            "states": s.breaker_states,
-        },
-        "deadline": { "met": s.deadline_met, "missed": s.deadline_missed },
-        "cache": {
-            "generation_before": gen0,
-            "generation_after": cache.generation(),
-            "warm_cache_serves": warm_cache_serves,
-            "post_flush_cache_serves": post_flush_cache_serves,
-            "hits": cs.hits,
-            "stale_hits": cs.stale_hits,
-            "misses": cs.misses,
-            "hit_rate": cs.hit_rate(),
-            "evictions": cs.evictions,
-            "admission_rejects": cs.admission_rejects,
-            "invalidations": cs.invalidations,
-            "invalidated_entries": cs.invalidated_entries,
-            "len": cs.len,
-            "capacity": cs.capacity,
-        },
-        "quality": {
-            "drift_score": q.drift_score,
-            "drift_alerts": q.drift_alerts,
-            "reference_frozen": frozen,
-        },
-        "violations": violations,
-        "pass": violations.is_empty(),
+    let head = Head {
+        name: "cache_drift_invalidation",
+        description:
+            "drift alert flushes the estimate cache; zero pre-drift-generation serves afterwards",
+        seed,
+        quick,
+        wall_seconds: wall_s,
+        submitted: s.submitted,
+        admitted: s.admitted,
+        served: s.served,
+    };
+    scenario_line(head, &evidence, &violations, |o| {
+        frontend_members(o, &s);
+        o.object("cache", |o| {
+            o.field("generation_before", gen0)
+                .field("generation_after", cache.generation())
+                .field("warm_cache_serves", warm_cache_serves)
+                .field("post_flush_cache_serves", post_flush_cache_serves)
+                .field("hits", cs.hits)
+                .field("stale_hits", cs.stale_hits)
+                .field("misses", cs.misses)
+                .field("hit_rate", cs.hit_rate())
+                .field("evictions", cs.evictions)
+                .field("admission_rejects", cs.admission_rejects)
+                .field("invalidations", cs.invalidations)
+                .field("invalidated_entries", cs.invalidated_entries)
+                .field("len", cs.len)
+                .field("capacity", cs.capacity);
+        })
+        .object("quality", |o| {
+            o.field("drift_score", q.drift_score)
+                .field("drift_alerts", q.drift_alerts)
+                .field("reference_frozen", frozen);
+        });
     })
 }
 
@@ -589,16 +660,8 @@ fn net_region(grid: &GridSpec) -> Region {
 /// thread — so each drill trains its own copy (the drill catalog keeps
 /// it tiny). The drill harness's readiness probe absorbs the training
 /// window before any abuse traffic starts.
-fn run_net_drill(
-    spec: &NetScenarioSpec,
-    region: Region,
-    seed: u64,
-    quick: bool,
-) -> serde_json::Value {
-    let root = odt_obs::trace::root_span("chaos.scenario");
-    odt_obs::trace::force_retain_current("chaos_scenario");
-    let trace_id = root.trace_id().map(|t| t.to_hex());
-    let dumps_before = odt_obs::flightrec::dump_count();
+fn run_net_drill(spec: &NetScenarioSpec, region: Region, seed: u64, quick: bool) -> Line {
+    let trace = DrillTrace::start();
 
     let mut spec = spec.clone();
     spec.region = region;
@@ -636,11 +699,7 @@ fn run_net_drill(
         bridge
     });
     let (s, adopted) = stats_rx.recv().map(|h| h.get()).unwrap_or_default();
-    drop(root);
-    let dumps = odt_obs::flightrec::dump_count() - dumps_before;
-    let last_dump = odt_obs::flightrec::last_dump()
-        .filter(|_| dumps > 0)
-        .map(|p| p.display().to_string());
+    let evidence = trace.finish();
     println!(
         "  {:<18} {:>3} ok over TCP  rungs {:?}  conns {}/{}  drain {}  {}",
         outcome.name,
@@ -659,59 +718,37 @@ fn run_net_drill(
             format!("FAIL: {}", outcome.violations.join("; "))
         }
     );
-    let err_replies: serde_json::Map<String, serde_json::Value> = outcome
-        .err_replies
-        .iter()
-        .map(|(k, v)| (k.clone(), json!(v)))
-        .collect();
     let c = &outcome.stats;
-    json!({
-        "schema": "odt-chaos-drill/v2",
-        "kind": "scenario",
-        "name": outcome.name,
-        "description": spec.description,
-        "trace_id": trace_id,
-        "flightrec": { "dumps": dumps, "last_dump": last_dump },
-        "seed": seed,
-        "quick": quick,
-        "wall_seconds": outcome.wall_s,
-        "submitted": s.submitted,
-        "admitted": s.admitted,
-        "served": s.served,
-        "answer_rate": if s.submitted == 0 { 1.0 } else { s.served as f64 / s.submitted as f64 },
-        "shed": {
-            "queue_full": s.shed_queue_full,
-            "deadline_expired": s.shed_deadline,
-            "invalid_query": s.shed_invalid,
-            "internal": s.shed_internal,
-        },
-        "rung_hits": rung_json(&s.rung_hits),
-        "rung_failures": rung_json(&s.rung_failures),
-        "breaker": {
-            "trips": s.breaker_trips,
-            "states": s.breaker_states,
-        },
-        "deadline": { "met": s.deadline_met, "missed": s.deadline_missed },
-        "net": {
-            "ok_replies": outcome.ok_replies,
-            "err_replies": err_replies,
-            "conns": {
-                "opened": c.opened,
-                "closed": c.closed,
-                "active": c.active,
-                "rejected_capacity": c.rejected_capacity,
-                "rejected_draining": c.rejected_draining,
-                "timeouts_frame": c.timeouts_frame,
-                "timeouts_idle": c.timeouts_idle,
-                "backpressure_stalls": c.backpressure_stalls,
-                "forced_closes": c.forced_closes,
-            },
-            "drain_clean": outcome.drain_clean,
-            "forced_conns": outcome.forced_conns,
-            "adopted_traces": adopted,
-        },
-        "violations": outcome.violations,
-        "pass": outcome.pass,
+    let head = Head {
+        name: outcome.name,
+        description: spec.description,
+        seed,
+        quick,
+        wall_seconds: outcome.wall_s,
+        submitted: s.submitted,
+        admitted: s.admitted,
+        served: s.served,
+    };
+    scenario_line(head, &evidence, &outcome.violations, |o| {
+        frontend_members(o, &s);
+        o.object("net", |o| {
+            o.field("ok_replies", outcome.ok_replies);
+            err_replies_member(o, &outcome.err_replies);
+            o.object("conns", |o| {
+                o.field("opened", c.opened)
+                    .field("closed", c.closed)
+                    .field("active", c.active)
+                    .field("rejected_capacity", c.rejected_capacity)
+                    .field("rejected_draining", c.rejected_draining)
+                    .field("timeouts_frame", c.timeouts_frame)
+                    .field("timeouts_idle", c.timeouts_idle)
+                    .field("backpressure_stalls", c.backpressure_stalls)
+                    .field("forced_closes", c.forced_closes);
+            })
+            .field("drain_clean", outcome.drain_clean)
+            .field("forced_conns", outcome.forced_conns)
+            .field("adopted_traces", adopted);
+        });
     })
 }
 
@@ -719,31 +756,19 @@ fn run_net_drill(
 /// report line. The drill itself boots, faults, and tears down a real
 /// loopback cluster; this wrapper only adds the trace root and shapes
 /// the outcome into the drill schema.
-fn run_cluster_drill(name: &str, seed: u64, quick: bool) -> serde_json::Value {
-    let root = odt_obs::trace::root_span("chaos.scenario");
-    odt_obs::trace::force_retain_current("chaos_scenario");
-    let trace_id = root.trace_id().map(|t| t.to_hex());
-    let dumps_before = odt_obs::flightrec::dump_count();
+fn run_cluster_drill(name: &str, seed: u64, quick: bool) -> Line {
+    let trace = DrillTrace::start();
 
     let o: ClusterDrillOutcome = match name {
         "cluster_replica_kill" => run_cluster_replica_kill(),
         "cluster_trace_loss" => run_cluster_trace_loss(),
         _ => run_cluster_router_partition(),
     };
-    drop(root);
-    let dumps = odt_obs::flightrec::dump_count() - dumps_before;
-    let last_dump = odt_obs::flightrec::last_dump()
-        .filter(|_| dumps > 0)
-        .map(|p| p.display().to_string());
+    let evidence = trace.finish();
 
     let answered = o.replica_replies + o.prior_replies;
     let errs: u64 = o.err_replies.iter().map(|(_, n)| n).sum();
     let submitted = answered + errs + o.lost;
-    let err_replies: serde_json::Map<String, serde_json::Value> = o
-        .err_replies
-        .iter()
-        .map(|(k, v)| (k.clone(), json!(v)))
-        .collect();
     println!(
         "  {:<18} {:>3} replica + {} prior replies ({} lost)  failovers {}  quorum_end {}  {}",
         o.name,
@@ -758,38 +783,33 @@ fn run_cluster_drill(name: &str, seed: u64, quick: bool) -> serde_json::Value {
             format!("FAIL: {}", o.violations.join("; "))
         }
     );
-    json!({
-        "schema": "odt-chaos-drill/v2",
-        "kind": "scenario",
-        "name": o.name,
-        "description": o.description,
-        "trace_id": trace_id,
-        "flightrec": { "dumps": dumps, "last_dump": last_dump },
-        "seed": seed,
-        "quick": quick,
-        "wall_seconds": o.wall_s,
-        "submitted": submitted,
-        "admitted": submitted,
-        "served": answered,
-        "answer_rate": if submitted == 0 { 1.0 } else { answered as f64 / submitted as f64 },
-        "cluster": {
-            "replica_replies": o.replica_replies,
-            "prior_replies": o.prior_replies,
-            "err_replies": err_replies,
-            "lost": o.lost,
-            "failovers": o.failovers,
-            "prior_serves": o.prior_serves,
-            "quorum_ready_end": o.quorum_ready_end,
-            "router_conns": {
-                "opened": o.router_stats.opened,
-                "closed": o.router_stats.closed,
-                "active": o.router_stats.active,
-                "forced_closes": o.router_stats.forced_closes,
-            },
-            "drain_clean": o.drain_clean,
-        },
-        "violations": o.violations,
-        "pass": o.pass,
+    let head = Head {
+        name: o.name,
+        description: o.description,
+        seed,
+        quick,
+        wall_seconds: o.wall_s,
+        submitted,
+        admitted: submitted,
+        served: answered,
+    };
+    scenario_line(head, &evidence, &o.violations, |line| {
+        line.object("cluster", |c| {
+            c.field("replica_replies", o.replica_replies)
+                .field("prior_replies", o.prior_replies);
+            err_replies_member(c, &o.err_replies);
+            c.field("lost", o.lost)
+                .field("failovers", o.failovers)
+                .field("prior_serves", o.prior_serves)
+                .field("quorum_ready_end", o.quorum_ready_end)
+                .object("router_conns", |r| {
+                    r.field("opened", o.router_stats.opened)
+                        .field("closed", o.router_stats.closed)
+                        .field("active", o.router_stats.active)
+                        .field("forced_closes", o.router_stats.forced_closes);
+                })
+                .field("drain_clean", o.drain_clean);
+        });
     })
 }
 
@@ -837,16 +857,8 @@ fn drive_swap(
 /// and a drift-failing candidate must each be refused with their typed
 /// code while waves keep serving; a good candidate must then promote —
 /// all with zero interrupted requests.
-fn run_corrupt_swap_drill(
-    model: &Dot,
-    data: &Dataset,
-    seed: u64,
-    quick: bool,
-) -> serde_json::Value {
-    let root = odt_obs::trace::root_span("chaos.scenario");
-    odt_obs::trace::force_retain_current("chaos_scenario");
-    let trace_id = root.trace_id().map(|t| t.to_hex());
-    let dumps_before = odt_obs::flightrec::dump_count();
+fn run_corrupt_swap_drill(model: &Dot, data: &Dataset, seed: u64, quick: bool) -> Line {
+    let trace = DrillTrace::start();
 
     let dir = std::env::temp_dir().join(format!("odt_swap_drill_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -1003,11 +1015,7 @@ fn run_corrupt_swap_drill(
     let wall_s = t0.elapsed().as_secs_f64();
     let stats = ctrl.stats();
     let s = fe.snapshot();
-    drop(root);
-    let dumps = odt_obs::flightrec::dump_count() - dumps_before;
-    let last_dump = odt_obs::flightrec::last_dump()
-        .filter(|_| dumps > 0)
-        .map(|p| p.display().to_string());
+    let evidence = trace.finish();
     let _ = std::fs::remove_dir_all(&dir);
 
     println!(
@@ -1019,35 +1027,30 @@ fn run_corrupt_swap_drill(
             format!("FAIL: {}", violations.join("; "))
         }
     );
-    json!({
-        "schema": "odt-chaos-drill/v2",
-        "kind": "scenario",
-        "name": "cluster_corrupt_swap",
-        "description": "corrupt, misshapen and drift-failing swap candidates are refused with typed codes; a good one promotes; serving never interrupted",
-        "trace_id": trace_id,
-        "flightrec": { "dumps": dumps, "last_dump": last_dump },
-        "seed": seed,
-        "quick": quick,
-        "wall_seconds": wall_s,
-        "submitted": s.submitted,
-        "admitted": s.admitted,
-        "served": s.served,
-        "answer_rate": if s.submitted == 0 { 1.0 } else { s.served as f64 / s.submitted as f64 },
-        "swap": {
-            "corrupt_code": corrupt_code,
-            "shape_code": shape_code,
-            "drift_code": drift_code,
-            "promote_code": promote_code,
-            "busy_refused": busy_refused,
-            "requested": stats.requested,
-            "promoted": stats.promoted,
-            "rejected": stats.rejected,
-            "serving_version": slot.version(),
-            "serving_swaps": slot.swaps(),
-            "interruptions": interruptions,
-        },
-        "violations": violations,
-        "pass": violations.is_empty(),
+    let head = Head {
+        name: "cluster_corrupt_swap",
+        description: "corrupt, misshapen and drift-failing swap candidates are refused with typed codes; a good one promotes; serving never interrupted",
+        seed,
+        quick,
+        wall_seconds: wall_s,
+        submitted: s.submitted,
+        admitted: s.admitted,
+        served: s.served,
+    };
+    scenario_line(head, &evidence, &violations, |o| {
+        o.object("swap", |o| {
+            o.field("corrupt_code", &corrupt_code)
+                .field("shape_code", &shape_code)
+                .field("drift_code", &drift_code)
+                .field("promote_code", &promote_code)
+                .field("busy_refused", busy_refused)
+                .field("requested", stats.requested)
+                .field("promoted", stats.promoted)
+                .field("rejected", stats.rejected)
+                .field("serving_version", slot.version())
+                .field("serving_swaps", slot.swaps())
+                .field("interruptions", interruptions);
+        });
     })
 }
 
@@ -1130,8 +1133,7 @@ fn main() {
     let data = drill_dataset();
     let region = net_region(&data.grid);
 
-    let mut lines = Vec::new();
-    let mut failed = 0usize;
+    let mut lines: Vec<Line> = Vec::new();
     if !selected.is_empty() || run_quality || run_cache || run_swap {
         let t0 = Instant::now();
         let model = drill_model(&data);
@@ -1141,69 +1143,36 @@ fn main() {
             .iter()
             .map(OdtInput::from_trajectory)
             .collect();
-        for spec in &selected {
-            let line = run_scenario(spec, &model, &queries, quick);
-            if line["pass"] != json!(true) {
-                failed += 1;
-            }
-            lines.push(line);
-        }
+        lines.extend(
+            selected
+                .iter()
+                .map(|spec| run_scenario(spec, &model, &queries, quick)),
+        );
         if run_quality {
-            let line = run_quality_drill(&model, &data, seed, quick);
-            if line["pass"] != json!(true) {
-                failed += 1;
-            }
-            lines.push(line);
+            lines.push(run_quality_drill(&model, &data, seed, quick));
         }
         if run_cache {
-            let line = run_cache_drift_drill(&model, &data, seed, quick);
-            if line["pass"] != json!(true) {
-                failed += 1;
-            }
-            lines.push(line);
+            lines.push(run_cache_drift_drill(&model, &data, seed, quick));
         }
         if run_swap {
-            let line = run_corrupt_swap_drill(&model, &data, seed, quick);
-            if line["pass"] != json!(true) {
-                failed += 1;
-            }
-            lines.push(line);
+            lines.push(run_corrupt_swap_drill(&model, &data, seed, quick));
         }
     }
     for spec in &net_selected {
-        let line = run_net_drill(spec, region, seed, quick);
-        if line["pass"] != json!(true) {
-            failed += 1;
-        }
-        lines.push(line);
+        lines.push(run_net_drill(spec, region, seed, quick));
     }
     for name in &cluster_selected {
-        let line = run_cluster_drill(name, seed, quick);
-        if line["pass"] != json!(true) {
-            failed += 1;
-        }
-        lines.push(line);
+        lines.push(run_cluster_drill(name, seed, quick));
     }
-    let (finished, _, _) = odt_obs::trace::trace_stats();
-    lines.push(json!({
-        "schema": "odt-chaos-drill/v2",
-        "kind": "summary",
-        "seed": seed,
-        "quick": quick,
-        "scenarios": total,
-        "passed": total - failed,
-        "failed": failed,
-        "traces_finished": finished,
-        "traces_retained": odt_obs::trace::retained_count(),
-        "flightrec_dumps": odt_obs::flightrec::dump_count(),
-        "pass": failed == 0,
-    }));
+    let failed = lines.iter().filter(|line| !line.pass).count();
 
     let mut out = String::new();
     for line in &lines {
-        out.push_str(&line.to_string());
+        out.push_str(&line.json);
         out.push('\n');
     }
+    out.push_str(&summary_line(seed, quick, total, failed));
+    out.push('\n');
     let mut f = std::fs::File::create(&report_path)
         .unwrap_or_else(|e| panic!("creating {report_path}: {e}"));
     f.write_all(out.as_bytes())
@@ -1213,5 +1182,171 @@ fn main() {
     if failed > 0 {
         eprintln!("{failed} scenario(s) failed their resilience expectations");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use odt_obs::json::JsonValue;
+
+    fn keys(v: &JsonValue) -> Vec<&str> {
+        match v {
+            JsonValue::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    /// The keys and value types `chaos-smoke` reads from a scenario line and
+    /// from the summary line.
+    #[test]
+    fn report_keys_and_types_are_pinned() {
+        let snapshot = FrontendSnapshot {
+            submitted: 10,
+            admitted: 9,
+            served: 8,
+            breaker_states: ["closed"; MODEL_RUNGS],
+            ..FrontendSnapshot::default()
+        };
+        let head = Head {
+            name: "nan_storm",
+            description: "d",
+            seed: 7,
+            quick: true,
+            wall_seconds: 0.25,
+            submitted: snapshot.submitted,
+            admitted: snapshot.admitted,
+            served: snapshot.served,
+        };
+        let evidence = Evidence {
+            trace_id: Some("00ab".into()),
+            dumps: 1,
+            last_dump: Some("CHAOS_flightrec/dump.jsonl".into()),
+        };
+        let quality = odt_obs::QualitySnapshot {
+            drift_alerts: 2,
+            slo: Some(odt_obs::slo::BurnRateSnapshot {
+                alerts: 3,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let line = scenario_line(head, &evidence, &["late".to_string()], |o| {
+            frontend_members(o, &snapshot);
+            quality_member(o, &quality, true);
+        });
+        assert!(!line.pass, "a violation fails the line");
+        let doc = JsonValue::parse(&line.json).unwrap();
+        assert_eq!(
+            keys(&doc),
+            [
+                "schema",
+                "kind",
+                "name",
+                "description",
+                "trace_id",
+                "flightrec",
+                "seed",
+                "quick",
+                "wall_seconds",
+                "submitted",
+                "admitted",
+                "served",
+                "answer_rate",
+                "shed",
+                "rung_hits",
+                "rung_failures",
+                "breaker",
+                "deadline",
+                "quality",
+                "violations",
+                "pass"
+            ]
+        );
+        let at = |path: &[&str]| path.iter().fold(&doc, |v, key| v.get(key).expect(key));
+        assert_eq!(at(&["schema"]).as_str(), Some("odt-chaos-drill/v2"));
+        assert_eq!(at(&["kind"]).as_str(), Some("scenario"));
+        assert_eq!(at(&["name"]).as_str(), Some("nan_storm"));
+        assert_eq!(at(&["trace_id"]).as_str(), Some("00ab"));
+        assert_eq!(at(&["flightrec", "dumps"]).as_u64(), Some(1));
+        assert!(at(&["flightrec", "last_dump"]).as_str().is_some());
+        assert_eq!(at(&["answer_rate"]).as_f64(), Some(0.8));
+        assert_eq!(
+            keys(at(&["rung_hits"])),
+            [
+                "cached",
+                "full_ddpm",
+                "ddim",
+                "ddim_reduced",
+                "cached_stale",
+                "fallback"
+            ]
+        );
+        assert_eq!(at(&["rung_hits", "full_ddpm"]).as_u64(), Some(0));
+        assert_eq!(
+            at(&["breaker", "trips"]).as_arr().unwrap().len(),
+            MODEL_RUNGS
+        );
+        assert_eq!(
+            at(&["breaker", "states"]).as_arr().unwrap()[0].as_str(),
+            Some("closed")
+        );
+        assert_eq!(at(&["quality", "reference_frozen"]).as_bool(), Some(true));
+        assert_eq!(at(&["quality", "drift_alerts"]).as_u64(), Some(2));
+        assert_eq!(at(&["quality", "slo_alerts"]).as_u64(), Some(3));
+        assert_eq!(
+            at(&["violations"]).as_arr().unwrap()[0].as_str(),
+            Some("late")
+        );
+        assert_eq!(at(&["pass"]).as_bool(), Some(false));
+
+        // Tracing off and no dump: both are `null`, which the gates test for.
+        let untraced = Evidence {
+            trace_id: None,
+            dumps: 0,
+            last_dump: None,
+        };
+        let head = Head {
+            name: "n",
+            description: "d",
+            seed: 7,
+            quick: true,
+            wall_seconds: 0.0,
+            submitted: 0,
+            admitted: 0,
+            served: 0,
+        };
+        let line = scenario_line(head, &untraced, &[], |_| {});
+        assert!(line.pass);
+        let doc = JsonValue::parse(&line.json).unwrap();
+        assert_eq!(doc.get("trace_id"), Some(&JsonValue::Null));
+        assert_eq!(
+            doc.get("flightrec").unwrap().get("last_dump"),
+            Some(&JsonValue::Null)
+        );
+        assert_eq!(doc.get("answer_rate").unwrap().as_f64(), Some(1.0));
+
+        let doc = JsonValue::parse(&summary_line(7, true, 12, 1)).unwrap();
+        assert_eq!(
+            keys(&doc),
+            [
+                "schema",
+                "kind",
+                "seed",
+                "quick",
+                "scenarios",
+                "passed",
+                "failed",
+                "traces_finished",
+                "traces_retained",
+                "flightrec_dumps",
+                "pass"
+            ]
+        );
+        assert_eq!(doc.get("kind").unwrap().as_str(), Some("summary"));
+        assert_eq!(doc.get("passed").unwrap().as_u64(), Some(11));
+        assert_eq!(doc.get("failed").unwrap().as_u64(), Some(1));
+        assert!(doc.get("traces_retained").unwrap().as_u64().is_some());
+        assert_eq!(doc.get("pass").unwrap().as_bool(), Some(false));
     }
 }

@@ -10,13 +10,13 @@
 //! ```
 //!
 //! * `--source`   — one `/tracez` payload per flag: an admin address
-//!                  (`host:port`, fetched live over HTTP) or a path to a
-//!                  saved payload. Give the router AND every replica —
-//!                  stitching needs both sides of each wire hop.
+//!   (`host:port`, fetched live over HTTP) or a path to a
+//!   saved payload. Give the router AND every replica —
+//!   stitching needs both sides of each wire hop.
 //! * `--out`      — write the aggregate as `odt-cluster-report/v1` JSON.
 //! * `--perfetto` — also export a Chrome-trace/Perfetto JSON where each
-//!                  process is its own track (`pid` = source, `tid`
-//!                  preserved), one stitched trace after another.
+//!   process is its own track (`pid` = source, `tid`
+//!   preserved), one stitched trace after another.
 //!
 //! Stitching: every process tags its `/tracez` fragments with the
 //! process-local span ordinals plus `parent_span` — the *caller's* span
@@ -30,7 +30,7 @@
 //! timeline is rebased to start at its caller span's start; the skew
 //! (wire + framing time) is exactly the hop span's self time.
 
-use serde_json::{json, Value};
+use odt_obs::json::{self, JsonValue, Obj};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -146,41 +146,46 @@ fn fetch_source(spec: &str, timeout: Duration) -> String {
 
 /// Parse one `/tracez` payload into its instance name and fragments.
 fn parse_payload(source: usize, body: &str) -> (String, Vec<Fragment>) {
-    let v: Value =
-        serde_json::from_str(body).unwrap_or_else(|e| panic!("source {source}: bad JSON: {e}"));
+    fn text(v: &JsonValue, key: &str, default: &str) -> String {
+        let found = v.get(key).and_then(JsonValue::as_str);
+        found.unwrap_or(default).to_string()
+    }
+    fn count(v: &JsonValue, key: &str) -> Option<u64> {
+        v.get(key).and_then(JsonValue::as_u64)
+    }
+    fn items<'a>(v: &'a JsonValue, key: &str) -> &'a [JsonValue] {
+        v.get(key).and_then(JsonValue::as_arr).unwrap_or_default()
+    }
+    let v = JsonValue::parse(body).unwrap_or_else(|e| panic!("source {source}: bad JSON: {e}"));
     assert_eq!(
-        v["schema"].as_str(),
-        Some("odt-tracez/v1"),
+        text(&v, "schema", "?"),
+        "odt-tracez/v1",
         "source {source}: not an odt-tracez/v1 payload"
     );
-    let instance = v["instance"].as_str().unwrap_or("?").to_string();
-    let mut frags = Vec::new();
-    for t in v["traces"].as_array().map(Vec::as_slice).unwrap_or(&[]) {
-        frags.push(Fragment {
+    let frags = items(&v, "traces")
+        .iter()
+        .map(|t| Fragment {
             source,
-            trace_id: t["trace_id"].as_str().unwrap_or("0").to_string(),
-            root: t["root"].as_str().unwrap_or("?").to_string(),
-            parent_span: t["parent_span"].as_u64().unwrap_or(0),
-            request_id: t["request_id"].as_u64(),
-            start_us: t["start_us"].as_u64().unwrap_or(0),
-            dur_us: t["dur_us"].as_u64().unwrap_or(0),
-            spans: t["spans"]
-                .as_array()
-                .map(Vec::as_slice)
-                .unwrap_or(&[])
+            trace_id: text(t, "trace_id", "0"),
+            root: text(t, "root", "?"),
+            parent_span: count(t, "parent_span").unwrap_or(0),
+            request_id: count(t, "request_id"),
+            start_us: count(t, "start_us").unwrap_or(0),
+            dur_us: count(t, "dur_us").unwrap_or(0),
+            spans: items(t, "spans")
                 .iter()
                 .map(|s| Span {
-                    span_id: s["span_id"].as_u64().unwrap_or(0),
-                    parent_id: s["parent_id"].as_u64().unwrap_or(0),
-                    name: s["name"].as_str().unwrap_or("?").to_string(),
-                    start_us: s["start_us"].as_u64().unwrap_or(0),
-                    dur_us: s["dur_us"].as_u64().unwrap_or(0),
-                    tid: s["tid"].as_u64().unwrap_or(0),
+                    span_id: count(s, "span_id").unwrap_or(0),
+                    parent_id: count(s, "parent_id").unwrap_or(0),
+                    name: text(s, "name", "?"),
+                    start_us: count(s, "start_us").unwrap_or(0),
+                    dur_us: count(s, "dur_us").unwrap_or(0),
+                    tid: count(s, "tid").unwrap_or(0),
                 })
                 .collect(),
-        });
-    }
-    (instance, frags)
+        })
+        .collect();
+    (text(&v, "instance", "?"), frags)
 }
 
 /// Stitch one trace id's fragments into a single globally-id'd tree.
@@ -302,60 +307,33 @@ struct Agg {
     self_us: u64,
 }
 
-fn main() {
-    let sources = arg_values("--source");
-    if sources.is_empty() {
-        eprintln!(
-            "usage: cluster_report --source <admin_addr|tracez.json> [--source ...] \
-             [--out <path>] [--perfetto <path>] [--timeout-ms <ms>]"
-        );
-        std::process::exit(2);
-    }
-    let timeout = Duration::from_millis(
-        arg_value("--timeout-ms")
-            .map(|v| v.parse().expect("--timeout-ms must be an integer"))
-            .unwrap_or(2_000),
-    );
-
-    // Pull every payload, then bucket fragments by trace id.
-    let mut instances: Vec<String> = Vec::new();
+/// Every source's fragments, stitched per trace id (in trace-id order).
+fn stitch_all(frags: Vec<Fragment>) -> Vec<Stitched> {
     let mut by_trace: BTreeMap<String, Vec<Fragment>> = BTreeMap::new();
-    let mut fragments_total = 0usize;
-    for (i, spec) in sources.iter().enumerate() {
-        let body = fetch_source(spec, timeout);
-        let (instance, frags) = parse_payload(i, &body);
-        println!(
-            "source {instance} ({spec}): {} trace fragment(s)",
-            frags.len()
-        );
-        instances.push(instance);
-        fragments_total += frags.len();
-        for f in frags {
-            by_trace.entry(f.trace_id.clone()).or_default().push(f);
-        }
+    for f in frags {
+        by_trace.entry(f.trace_id.clone()).or_default().push(f);
     }
-
-    let stitched: Vec<Stitched> = by_trace
+    by_trace
         .into_iter()
         .map(|(id, frags)| stitch(&id, frags))
-        .collect();
-    let cross: Vec<&Stitched> = stitched.iter().filter(|t| t.sources.len() >= 2).collect();
-    let orphans: usize = stitched.iter().map(|t| t.orphan_fragments).sum();
-    println!(
-        "{} fragment(s) → {} stitched trace(s), {} cross-process, {} orphan fragment(s)",
-        fragments_total,
-        stitched.len(),
-        cross.len(),
-        orphans
-    );
+        .collect()
+}
 
-    // Stage rollup over the *stitched* trees: self time recomputed with
-    // cross-process children subtracted, so the `wire` stage's self time
-    // is the hop minus the shard's whole fragment — network + framing.
+/// The stage and span rollups over the stitched trees.
+struct Rollup {
+    root_total_us: u64,
+    by_stage: BTreeMap<&'static str, Agg>,
+    by_name: BTreeMap<String, Agg>,
+}
+
+/// Self time is recomputed with cross-process children subtracted, so the
+/// `wire` stage's self time is the hop minus the shard's whole fragment —
+/// network + framing.
+fn rollup(stitched: &[Stitched]) -> Rollup {
     let mut by_stage: BTreeMap<&'static str, Agg> = BTreeMap::new();
     let mut by_name: BTreeMap<String, Agg> = BTreeMap::new();
     let mut root_total_us = 0u64;
-    for t in &stitched {
+    for t in stitched {
         root_total_us += t.dur_us;
         let mut child_sum: BTreeMap<u64, u64> = BTreeMap::new();
         for s in &t.spans {
@@ -375,16 +353,173 @@ fn main() {
             }
         }
     }
+    Rollup {
+        root_total_us,
+        by_stage,
+        by_name,
+    }
+}
 
+/// The `--out` document, schema `odt-cluster-report/v1`.
+fn report_json(
+    instances: &[String],
+    fragments: usize,
+    stitched: &[Stitched],
+    rollup: &Rollup,
+) -> String {
+    fn aggs<'a>(o: &mut Obj<'_, String>, rows: impl Iterator<Item = (&'a str, &'a Agg)>) {
+        for (name, a) in rows {
+            o.object(name, |o| {
+                o.field("count", a.count)
+                    .field("total_us", a.total_us)
+                    .field("self_us", a.self_us);
+            });
+        }
+    }
+    let cross = stitched.iter().filter(|t| t.sources.len() >= 2).count();
+    let orphans: usize = stitched.iter().map(|t| t.orphan_fragments).sum();
+    json::object_string(|o| {
+        o.field("schema", "odt-cluster-report/v1")
+            .field("sources", instances)
+            .field("fragments", fragments)
+            .field("stitched", stitched.len())
+            .field("cross_process", cross)
+            .field("orphan_fragments", orphans)
+            .field(
+                "mean_root_us",
+                rollup.root_total_us as f64 / stitched.len().max(1) as f64,
+            )
+            .object("stages", |o| {
+                aggs(o, rollup.by_stage.iter().map(|(k, a)| (*k, a)))
+            })
+            .object("spans", |o| {
+                aggs(o, rollup.by_name.iter().map(|(k, a)| (k.as_str(), a)))
+            })
+            .array("traces", |a| {
+                for t in stitched {
+                    let mut stages: BTreeMap<&'static str, u64> = BTreeMap::new();
+                    for s in &t.spans {
+                        *stages.entry(stage_of(&s.name)).or_default() += s.dur_us;
+                    }
+                    let hops = t.spans.iter().filter(|s| s.name == "router.downstream");
+                    a.object(|o| {
+                        o.field("trace_id", &t.trace_id)
+                            .field("root", &t.root_name)
+                            .field("request_id", t.request_id)
+                            .field("dur_us", t.dur_us)
+                            .array("processes", |a| {
+                                for &s in &t.sources {
+                                    a.item(&instances[s]);
+                                }
+                            })
+                            .field("spans", t.spans.len())
+                            .field("downstream_hops", hops.count())
+                            .object("stages", |o| {
+                                for (stage, us) in &stages {
+                                    o.field(stage, *us);
+                                }
+                            })
+                            .field("orphan_fragments", t.orphan_fragments);
+                    });
+                }
+            });
+    })
+}
+
+/// The `--perfetto` document and its event count: Chrome-trace JSON, one
+/// pid per source process (named tracks), stitched traces laid out one
+/// after another with a visual gap.
+fn perfetto_json(instances: &[String], stitched: &[Stitched]) -> (String, usize) {
+    let mut events = 0usize;
+    let doc = json::object_string(|o| {
+        o.array("traceEvents", |a| {
+            for (pid, name) in instances.iter().enumerate() {
+                a.object(|o| {
+                    o.field("name", "process_name")
+                        .field("ph", "M")
+                        .field("pid", pid)
+                        .field("tid", 0u8)
+                        .object("args", |o| {
+                            o.field("name", name);
+                        });
+                });
+            }
+            let mut cursor = 0u64;
+            for t in stitched {
+                for s in &t.spans {
+                    a.object(|o| {
+                        o.field("name", &s.name)
+                            .field("cat", stage_of(&s.name))
+                            .field("ph", "X")
+                            .field("ts", cursor + s.ts_us)
+                            .field("dur", s.dur_us.max(1))
+                            .field("pid", s.source)
+                            .field("tid", s.tid)
+                            .object("args", |o| {
+                                o.field("trace_id", &t.trace_id)
+                                    .field("span_id", s.id)
+                                    .field("parent", s.parent);
+                            });
+                    });
+                }
+                let end = t.spans.iter().map(|s| s.ts_us + s.dur_us).max();
+                cursor += end.unwrap_or(0) + 1_000;
+                events += t.spans.len();
+            }
+        })
+        .field("displayTimeUnit", "ms");
+    });
+    (doc, instances.len() + events)
+}
+
+fn main() {
+    let sources = arg_values("--source");
+    if sources.is_empty() {
+        eprintln!(
+            "usage: cluster_report --source <admin_addr|tracez.json> [--source ...] \
+             [--out <path>] [--perfetto <path>] [--timeout-ms <ms>]"
+        );
+        std::process::exit(2);
+    }
+    let timeout = Duration::from_millis(
+        arg_value("--timeout-ms")
+            .map(|v| v.parse().expect("--timeout-ms must be an integer"))
+            .unwrap_or(2_000),
+    );
+
+    // Pull every payload, then stitch fragments by trace id.
+    let mut instances: Vec<String> = Vec::new();
+    let mut fragments: Vec<Fragment> = Vec::new();
+    for (i, spec) in sources.iter().enumerate() {
+        let body = fetch_source(spec, timeout);
+        let (instance, frags) = parse_payload(i, &body);
+        println!(
+            "source {instance} ({spec}): {} trace fragment(s)",
+            frags.len()
+        );
+        instances.push(instance);
+        fragments.extend(frags);
+    }
+    let fragments_total = fragments.len();
+    let stitched = stitch_all(fragments);
+    println!(
+        "{} fragment(s) → {} stitched trace(s), {} cross-process, {} orphan fragment(s)",
+        fragments_total,
+        stitched.len(),
+        stitched.iter().filter(|t| t.sources.len() >= 2).count(),
+        stitched.iter().map(|t| t.orphan_fragments).sum::<usize>()
+    );
+
+    let rollup = rollup(&stitched);
     let ms = |us: u64| us as f64 / 1_000.0;
-    let denom = root_total_us.max(1) as f64;
+    let denom = rollup.root_total_us.max(1) as f64;
     println!("\ncritical path by stage (self time, pipeline order):");
     println!(
         "  {:<14} {:>8} {:>12} {:>12} {:>7}",
         "stage", "spans", "total ms", "self ms", "self %"
     );
     for stage in STAGE_ORDER {
-        if let Some(a) = by_stage.get(stage) {
+        if let Some(a) = rollup.by_stage.get(stage) {
             println!(
                 "  {:<14} {:>8} {:>12.3} {:>12.3} {:>6.1}%",
                 stage,
@@ -396,97 +531,136 @@ fn main() {
         }
     }
 
-    let agg_json = |m: &BTreeMap<String, Agg>| -> Value {
-        Value::Object(
-            m.iter()
-                .map(|(k, a)| {
-                    (
-                        k.clone(),
-                        json!({"count": a.count, "total_us": a.total_us, "self_us": a.self_us}),
-                    )
-                })
-                .collect(),
-        )
-    };
-    let trace_rows: Vec<Value> = stitched
-        .iter()
-        .map(|t| {
-            let mut stages: BTreeMap<&'static str, u64> = BTreeMap::new();
-            for s in &t.spans {
-                *stages.entry(stage_of(&s.name)).or_default() += s.dur_us;
-            }
-            json!({
-                "trace_id": t.trace_id,
-                "root": t.root_name,
-                "request_id": t.request_id,
-                "dur_us": t.dur_us,
-                "processes": t.sources.iter().map(|&s| instances[s].clone()).collect::<Vec<_>>(),
-                "spans": t.spans.len(),
-                "downstream_hops": t.spans.iter().filter(|s| s.name == "router.downstream").count(),
-                "stages": stages,
-                "orphan_fragments": t.orphan_fragments,
-            })
-        })
-        .collect();
-
     if let Some(out) = arg_value("--out") {
-        let stages: BTreeMap<String, Agg> = by_stage
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect();
-        let report = json!({
-            "schema": "odt-cluster-report/v1",
-            "sources": instances,
-            "fragments": fragments_total,
-            "stitched": stitched.len(),
-            "cross_process": cross.len(),
-            "orphan_fragments": orphans,
-            "mean_root_us": root_total_us as f64 / stitched.len().max(1) as f64,
-            "stages": agg_json(&stages),
-            "spans": agg_json(&by_name),
-            "traces": trace_rows,
-        });
-        std::fs::write(&out, format!("{report:#}\n"))
-            .unwrap_or_else(|e| panic!("writing {out}: {e}"));
+        let report = report_json(&instances, fragments_total, &stitched, &rollup);
+        std::fs::write(&out, report + "\n").unwrap_or_else(|e| panic!("writing {out}: {e}"));
         println!("\nwrote {out}");
     }
 
     if let Some(path) = arg_value("--perfetto") {
-        // Chrome-trace JSON: one pid per source process (named tracks),
-        // stitched traces laid out one after another with a visual gap.
-        let mut events: Vec<Value> = instances
-            .iter()
-            .enumerate()
-            .map(|(pid, name)| {
-                json!({"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                       "args": {"name": name}})
-            })
-            .collect();
-        let mut cursor = 0u64;
-        for t in &stitched {
-            for s in &t.spans {
-                events.push(json!({
-                    "name": s.name, "cat": stage_of(&s.name), "ph": "X",
-                    "ts": cursor + s.ts_us, "dur": s.dur_us.max(1),
-                    "pid": s.source, "tid": s.tid,
-                    "args": {"trace_id": t.trace_id, "span_id": s.id, "parent": s.parent},
-                }));
-            }
-            let end = t
-                .spans
-                .iter()
-                .map(|s| s.ts_us + s.dur_us)
-                .max()
-                .unwrap_or(0);
-            cursor += end + 1_000;
-        }
-        let doc = json!({"traceEvents": events, "displayTimeUnit": "ms"});
-        std::fs::write(&path, format!("{doc}\n")).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path} ({} events)", events.len());
+        let (doc, events) = perfetto_json(&instances, &stitched);
+        std::fs::write(&path, doc + "\n").unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        println!("wrote {path} ({events} events)");
     }
 
     if stitched.is_empty() {
         eprintln!("no traces in any source — is trace retention on (ODT_TRACE=1)?");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn keys(v: &JsonValue) -> Vec<&str> {
+        match v {
+            JsonValue::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    /// A routed request seen by the router and by one shard: the keys and
+    /// value types `fed-smoke` reads from both documents.
+    #[test]
+    fn report_keys_and_types_are_pinned() {
+        let router = r#"{"schema":"odt-tracez/v1","instance":"router","retained":1,"traces":[
+            {"trace_id":"00ab","root":"router.request","parent_span":0,"request_id":9,
+             "start_us":100,"dur_us":1000,"spans":[
+               {"span_id":1,"parent_id":0,"name":"router.request","start_us":100,"dur_us":1000,"tid":1},
+               {"span_id":2,"parent_id":1,"name":"router.downstream","start_us":150,"dur_us":800,"tid":1}]}]}"#;
+        let shard = r#"{"schema":"odt-tracez/v1","instance":"s11","retained":1,"traces":[
+            {"trace_id":"00ab","root":"serve.request","parent_span":2,"request_id":null,
+             "start_us":5000,"dur_us":700,"spans":[
+               {"span_id":1,"parent_id":0,"name":"serve.request","start_us":5000,"dur_us":700,"tid":4},
+               {"span_id":2,"parent_id":1,"name":"oracle.estimator","start_us":5100,"dur_us":300,"tid":4}]}]}"#;
+        let mut instances = Vec::new();
+        let mut fragments = Vec::new();
+        for (i, body) in [router, shard].iter().enumerate() {
+            let (instance, frags) = parse_payload(i, body);
+            instances.push(instance);
+            fragments.extend(frags);
+        }
+        let stitched = stitch_all(fragments);
+        let text = report_json(&instances, 2, &stitched, &rollup(&stitched));
+        let doc = JsonValue::parse(&text).unwrap();
+        assert_eq!(
+            keys(&doc),
+            [
+                "schema",
+                "sources",
+                "fragments",
+                "stitched",
+                "cross_process",
+                "orphan_fragments",
+                "mean_root_us",
+                "stages",
+                "spans",
+                "traces"
+            ]
+        );
+        let num = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_u64);
+        assert_eq!(
+            doc.get("schema").unwrap().as_str(),
+            Some("odt-cluster-report/v1")
+        );
+        assert_eq!(doc.get("sources").unwrap().as_arr().unwrap().len(), 2);
+        assert_eq!(num(&doc, "fragments"), Some(2));
+        assert_eq!(num(&doc, "stitched"), Some(1));
+        assert_eq!(num(&doc, "cross_process"), Some(1));
+        assert_eq!(num(&doc, "orphan_fragments"), Some(0));
+        assert_eq!(doc.get("mean_root_us").unwrap().as_f64(), Some(1000.0));
+        // The hop's self time is the hop minus the shard's whole fragment.
+        let wire = doc.get("stages").unwrap().get("wire").unwrap();
+        assert_eq!(keys(wire), ["count", "total_us", "self_us"]);
+        assert_eq!(num(wire, "self_us"), Some(100));
+        assert!(doc.get("spans").unwrap().get("oracle.estimator").is_some());
+        let trace = &doc.get("traces").unwrap().as_arr().unwrap()[0];
+        assert_eq!(
+            keys(trace),
+            [
+                "trace_id",
+                "root",
+                "request_id",
+                "dur_us",
+                "processes",
+                "spans",
+                "downstream_hops",
+                "stages",
+                "orphan_fragments"
+            ]
+        );
+        assert_eq!(trace.get("trace_id").unwrap().as_str(), Some("00ab"));
+        assert_eq!(num(trace, "request_id"), Some(9));
+        assert_eq!(num(trace, "downstream_hops"), Some(1));
+        let processes = trace.get("processes").unwrap().as_arr().unwrap();
+        assert_eq!(processes[1].as_str(), Some("s11"));
+        let stages = trace.get("stages").unwrap();
+        assert_eq!(keys(stages), ["estimator", "router", "serving", "wire"]);
+        assert_eq!(num(stages, "estimator"), Some(300));
+
+        let (text, events) = perfetto_json(&instances, &stitched);
+        let doc = JsonValue::parse(&text).unwrap();
+        assert_eq!(keys(&doc), ["traceEvents", "displayTimeUnit"]);
+        let rows = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        assert_eq!((rows.len(), events), (6, 6));
+        assert_eq!(
+            keys(&rows[0]),
+            ["name", "ph", "pid", "tid", "args"],
+            "a process-name row"
+        );
+        let shard_span = &rows[4];
+        assert_eq!(
+            keys(shard_span),
+            ["name", "cat", "ph", "ts", "dur", "pid", "tid", "args"]
+        );
+        assert_eq!(shard_span.get("ph").unwrap().as_str(), Some("X"));
+        assert_eq!(num(shard_span, "pid"), Some(1));
+        // Rebased onto the router's clock: the hop started 50 µs in.
+        assert_eq!(num(shard_span, "ts"), Some(50));
+        assert_eq!(
+            keys(shard_span.get("args").unwrap()),
+            ["trace_id", "span_id", "parent"]
+        );
     }
 }

@@ -19,9 +19,10 @@
 //! }
 //! ```
 
-use odt_eval::harness::{prepare_city, run_baselines, run_dot, City};
+use odt_eval::harness::{prepare_city, run_baselines, run_dot, City, MethodResult};
 use odt_eval::profile::EvalProfile;
 use odt_eval::report::{print_ordering_check, print_table};
+use odt_obs::json::{self, Obj};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -187,42 +188,143 @@ fn main() {
     );
     println!("batched speedup: {speedup:.2}x over sequential");
 
-    let methods: Vec<serde_json::Value> = results
-        .iter()
-        .chain(std::iter::once(&dot_result))
-        .map(|r| {
-            serde_json::json!({
-                "name": r.name,
-                "model_size_bytes": r.model_size_bytes,
-                "train_seconds": r.train_seconds,
-                "sec_per_k_queries": r.sec_per_k_queries,
-            })
-        })
-        .collect();
-    let report = serde_json::json!({
-        "schema": "odt-bench-table5/v1",
-        "profile": profile.name,
-        "seed": profile.seed,
-        "threads": odt_compute::num_threads(),
-        "batch_size": batch_size,
-        "sequential": {
-            "queries": queries.len(),
-            "seconds": seq_s,
-            "sec_per_k_queries": per_k(seq_s),
-        },
-        "batched": {
-            "queries": queries.len(),
-            "seconds": bat_s,
-            "sec_per_k_queries": per_k(bat_s),
-        },
-        "speedup": speedup,
-        "methods": methods,
-    });
+    let timed = |seconds: f64| ModeTiming {
+        queries: queries.len(),
+        seconds,
+        sec_per_k_queries: per_k(seconds),
+    };
+    let methods: Vec<&MethodResult> = results.iter().chain([&dot_result]).collect();
+    let report = report_json(
+        &profile,
+        batch_size,
+        [timed(seq_s), timed(bat_s)],
+        speedup,
+        &methods,
+    );
     let path = "BENCH_table5.json";
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&report).expect("serialize"),
-    )
-    .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    std::fs::write(path, report + "\n").unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("wrote {path}");
+}
+
+/// One serving mode's row of the report.
+struct ModeTiming {
+    queries: usize,
+    seconds: f64,
+    sec_per_k_queries: f64,
+}
+
+/// The `BENCH_table5.json` document of the module docs.
+fn report_json(
+    profile: &EvalProfile,
+    batch_size: usize,
+    [sequential, batched]: [ModeTiming; 2],
+    speedup: f64,
+    methods: &[&MethodResult],
+) -> String {
+    let mode = |o: &mut Obj<'_, String>, key: &str, t: ModeTiming| {
+        o.object(key, |o| {
+            o.field("queries", t.queries)
+                .field("seconds", t.seconds)
+                .field("sec_per_k_queries", t.sec_per_k_queries);
+        });
+    };
+    json::object_string(|o| {
+        o.field("schema", "odt-bench-table5/v1")
+            .field("profile", &profile.name)
+            .field("seed", profile.seed)
+            .field("threads", odt_compute::num_threads())
+            .field("batch_size", batch_size);
+        mode(o, "sequential", sequential);
+        mode(o, "batched", batched);
+        o.field("speedup", speedup).array("methods", |a| {
+            for r in methods {
+                a.object(|o| {
+                    o.field("name", &r.name)
+                        .field("model_size_bytes", r.model_size_bytes)
+                        .field("train_seconds", r.train_seconds)
+                        .field("sec_per_k_queries", r.sec_per_k_queries);
+                });
+            }
+        });
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use odt_obs::json::JsonValue;
+
+    /// The document's keys and value types, as the module docs state them.
+    #[test]
+    fn report_keys_and_types_are_pinned() {
+        let method = MethodResult {
+            name: "LR".into(),
+            accuracy: odt_eval::metrics::regression(&[(60.0, 90.0)]),
+            predictions: vec![60.0],
+            model_size_bytes: 590,
+            train_seconds: 0.22,
+            sec_per_k_queries: 0.21,
+        };
+        let timing = |seconds| ModeTiming {
+            queries: 8,
+            seconds,
+            sec_per_k_queries: seconds / 8.0 * 1_000.0,
+        };
+        let text = report_json(
+            &EvalProfile::fast(),
+            8,
+            [timing(2.0), timing(0.5)],
+            4.0,
+            &[&method],
+        );
+        let doc = JsonValue::parse(&text).unwrap();
+        let keys = |v: &JsonValue| match v {
+            JsonValue::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("not an object: {other:?}"),
+        };
+        assert_eq!(
+            keys(&doc),
+            [
+                "schema",
+                "profile",
+                "seed",
+                "threads",
+                "batch_size",
+                "sequential",
+                "batched",
+                "speedup",
+                "methods"
+            ]
+        );
+        assert_eq!(
+            doc.get("schema").unwrap().as_str(),
+            Some("odt-bench-table5/v1")
+        );
+        assert_eq!(doc.get("profile").unwrap().as_str(), Some("fast"));
+        for key in ["seed", "threads", "batch_size"] {
+            assert!(doc.get(key).unwrap().as_u64().is_some(), "{key}");
+        }
+        assert_eq!(doc.get("speedup").unwrap().as_f64(), Some(4.0));
+        for key in ["sequential", "batched"] {
+            let mode = doc.get(key).unwrap();
+            assert_eq!(keys(mode), ["queries", "seconds", "sec_per_k_queries"]);
+            assert_eq!(mode.get("queries").unwrap().as_u64(), Some(8));
+            assert!(mode.get("seconds").unwrap().as_f64().is_some());
+        }
+        let methods = doc.get("methods").unwrap().as_arr().unwrap();
+        assert_eq!(
+            keys(&methods[0]),
+            [
+                "name",
+                "model_size_bytes",
+                "train_seconds",
+                "sec_per_k_queries"
+            ]
+        );
+        assert_eq!(methods[0].get("name").unwrap().as_str(), Some("LR"));
+        assert_eq!(
+            methods[0].get("model_size_bytes").unwrap().as_u64(),
+            Some(590)
+        );
+    }
 }

@@ -10,9 +10,9 @@
 //!
 //! * `<spans.jsonl>` — the span stream to analyze.
 //! * `--root`        — only analyze traces with this root span name
-//!                     (default: every trace in the file).
+//!   (default: every trace in the file).
 //! * `--out`         — also write the aggregate as one JSON object,
-//!                     schema `odt-trace-report/v1`.
+//!   schema `odt-trace-report/v1`.
 //!
 //! Per span name the report shows call count, total duration, and *self*
 //! time (duration minus the duration of direct children, clamped at zero
@@ -23,7 +23,7 @@
 //! serving pipeline's coarse stages (queue / rung / denoise / estimator /
 //! kernel) so the table answers the paper-level question directly.
 
-use serde_json::{json, Value};
+use odt_obs::json::{self, JsonValue, Obj};
 use std::collections::BTreeMap;
 
 struct Span {
@@ -71,24 +71,24 @@ fn parse_traces(content: &str, root_filter: Option<&str>) -> Vec<Trace> {
         if line.trim().is_empty() {
             continue;
         }
-        let v: Value = serde_json::from_str(line)
+        let v = JsonValue::parse(line)
             .unwrap_or_else(|e| panic!("line {}: invalid JSON: {e}", lineno + 1));
-        match v["kind"].as_str() {
+        let text = |key: &str| v.get(key).and_then(JsonValue::as_str);
+        let count = |key: &str| v.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
+        match text("kind") {
             Some("trace") => {
-                let root = v["root"].as_str().unwrap_or("?").to_string();
+                let root = text("root").unwrap_or("?").to_string();
                 keep_current = root_filter.is_none_or(|f| f == root);
                 if keep_current {
+                    let reasons = v.get("retain_reasons").and_then(JsonValue::as_arr);
                     traces.push(Trace {
                         root_name: root,
-                        dur_us: v["dur_us"].as_u64().unwrap_or(0),
-                        retain_reasons: v["retain_reasons"]
-                            .as_array()
-                            .map(|a| {
-                                a.iter()
-                                    .filter_map(|r| r.as_str().map(str::to_string))
-                                    .collect()
-                            })
-                            .unwrap_or_default(),
+                        dur_us: count("dur_us"),
+                        retain_reasons: reasons
+                            .unwrap_or_default()
+                            .iter()
+                            .filter_map(|r| r.as_str().map(str::to_string))
+                            .collect(),
                         spans: Vec::new(),
                     });
                 }
@@ -96,10 +96,10 @@ fn parse_traces(content: &str, root_filter: Option<&str>) -> Vec<Trace> {
             Some("span") if keep_current => {
                 let t = traces.last_mut().expect("span line before trace header");
                 t.spans.push(Span {
-                    span_id: v["span_id"].as_u64().unwrap_or(0),
-                    parent_id: v["parent_id"].as_u64().unwrap_or(0),
-                    name: v["name"].as_str().unwrap_or("?").to_string(),
-                    dur_us: v["dur_us"].as_u64().unwrap_or(0),
+                    span_id: count("span_id"),
+                    parent_id: count("parent_id"),
+                    name: text("name").unwrap_or("?").to_string(),
+                    dur_us: count("dur_us"),
                 });
             }
             _ => {}
@@ -113,6 +113,82 @@ struct Agg {
     count: u64,
     total_us: u64,
     self_us: u64,
+}
+
+/// What the report says about a set of traces.
+struct Aggregate {
+    root_total_us: u64,
+    retained_by_reason: BTreeMap<String, u64>,
+    by_stage: BTreeMap<&'static str, Agg>,
+    by_name: BTreeMap<String, Agg>,
+}
+
+/// Per-name and per-stage aggregates with self time = dur − Σ
+/// direct-children dur.
+fn aggregate(traces: &[Trace]) -> Aggregate {
+    let mut by_name: BTreeMap<String, Agg> = BTreeMap::new();
+    let mut by_stage: BTreeMap<&'static str, Agg> = BTreeMap::new();
+    let mut root_total_us = 0u64;
+    let mut retained_by_reason: BTreeMap<String, u64> = BTreeMap::new();
+    for t in traces {
+        root_total_us += t.dur_us;
+        for r in &t.retain_reasons {
+            *retained_by_reason.entry(r.clone()).or_default() += 1;
+        }
+        let mut child_sum: BTreeMap<u64, u64> = BTreeMap::new();
+        for s in &t.spans {
+            *child_sum.entry(s.parent_id).or_default() += s.dur_us;
+        }
+        for s in &t.spans {
+            let own = s
+                .dur_us
+                .saturating_sub(child_sum.get(&s.span_id).copied().unwrap_or(0));
+            for a in [
+                by_name.entry(s.name.clone()).or_default(),
+                by_stage.entry(stage_of(&s.name)).or_default(),
+            ] {
+                a.count += 1;
+                a.total_us += s.dur_us;
+                a.self_us += own;
+            }
+        }
+    }
+    Aggregate {
+        root_total_us,
+        retained_by_reason,
+        by_stage,
+        by_name,
+    }
+}
+
+/// The `--out` document, schema `odt-trace-report/v1`.
+fn report_json(source: &str, traces: usize, agg: &Aggregate) -> String {
+    fn aggs<'a>(o: &mut Obj<'_, String>, rows: impl Iterator<Item = (&'a str, &'a Agg)>) {
+        for (name, a) in rows {
+            o.object(name, |o| {
+                o.field("count", a.count)
+                    .field("total_us", a.total_us)
+                    .field("self_us", a.self_us);
+            });
+        }
+    }
+    json::object_string(|o| {
+        o.field("schema", "odt-trace-report/v1")
+            .field("source", source)
+            .field("traces", traces)
+            .field("mean_root_us", agg.root_total_us as f64 / traces as f64)
+            .object("retain_reasons", |o| {
+                for (reason, n) in &agg.retained_by_reason {
+                    o.field(reason, *n);
+                }
+            })
+            .object("stages", |o| {
+                aggs(o, agg.by_stage.iter().map(|(k, a)| (*k, a)))
+            })
+            .object("spans", |o| {
+                aggs(o, agg.by_name.iter().map(|(k, a)| (k.as_str(), a)))
+            });
+    })
 }
 
 fn main() {
@@ -132,34 +208,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Per-name aggregate with self time = dur − Σ direct-children dur.
-    let mut by_name: BTreeMap<String, Agg> = BTreeMap::new();
-    let mut by_stage: BTreeMap<&'static str, Agg> = BTreeMap::new();
-    let mut root_total_us = 0u64;
-    let mut retained_by_reason: BTreeMap<String, u64> = BTreeMap::new();
-    for t in &traces {
-        root_total_us += t.dur_us;
-        for r in &t.retain_reasons {
-            *retained_by_reason.entry(r.clone()).or_default() += 1;
-        }
-        let mut child_sum: BTreeMap<u64, u64> = BTreeMap::new();
-        for s in &t.spans {
-            *child_sum.entry(s.parent_id).or_default() += s.dur_us;
-        }
-        for s in &t.spans {
-            let own = s
-                .dur_us
-                .saturating_sub(child_sum.get(&s.span_id).copied().unwrap_or(0));
-            let a = by_name.entry(s.name.clone()).or_default();
-            a.count += 1;
-            a.total_us += s.dur_us;
-            a.self_us += own;
-            let st = by_stage.entry(stage_of(&s.name)).or_default();
-            st.count += 1;
-            st.total_us += s.dur_us;
-            st.self_us += own;
-        }
-    }
+    let agg = aggregate(&traces);
 
     let n = traces.len() as f64;
     let ms = |us: u64| us as f64 / 1_000.0;
@@ -167,10 +216,11 @@ fn main() {
         "{} trace(s) from {path}, root {} — mean root latency {:.3} ms",
         traces.len(),
         traces.first().map(|t| t.root_name.as_str()).unwrap_or("?"),
-        ms(root_total_us) / n
+        ms(agg.root_total_us) / n
     );
-    if !retained_by_reason.is_empty() {
-        let reasons: Vec<String> = retained_by_reason
+    if !agg.retained_by_reason.is_empty() {
+        let reasons: Vec<String> = agg
+            .retained_by_reason
             .iter()
             .map(|(r, c)| format!("{r}={c}"))
             .collect();
@@ -182,8 +232,8 @@ fn main() {
         "  {:<12} {:>8} {:>12} {:>12} {:>7}",
         "stage", "spans", "total ms", "self ms", "self %"
     );
-    let denom = root_total_us.max(1) as f64;
-    for (stage, a) in &by_stage {
+    let denom = agg.root_total_us.max(1) as f64;
+    for (stage, a) in &agg.by_stage {
         println!(
             "  {:<12} {:>8} {:>12.3} {:>12.3} {:>6.1}%",
             stage,
@@ -199,8 +249,8 @@ fn main() {
         "  {:<28} {:>8} {:>12} {:>12} {:>12}",
         "span", "count", "total ms", "self ms", "mean µs"
     );
-    let mut names: Vec<(&String, &Agg)> = by_name.iter().collect();
-    names.sort_by(|a, b| b.1.self_us.cmp(&a.1.self_us));
+    let mut names: Vec<(&String, &Agg)> = agg.by_name.iter().collect();
+    names.sort_by_key(|(_, a)| std::cmp::Reverse(a.self_us));
     for (name, a) in &names {
         println!(
             "  {:<28} {:>8} {:>12.3} {:>12.3} {:>12.1}",
@@ -213,37 +263,79 @@ fn main() {
     }
 
     if let Some(out) = arg_value("--out") {
-        let agg_json = |m: &BTreeMap<String, Agg>| -> Value {
-            Value::Object(
-                m.iter()
-                    .map(|(k, a)| {
-                        (
-                            k.clone(),
-                            json!({
-                                "count": a.count,
-                                "total_us": a.total_us,
-                                "self_us": a.self_us,
-                            }),
-                        )
-                    })
-                    .collect(),
-            )
-        };
-        let stages: BTreeMap<String, Agg> = by_stage
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect();
-        let report = json!({
-            "schema": "odt-trace-report/v1",
-            "source": path,
-            "traces": traces.len(),
-            "mean_root_us": root_total_us as f64 / n,
-            "retain_reasons": retained_by_reason,
-            "stages": agg_json(&stages),
-            "spans": agg_json(&by_name),
-        });
-        std::fs::write(&out, format!("{report:#}\n"))
-            .unwrap_or_else(|e| panic!("writing {out}: {e}"));
+        let report = report_json(path, traces.len(), &agg);
+        std::fs::write(&out, report + "\n").unwrap_or_else(|e| panic!("writing {out}: {e}"));
         println!("\nwrote {out}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The keys and value types `trace-smoke` and `cache-smoke` read.
+    #[test]
+    fn report_keys_and_types_are_pinned() {
+        let stream = concat!(
+            r#"{"kind":"trace","trace_id":"00ab","root":"serve.request","dur_us":900,"retain_reasons":["slow"],"spans":3}"#,
+            "\n",
+            r#"{"kind":"span","trace_id":"00ab","span_id":1,"parent_id":0,"name":"serve.request","dur_us":900}"#,
+            "\n",
+            r#"{"kind":"span","trace_id":"00ab","span_id":2,"parent_id":1,"name":"serve.queue_wait","dur_us":100}"#,
+            "\n",
+            r#"{"kind":"span","trace_id":"00ab","span_id":3,"parent_id":1,"name":"stage1.denoise_step","dur_us":600}"#,
+            "\n",
+            r#"{"kind":"trace","trace_id":"00ac","root":"other.root","dur_us":5,"retain_reasons":[],"spans":0}"#,
+            "\n",
+        );
+        let traces = parse_traces(stream, Some("serve.request"));
+        assert_eq!(traces.len(), 1, "--root drops the other trace");
+        let doc = JsonValue::parse(&report_json("spans.jsonl", 1, &aggregate(&traces))).unwrap();
+        let keys = |v: &JsonValue| match v {
+            JsonValue::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("not an object: {other:?}"),
+        };
+        assert_eq!(
+            keys(&doc),
+            [
+                "schema",
+                "source",
+                "traces",
+                "mean_root_us",
+                "retain_reasons",
+                "stages",
+                "spans"
+            ]
+        );
+        assert_eq!(
+            doc.get("schema").unwrap().as_str(),
+            Some("odt-trace-report/v1")
+        );
+        assert_eq!(doc.get("traces").unwrap().as_u64(), Some(1));
+        assert_eq!(doc.get("mean_root_us").unwrap().as_f64(), Some(900.0));
+        assert_eq!(
+            doc.get("retain_reasons")
+                .unwrap()
+                .get("slow")
+                .unwrap()
+                .as_u64(),
+            Some(1)
+        );
+        let stages = doc.get("stages").unwrap();
+        assert_eq!(keys(stages), ["denoise", "queue", "serving"]);
+        let serving = stages.get("serving").unwrap();
+        assert_eq!(keys(serving), ["count", "total_us", "self_us"]);
+        // Self time is the root's 900 µs minus its two children.
+        assert_eq!(serving.get("self_us").unwrap().as_u64(), Some(200));
+        assert_eq!(
+            doc.get("spans")
+                .unwrap()
+                .get("stage1.denoise_step")
+                .unwrap()
+                .get("total_us")
+                .unwrap()
+                .as_u64(),
+            Some(600)
+        );
     }
 }

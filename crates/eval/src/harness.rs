@@ -8,7 +8,9 @@ use odt_baselines::{
     Rne, Router, StNn, Stdgcn, Temp, Wddra,
 };
 use odt_core::Dot;
+use odt_obs::json::{self, JsonValue};
 use odt_roadnet::RoadNetwork;
+use odt_tensor::Tensor;
 use odt_traj::{Dataset, OdtInput, Pit, Split, Trajectory};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -334,18 +336,32 @@ pub fn run_dot(
             let t = Instant::now();
             let m = Dot::train(dot_cfg, &run.data, |s| progress(s));
             let train_seconds = t.elapsed().as_secs_f64();
-            m.save(&ckpt).expect("save checkpoint");
+            // The cache is an optimisation: a run that cannot write it
+            // still has its trained model.
+            if let Err(e) = m.save(&ckpt) {
+                progress(&format!("checkpoint cache not written ({e}); carrying on"));
+            }
             (m, train_seconds)
         }
     };
 
-    // Inferred test PiTs, cached alongside the checkpoint.
+    // Inferred test PiTs, cached alongside the checkpoint and held to the
+    // same rule: an entry that cannot be read is reported and inferred
+    // again, one that cannot be written is reported.
     let pit_path = cache_dir().join(format!("pits_{key}.json"));
-    let pits: Vec<Pit> = if pit_path.exists() {
+    let cached_pits = if pit_path.exists() {
         progress("loading cached inferred test PiTs");
-        serde_json::from_str(&std::fs::read_to_string(&pit_path).expect("read pit cache"))
-            .expect("pit cache must parse")
+        let loaded = std::fs::read_to_string(&pit_path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| pits_from_json(&text));
+        if let Err(e) = &loaded {
+            progress(&format!("cached PiTs unusable ({e}); inferring again"));
+        }
+        loaded.ok()
     } else {
+        None
+    };
+    let pits = cached_pits.unwrap_or_else(|| {
         progress(&format!("inferring {} test PiTs", run.test_odts.len()));
         let mut rng = StdRng::seed_from_u64(profile.seed ^ 0x9e37);
         let t0 = Instant::now();
@@ -354,13 +370,11 @@ pub fn run_dot(
             "inference took {:.1}s",
             t0.elapsed().as_secs_f64()
         ));
-        std::fs::write(
-            &pit_path,
-            serde_json::to_string(&pits).expect("serialize pits"),
-        )
-        .expect("write pit cache");
+        if let Err(e) = odt_obs::atomic_write(&pit_path, pits_to_json(&pits).as_bytes()) {
+            progress(&format!("PiT cache not written ({e}); carrying on"));
+        }
         pits
-    };
+    });
 
     // Evaluate: time the full per-query path (inference + estimation) on a
     // small sample to report throughput, but score accuracy from the cached
@@ -408,6 +422,43 @@ pub fn run_dot(
     (result, model, pits)
 }
 
+/// The PiT cache document: `{"lg":L,"pits":[[3·L·L values],…]}`. An `f32`
+/// widened to `f64` is written with the digits that read back to the same
+/// `f64`, so the cache returns every value bit for bit.
+fn pits_to_json(pits: &[Pit]) -> String {
+    json::object_string(|o| {
+        o.field("lg", pits.first().map_or(0, Pit::lg));
+        o.array("pits", |a| {
+            for pit in pits {
+                let values: Vec<f64> = pit.tensor().data().iter().map(|&v| v.into()).collect();
+                a.item(&values[..]);
+            }
+        });
+    })
+}
+
+/// Read [`pits_to_json`]'s document back; any other document is an error.
+fn pits_from_json(text: &str) -> Result<Vec<Pit>, String> {
+    let doc = JsonValue::parse(text).map_err(|e| e.to_string())?;
+    let lg = doc.get("lg").and_then(JsonValue::as_u64).ok_or("no `lg`")? as usize;
+    let pits = doc
+        .get("pits")
+        .and_then(JsonValue::as_arr)
+        .ok_or("no `pits`")?;
+    pits.iter()
+        .map(|pit| {
+            let values: Vec<f32> = pit
+                .as_arr()?
+                .iter()
+                .map(|v| v.as_f64().map(|v| v as f32))
+                .collect::<Option<_>>()?;
+            (values.len() == 3 * lg * lg)
+                .then(|| Pit::from_tensor(Tensor::from_vec(values, vec![3, lg, lg])))
+        })
+        .collect::<Option<_>>()
+        .ok_or_else(|| format!("a PiT is not 3·{lg}·{lg} numbers"))
+}
+
 /// Rasterize a routed path into a PiT for the Table 7 `Routing+Est.`
 /// ablations: the mask marks route cells; the temporal channels are
 /// populated from the router's total time estimate distributed along the
@@ -420,7 +471,6 @@ pub fn route_to_pit(
     grid: &odt_traj::GridSpec,
     proj: &odt_roadnet::Projection,
 ) -> Pit {
-    use odt_tensor::Tensor;
     let lg = grid.lg;
     let mut tensor = Tensor::full(vec![3, lg, lg], -1.0);
     if points.len() >= 2 {
@@ -513,7 +563,7 @@ mod tests {
         // ToD decodes within the trip's time window.
         let s = pit.visit_second_of_day(row1, col1).unwrap();
         assert!(
-            s >= 9.0 * 3_600.0 - 10.0 && s <= 9.0 * 3_600.0 + 610.0,
+            (9.0 * 3_600.0 - 10.0..=9.0 * 3_600.0 + 610.0).contains(&s),
             "{s}"
         );
     }
@@ -565,5 +615,63 @@ mod tests {
         // Second call loads from cache and reproduces the same accuracy.
         let (r2, _m2, _p2) = run_dot(&run, &profile, City::Chengdu, &mut |_| {});
         assert_eq!(r1.accuracy, r2.accuracy);
+    }
+
+    #[test]
+    fn pit_cache_round_trips_bit_for_bit() {
+        let data: Vec<f32> = (0..2 * 3 * 4 * 4)
+            .map(|i| (i as f32 * 0.37).sin() * 1.0e-3 + f32::EPSILON)
+            .collect();
+        let pits: Vec<Pit> = data
+            .chunks(3 * 4 * 4)
+            .map(|d| Pit::from_tensor(Tensor::from_vec(d.to_vec(), vec![3, 4, 4])))
+            .collect();
+        let back = pits_from_json(&pits_to_json(&pits)).expect("own document parses");
+        let bits = |ps: &[Pit]| -> Vec<u32> {
+            ps.iter()
+                .flat_map(|p| p.tensor().data().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&back), bits(&pits));
+        assert_eq!(pits_from_json(&pits_to_json(&[])).unwrap(), vec![]);
+        // The serde-era cache (an array of tensors) and a short PiT are errors,
+        // which `run_dot` answers by inferring again.
+        assert!(pits_from_json(r#"[{"tensor":{"shape":[3,1,1],"data":[0,0,0]},"lg":1}]"#).is_err());
+        assert!(pits_from_json(r#"{"lg":2,"pits":[[1,2,3]]}"#).is_err());
+    }
+
+    #[test]
+    fn dot_survives_a_cache_it_can_neither_read_nor_write() {
+        let mut profile = tiny_profile();
+        profile.name = format!("unwritable{}", std::process::id());
+        // A directory where each cache file belongs: it exists, cannot be read
+        // as a file and cannot be replaced by one, whoever runs the test.
+        let key = format!("Chengdu_{}_s{}_n250_q6", profile.name, profile.seed);
+        let blocked = ["dot", "pits"].map(|kind| cache_dir().join(format!("{kind}_{key}.json")));
+        for dir in &blocked {
+            std::fs::create_dir_all(dir).unwrap();
+        }
+        let run = prepare_city(City::Chengdu, &profile);
+        let mut said = Vec::new();
+        let (result, _model, pits) = run_dot(&run, &profile, City::Chengdu, &mut |s| {
+            said.push(s.to_string())
+        });
+        for dir in &blocked {
+            assert!(dir.is_dir(), "{} was replaced", dir.display());
+            std::fs::remove_dir(dir).unwrap();
+        }
+        assert_eq!(pits.len(), run.test_odts.len());
+        assert_eq!(result.predictions.len(), run.test_odts.len());
+        for expected in [
+            "cached checkpoint unusable",
+            "checkpoint cache not written",
+            "cached PiTs unusable",
+            "PiT cache not written",
+        ] {
+            assert!(
+                said.iter().any(|s| s.contains(expected)),
+                "no `{expected}` among {said:?}"
+            );
+        }
     }
 }

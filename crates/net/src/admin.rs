@@ -223,7 +223,7 @@ pub fn start_admin(cfg: AdminConfig, sources: AdminSources) -> io::Result<AdminH
         thread::Builder::new()
             .name("odt-admin".to_string())
             .spawn(move || accept_loop(listener, shared))
-            .map_err(|e| io::Error::new(io::ErrorKind::Other, e))?
+            .map_err(io::Error::other)?
     };
     odt_obs::event(odt_obs::Level::Info, "admin.start")
         .field("addr", addr.to_string())
@@ -1127,7 +1127,6 @@ mod tests {
             deadline_met: 7,
             deadline_missed: 1,
             slo: Some(slo),
-            ..odt_serve::FrontendSnapshot::default()
         };
         let q = QualitySnapshot {
             samples: 100,

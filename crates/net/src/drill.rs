@@ -959,8 +959,10 @@ mod tests {
 
     #[test]
     fn expectations_catch_leaks_and_shortfalls() {
-        let mut stats = ConnStatsSnapshot::default();
-        stats.active = 1;
+        let stats = ConnStatsSnapshot {
+            active: 1,
+            ..ConnStatsSnapshot::default()
+        };
         let v = NetExpectations {
             min_ok: 5,
             ..NetExpectations::default()

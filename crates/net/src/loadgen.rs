@@ -592,7 +592,7 @@ fn make_request(
     next_trace: &AtomicU64,
     tally: &mut ConnTally,
 ) -> WireRequest {
-    let trace = if cfg.trace_every > 0 && id % cfg.trace_every == 0 {
+    let trace = if cfg.trace_every > 0 && id.is_multiple_of(cfg.trace_every) {
         let raw = next_trace.fetch_add(1, Ordering::Relaxed);
         let t = TraceId::from_raw(0x10AD_0000_0000_0000 | raw);
         if t.is_some() {

@@ -394,7 +394,7 @@ where
         thread::Builder::new()
             .name("odt-net-dispatch".to_string())
             .spawn(move || dispatcher_main(make_backend(), rx, shared))
-            .map_err(|e| io::Error::new(io::ErrorKind::Other, e))?
+            .map_err(io::Error::other)?
     };
 
     let mut acceptors = Vec::new();
@@ -405,7 +405,7 @@ where
             thread::Builder::new()
                 .name(format!("odt-net-accept-{i}"))
                 .spawn(move || acceptor_main(listener, shared))
-                .map_err(|e| io::Error::new(io::ErrorKind::Other, e))?,
+                .map_err(io::Error::other)?,
         );
     }
 
@@ -556,9 +556,8 @@ impl ServerHandle {
 
 fn acceptor_main(listener: TcpListener, shared: Arc<Shared>) {
     loop {
-        match shared.state() {
-            STOPPED => return,
-            _ => {}
+        if shared.state() == STOPPED {
+            return;
         }
         match listener.accept() {
             Ok((stream, _peer)) => admit(stream, &shared),

@@ -5,7 +5,7 @@
 //! at a router-chosen resolution — onto `N` shards via **rendezvous
 //! (highest-random-weight) hashing**: every `(key, shard)` pair gets a
 //! deterministic 64-bit score and the key lives on the shard with the
-//! highest score. That buys three properties the proptests pin down:
+//! highest score. That buys three properties the property tests pin down:
 //!
 //! * **Deterministic** — placement is a pure function of
 //!   `(key, shard count, seed)`; two routers with the same config agree

@@ -239,8 +239,8 @@ impl WireResponse {
         s
     }
 
-    /// Append this response to `buf` as one complete frame (length prefix
-    /// + payload), encoding the JSON straight into `buf`. Appending is
+    /// Append this response to `buf` as one complete frame (length prefix,
+    /// then payload), encoding the JSON straight into `buf`. Appending is
     /// what lets a writer coalesce a burst of replies into one `write`.
     pub fn encode_frame_into(&self, buf: &mut Vec<u8>) {
         frame_into(buf, |w| self.write_json(w));

@@ -25,7 +25,7 @@ impl MultiHeadAttention {
     /// `dim` must be divisible by `heads`.
     pub fn new(rng: &mut impl Rng, dim: usize, heads: usize, name: &str) -> Self {
         assert!(
-            dim % heads == 0,
+            dim.is_multiple_of(heads),
             "dim {dim} must be divisible by heads {heads}"
         );
         MultiHeadAttention {
@@ -66,9 +66,7 @@ impl MultiHeadAttention {
         if let Some(mask) = key_mask {
             assert_eq!(mask.shape(), &[b, t], "key mask must be [b, t]");
             // Repeat each batch row for every head: [b, t] -> [b*h, 1, t].
-            let indices: Vec<usize> = (0..b)
-                .flat_map(|bi| std::iter::repeat(bi).take(h))
-                .collect();
+            let indices: Vec<usize> = (0..b).flat_map(|bi| std::iter::repeat_n(bi, h)).collect();
             let expanded = mask.index_select0(&indices).reshape(vec![b * h, 1, t]);
             let mv = g.input(expanded);
             logits = g.add(logits, mv);

@@ -68,7 +68,7 @@ impl GroupNorm {
     /// `groups` must divide `channels`.
     pub fn new(groups: usize, channels: usize, name: &str) -> Self {
         assert!(
-            channels % groups == 0,
+            channels.is_multiple_of(groups),
             "groups {groups} must divide channels {channels}"
         );
         GroupNorm {

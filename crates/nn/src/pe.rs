@@ -8,7 +8,10 @@ use odt_tensor::Tensor;
 /// `PE(n)[2i] = sin(n / 10000^(2i/d))`, `PE(n)[2i+1] = cos(n / 10000^(2i/d))`.
 pub fn positional_encoding_row(n: usize, row: &mut [f32]) {
     let d = row.len();
-    assert!(d % 2 == 0, "positional encoding dimension must be even");
+    assert!(
+        d.is_multiple_of(2),
+        "positional encoding dimension must be even"
+    );
     for (i, pair) in row.chunks_exact_mut(2).enumerate() {
         let angle = n as f32 / 10000f32.powf(2.0 * i as f32 / d as f32);
         pair[0] = angle.sin();
@@ -20,7 +23,10 @@ pub fn positional_encoding_row(n: usize, row: &mut [f32]) {
 /// to encode flattened-PiT positions in the MViT; the denoiser embeds the
 /// diffusion step indicator `n` row by row.
 pub fn positional_encoding(len: usize, d: usize) -> Tensor {
-    assert!(d % 2 == 0, "positional encoding dimension must be even");
+    assert!(
+        d.is_multiple_of(2),
+        "positional encoding dimension must be even"
+    );
     let mut out = Tensor::zeros(vec![len, d]);
     for (n, row) in out.data_mut().chunks_exact_mut(d.max(1)).enumerate() {
         positional_encoding_row(n, row);

@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn try_load_reports_missing_shape_and_nonfinite() {
         let a = Param::new(Tensor::from_vec(vec![1.0, 2.0], vec![2]), "a");
-        let dict = state_dict(&[a.clone()]);
+        let dict = state_dict(std::slice::from_ref(&a));
 
         // Missing parameter.
         let c = Param::new(Tensor::scalar(1.0), "c");
@@ -226,7 +226,7 @@ mod tests {
         // Shape mismatch; the target parameter must stay untouched.
         let wide = Param::new(Tensor::zeros(vec![3]), "a");
         assert!(matches!(
-            try_load_state_dict(&[wide.clone()], &dict),
+            try_load_state_dict(std::slice::from_ref(&wide), &dict),
             Err(StateDictError::ShapeMismatch { ref name, .. }) if name == "a"
         ));
         assert_eq!(wide.value().data(), &[0.0, 0.0, 0.0]);
@@ -237,14 +237,14 @@ mod tests {
         assert!(bad.validate_finite().is_err());
         let tgt = Param::new(Tensor::zeros(vec![2]), "a");
         assert!(matches!(
-            try_load_state_dict(&[tgt.clone()], &bad),
+            try_load_state_dict(std::slice::from_ref(&tgt), &bad),
             Err(StateDictError::NonFinite { count: 1, .. })
         ));
         assert_eq!(tgt.value().data(), &[0.0, 0.0]);
 
         // Happy path still loads.
         let tgt2 = Param::new(Tensor::zeros(vec![2]), "a");
-        try_load_state_dict(&[tgt2.clone()], &dict).unwrap();
+        try_load_state_dict(std::slice::from_ref(&tgt2), &dict).unwrap();
         assert_eq!(tgt2.value().data(), &[1.0, 2.0]);
     }
 }

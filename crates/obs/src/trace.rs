@@ -541,7 +541,7 @@ pub fn root_span(name: &'static str) -> RootSpan {
         return RootSpan { inner: None };
     }
     let k = NEXT_TRACE.fetch_add(1, Ordering::Relaxed);
-    let sampled = every == 1 || k % every == 0;
+    let sampled = every == 1 || k.is_multiple_of(every);
     let trace = TraceId(mint_trace_id(trace_seed(), k));
     open_root(name, trace, sampled, 0)
 }

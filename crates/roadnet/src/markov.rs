@@ -100,7 +100,7 @@ impl MarkovRouter {
                     continue;
                 }
                 if let Some(&c) = self.counts.get(&(s, next)) {
-                    if best.map_or(true, |(_, bc)| c > bc) {
+                    if best.is_none_or(|(_, bc)| c > bc) {
                         best = Some((next, c));
                     }
                 }

@@ -173,7 +173,7 @@ impl FreqSketch {
 
     fn get(&self, idx: usize) -> u8 {
         let byte = self.nibbles[idx / 2];
-        if idx % 2 == 0 {
+        if idx.is_multiple_of(2) {
             byte & 0x0F
         } else {
             byte >> 4
@@ -184,7 +184,7 @@ impl FreqSketch {
         let cur = self.get(idx);
         if cur < 15 {
             let byte = &mut self.nibbles[idx / 2];
-            if idx % 2 == 0 {
+            if idx.is_multiple_of(2) {
                 *byte = (*byte & 0xF0) | (cur + 1);
             } else {
                 *byte = (*byte & 0x0F) | ((cur + 1) << 4);

@@ -324,7 +324,7 @@ pub fn scenarios(seed: u64) -> Vec<ScenarioSpec> {
         ScenarioSpec {
             chaos: ChaosConfig {
                 p_nan: 0.9,
-                ..ChaosConfig::quiet(seed ^ 0x6e61_6e)
+                ..ChaosConfig::quiet(seed ^ 0x6e_61_6e)
             },
             // Backoff far beyond the drill duration: once a breaker opens
             // it stays open, so replays with the same seed attempt the
@@ -350,7 +350,7 @@ pub fn scenarios(seed: u64) -> Vec<ScenarioSpec> {
             chaos: ChaosConfig {
                 p_latency: 0.8,
                 latency_us: 30_000,
-                ..ChaosConfig::quiet(seed ^ 0x6c61_74)
+                ..ChaosConfig::quiet(seed ^ 0x6c_61_74)
             },
             deadline_us: Some(20_000),
             expect: Expectations {
@@ -371,7 +371,7 @@ pub fn scenarios(seed: u64) -> Vec<ScenarioSpec> {
         ScenarioSpec {
             chaos: ChaosConfig {
                 p_panic: 0.7,
-                ..ChaosConfig::quiet(seed ^ 0x7061_6e)
+                ..ChaosConfig::quiet(seed ^ 0x70_61_6e)
             },
             breaker: Some(BreakerConfig {
                 failure_threshold: 2,
@@ -407,7 +407,7 @@ pub fn scenarios(seed: u64) -> Vec<ScenarioSpec> {
         ScenarioSpec {
             chaos: ChaosConfig {
                 p_nan: 1.0,
-                ..ChaosConfig::quiet(seed ^ 0x7265_63)
+                ..ChaosConfig::quiet(seed ^ 0x72_65_63)
             },
             waves: 4,
             clear_chaos_after_wave: Some(0),

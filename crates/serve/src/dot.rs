@@ -23,7 +23,7 @@
 //! **Caching.** With a cache attached ([`DotExecutor::with_cache`]), the
 //! frontend's per-request probe performs the lookup and *stashes* the
 //! found value; a later `execute` on a cache rung returns the stashed
-//! value bit-identically (proptested) — the entry filled from
+//! value bit-identically (property-tested) — the entry filled from
 //! `estimate_batch` is exactly what the cached rung serves. Model-rung
 //! answers are written through into the cache under TinyLFU admission, so
 //! real traffic keeps the hot set warm; every probe also feeds the shared

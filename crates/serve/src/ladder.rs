@@ -16,7 +16,7 @@
 //! inference, so it sits just above the fallback — it only answers when
 //! no model rung fits the budget or every model breaker is open.
 //!
-//! Selection is *monotone in the deadline* (verified by a proptest): for a
+//! Selection is *monotone in the deadline* (verified by a property test): for a
 //! fixed latency snapshot, shrinking the budget can only move the choice
 //! down the ladder, never up. This is what makes per-request deadlines
 //! composable with SLA reporting — a stricter SLA never gets a slower
@@ -214,7 +214,7 @@ impl LatencyLadder {
 /// fallback if none fits (it is always usable — breakers never apply to
 /// it).
 ///
-/// Monotonicity (the proptested invariant): for fixed `costs` and
+/// Monotonicity (the property-tested invariant): for fixed `costs` and
 /// `usable`, if `d' ≤ d` then `select(d').index() ≥ select(d).index()` —
 /// a shorter deadline never picks a slower (higher-preference) rung. Proof
 /// sketch: the predicate `cost[i] ≤ d` is monotone in `d` for every `i`,
@@ -363,7 +363,7 @@ mod tests {
 
     #[test]
     fn selection_is_monotone_on_a_cost_grid() {
-        // Exhaustive small-grid check of the proptested invariant, now
+        // Exhaustive small-grid check of the property-tested invariant, now
         // over all 2^5 usable masks including the cache rungs.
         let grids: [[u64; NUM_RUNGS]; 4] = [
             [1, 100, 50, 20, 1, 1],

@@ -14,7 +14,7 @@
 //!   budget; the [`LatencyLadder`] picks the highest-fidelity rung (full
 //!   DDPM → DDIM → reduced-step DDIM → haversine prior) whose live p95
 //!   fits the remaining budget. Selection is monotone in the deadline
-//!   (proptested): a stricter deadline never gets a slower rung.
+//!   (property-tested): a stricter deadline never gets a slower rung.
 //! * **Circuit breakers** — each model-backed rung sits behind a
 //!   [`CircuitBreaker`] (closed → open → half-open, exponential backoff)
 //!   that trips on panics, NaN outputs, and latency-budget violations;

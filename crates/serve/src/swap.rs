@@ -537,7 +537,7 @@ mod tests {
             }
             other => panic!("expected drift rejection, got {other:?}"),
         }
-        assert_eq!(outcome.promoted(), false);
+        assert!(!outcome.promoted());
         assert!(c.host().promoted_paths.is_empty());
         assert_eq!(c.stats().last_reject_code, Some("drift_failed"));
     }

@@ -14,9 +14,15 @@
 //!    inserted (no rounding, no re-derivation), which is what makes the
 //!    cached rung's answer bit-identical to the `estimate_batch` value
 //!    that produced it.
+//!
+//! Each property runs `CASES` cases; case `n` draws its inputs from
+//! `SplitMix64::new(n)`, so the case number in a failure message is the seed
+//! that replays it.
 
+use odt_obs::SplitMix64;
 use odt_serve::{CacheConfig, CacheLookup, EstimateCache, OdKey};
-use proptest::prelude::*;
+
+const CASES: u64 = 256;
 
 fn small_cfg(capacity: usize, seed: u64) -> CacheConfig {
     CacheConfig {
@@ -35,13 +41,23 @@ enum Op {
     Advance { us: u32 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (any::<u16>(), any::<u16>(), any::<bool>())
-            .prop_map(|(key, bits, forced)| Op::Insert { key, bits, forced }),
-        2 => any::<u16>().prop_map(|key| Op::Lookup { key }),
-        1 => (0u32..2_000_000).prop_map(|us| Op::Advance { us }),
-    ]
+/// Up to 255 ops: inserts, lookups and clock advances in a 4 : 2 : 1 mix.
+fn ops(rng: &mut SplitMix64) -> Vec<Op> {
+    (0..rng.next_below(256))
+        .map(|_| match rng.next_below(7) {
+            0..=3 => Op::Insert {
+                key: rng.next_u64() as u16,
+                bits: rng.next_u64() as u16,
+                forced: rng.next_u64() & 1 == 1,
+            },
+            4..=5 => Op::Lookup {
+                key: rng.next_u64() as u16,
+            },
+            _ => Op::Advance {
+                us: rng.next_below(2_000_000) as u32,
+            },
+        })
+        .collect()
 }
 
 /// Map a compact op key onto a real OD key (distinct cells, bucket 0 so
@@ -56,7 +72,7 @@ fn payload(bits: u16) -> f64 {
     f64::from(bits) + 0.125
 }
 
-fn replay(cache: &EstimateCache, ops: &[Op]) -> (u64, u64, Vec<(u64, u64)>) {
+fn replay(cache: &EstimateCache, ops: &[Op], case: u64) -> (u64, u64, Vec<(u64, u64)>) {
     let mut now = 1u64;
     let mut resident_max = 0usize;
     for op in ops {
@@ -76,7 +92,7 @@ fn replay(cache: &EstimateCache, ops: &[Op]) -> (u64, u64, Vec<(u64, u64)>) {
         let len = cache.len();
         assert!(
             len <= cache.capacity(),
-            "resident {len} exceeded capacity {}",
+            "case {case}: resident {len} exceeded capacity {}",
             cache.capacity()
         );
         resident_max = resident_max.max(len);
@@ -99,49 +115,51 @@ fn replay(cache: &EstimateCache, ops: &[Op]) -> (u64, u64, Vec<(u64, u64)>) {
     (s.admission_rejects, s.evictions, survivors)
 }
 
-proptest! {
-    /// Property 1: the resident count never exceeds capacity, at any point
-    /// during any workload (checked after every op inside `replay`).
-    #[test]
-    fn capacity_is_never_exceeded(
-        cap in 1usize..64,
-        ops in prop::collection::vec(op_strategy(), 0..256),
-    ) {
+/// Property 1: the resident count never exceeds capacity, at any point
+/// during any workload (checked after every op inside `replay`).
+#[test]
+fn capacity_is_never_exceeded() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let cap = 1 + rng.next_below(63) as usize;
         let cache = EstimateCache::new(small_cfg(cap, 0xCAFE));
-        replay(&cache, &ops);
-        prop_assert!(cache.len() <= cache.capacity());
+        replay(&cache, &ops(&mut rng), case);
+        assert!(cache.len() <= cache.capacity(), "case {case}");
     }
+}
 
-    /// Property 2: with a fixed sketch seed, the cache is a pure function
-    /// of the op sequence — two replays agree on the resident set, the
-    /// payload bits, the admission rejects, and the evictions.
-    #[test]
-    fn admission_is_deterministic_under_a_fixed_seed(
-        seed in any::<u64>(),
-        ops in prop::collection::vec(op_strategy(), 0..256),
-    ) {
+/// Property 2: with a fixed sketch seed, the cache is a pure function
+/// of the op sequence — two replays agree on the resident set, the
+/// payload bits, the admission rejects, and the evictions.
+#[test]
+fn admission_is_deterministic_under_a_fixed_seed() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let seed = rng.next_u64();
+        let ops = ops(&mut rng);
         let a = EstimateCache::new(small_cfg(16, seed));
         let b = EstimateCache::new(small_cfg(16, seed));
-        let ra = replay(&a, &ops);
-        let rb = replay(&b, &ops);
-        prop_assert_eq!(ra, rb);
+        assert_eq!(
+            replay(&a, &ops, case),
+            replay(&b, &ops, case),
+            "case {case}"
+        );
     }
+}
 
-    /// Property 3: exact TTL / staleness boundaries. For any bucket and
-    /// any TTL pair, the transitions happen at exactly `ttl` and exactly
-    /// `ttl * stale_grace`, never one microsecond early or late.
-    #[test]
-    fn staleness_boundaries_are_exact(
-        bucket in 0u16..48,
-        ttl_ms in 1u64..10_000,
-        rush_ms in 1u64..10_000,
-        bits in any::<u16>(),
-    ) {
+/// Property 3: exact TTL / staleness boundaries. For any bucket and
+/// any TTL pair, the transitions happen at exactly `ttl` and exactly
+/// `ttl * stale_grace`, never one microsecond early or late.
+#[test]
+fn staleness_boundaries_are_exact() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let bucket = rng.next_below(48) as u16;
         let cfg = CacheConfig {
             capacity: 8,
             shards: 1,
-            ttl_us: ttl_ms * 1_000,
-            rush_ttl_us: rush_ms * 1_000,
+            ttl_us: (1 + rng.next_below(9_999)) * 1_000,
+            rush_ttl_us: (1 + rng.next_below(9_999)) * 1_000,
             ..CacheConfig::default()
         };
         let ttl = cfg.ttl_for_bucket(bucket);
@@ -149,48 +167,51 @@ proptest! {
         let cache = EstimateCache::new(cfg);
         let key = OdKey::new(1, 2, bucket);
         let t0 = 1_000u64;
-        cache.insert_forced(key, payload(bits), t0);
+        cache.insert_forced(key, payload(rng.next_u64() as u16), t0);
 
-        prop_assert!(matches!(
-            cache.lookup(key, t0 + ttl),
-            CacheLookup::Fresh { .. }
-        ), "age == ttl must still be fresh");
-        prop_assert!(matches!(
-            cache.lookup(key, t0 + ttl + 1),
-            CacheLookup::Stale { .. }
-        ), "age == ttl + 1 must be stale");
-        prop_assert!(matches!(
-            cache.lookup(key, t0 + expiry),
-            CacheLookup::Stale { .. }
-        ), "age == grace bound must still be stale");
-        prop_assert!(matches!(
-            cache.lookup(key, t0 + expiry + 1),
-            CacheLookup::Miss
-        ), "age past the grace bound must miss (hard expiry)");
+        assert!(
+            matches!(cache.lookup(key, t0 + ttl), CacheLookup::Fresh { .. }),
+            "case {case}: age == ttl must still be fresh"
+        );
+        assert!(
+            matches!(cache.lookup(key, t0 + ttl + 1), CacheLookup::Stale { .. }),
+            "case {case}: age == ttl + 1 must be stale"
+        );
+        assert!(
+            matches!(cache.lookup(key, t0 + expiry), CacheLookup::Stale { .. }),
+            "case {case}: age == grace bound must still be stale"
+        );
+        assert!(
+            matches!(cache.lookup(key, t0 + expiry + 1), CacheLookup::Miss),
+            "case {case}: age past the grace bound must miss (hard expiry)"
+        );
     }
+}
 
-    /// Property 4: lookups return the exact bits the fill inserted, for
-    /// any finite payload — the cached rung serves the `estimate_batch`
-    /// value verbatim.
-    #[test]
-    fn lookups_are_bit_identical_to_the_fill(
-        raw in any::<u64>(),
-        key in any::<u16>(),
-    ) {
-        let seconds = f64::from_bits(raw);
+/// Property 4: lookups return the exact bits the fill inserted, for
+/// any finite payload — the cached rung serves the `estimate_batch`
+/// value verbatim.
+#[test]
+fn lookups_are_bit_identical_to_the_fill() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let seconds = f64::from_bits(rng.next_u64());
         let cache = EstimateCache::new(small_cfg(8, 7));
-        let key = od_key(key);
+        let key = od_key(rng.next_u64() as u16);
         cache.insert_forced(key, seconds, 500);
         match cache.lookup(key, 600) {
             CacheLookup::Fresh { seconds: got, .. } => {
-                prop_assert_eq!(got.to_bits(), seconds.to_bits());
+                assert_eq!(got.to_bits(), seconds.to_bits(), "case {case}");
             }
+            // Non-finite payloads are refused by design; everything
+            // finite must round-trip.
             CacheLookup::Miss => {
-                // Non-finite payloads are refused by design; everything
-                // finite must round-trip.
-                prop_assert!(!seconds.is_finite(), "finite fill {seconds} vanished");
+                assert!(
+                    !seconds.is_finite(),
+                    "case {case}: finite fill {seconds} vanished"
+                )
             }
-            other => prop_assert!(false, "unexpected lookup result {other:?}"),
+            other => panic!("case {case}: unexpected lookup result {other:?}"),
         }
     }
 }

@@ -9,133 +9,201 @@
 //! 3. **Fallback totality** — the haversine-prior fallback produces a
 //!    finite, non-negative estimate for *any* query, including NaN and
 //!    infinite coordinates.
+//!
+//! Each property runs `CASES` cases; case `n` draws its inputs from
+//! `SplitMix64::new(n)`, so the case number in a failure message is the seed
+//! that replays it.
 
 use odt_core::fallback_estimate_seconds;
+use odt_obs::SplitMix64;
 use odt_roadnet::LngLat;
 use odt_serve::{select_from_costs, LadderConfig, LatencyLadder, Rung};
 use odt_traj::OdtInput;
-use proptest::prelude::*;
+
+const CASES: u64 = 256;
 
 fn usable_fn(mask: u8) -> impl Fn(Rung) -> bool {
     move |r: Rung| r.is_terminal() || mask & (1 << r.index()) != 0
 }
 
-proptest! {
-    /// A shorter deadline never selects a slower rung (pure selection).
-    #[test]
-    fn selection_is_monotone_in_the_deadline(
-        costs in prop::array::uniform6(0u64..1_000_000),
-        mask in 0u8..32,
-        d_lo in 0u64..2_000_000,
-        extra in 0u64..2_000_000,
-    ) {
-        let d_hi = d_lo.saturating_add(extra);
+/// One cost per rung, each below `bound`.
+fn costs(rng: &mut SplitMix64, bound: u64) -> [u64; 6] {
+    std::array::from_fn(|_| rng.next_below(bound))
+}
+
+/// A breaker mask over the five non-terminal rungs.
+fn mask(rng: &mut SplitMix64) -> u8 {
+    rng.next_below(32) as u8
+}
+
+/// A ladder fed up to 63 latency observations of `min_us..500_000` µs.
+fn observed_ladder(rng: &mut SplitMix64, min_us: u64) -> LatencyLadder {
+    let ladder = LatencyLadder::new(LadderConfig::default());
+    for _ in 0..rng.next_below(64) {
+        let rung = Rung::from_index(rng.next_below(6) as usize);
+        ladder.observe(rung, min_us + rng.next_below(500_000 - min_us));
+    }
+    ladder
+}
+
+/// Any `f64` bit pattern, with the non-finite and boundary values a uniform
+/// draw over bits all but never produces in one case out of four.
+fn any_f64(rng: &mut SplitMix64) -> f64 {
+    const EDGES: [f64; 8] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+    ];
+    match rng.next_below(32) {
+        i @ 0..=7 => EDGES[i as usize],
+        _ => f64::from_bits(rng.next_u64()),
+    }
+}
+
+/// A shorter deadline never selects a slower rung (pure selection).
+#[test]
+fn selection_is_monotone_in_the_deadline() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let costs = costs(&mut rng, 1_000_000);
+        let mask = mask(&mut rng);
+        let d_lo = rng.next_below(2_000_000);
+        let d_hi = d_lo + rng.next_below(2_000_000);
         let pick_lo = select_from_costs(&costs, d_lo, usable_fn(mask));
         let pick_hi = select_from_costs(&costs, d_hi, usable_fn(mask));
         // Lower index = higher fidelity; shrinking the budget may only
         // move the selection down the ladder (index up), never up.
-        prop_assert!(
+        assert!(
             pick_lo.index() >= pick_hi.index(),
-            "deadline {d_lo} picked {pick_lo:?} but deadline {d_hi} picked {pick_hi:?} \
-             (costs {costs:?}, mask {mask:#06b})"
+            "case {case}: deadline {d_lo} picked {pick_lo:?} but deadline {d_hi} picked \
+             {pick_hi:?} (costs {costs:?}, mask {mask:#07b})"
         );
     }
+}
 
-    /// The selected rung is usable and within budget whenever possible.
-    #[test]
-    fn selection_is_sound(
-        costs in prop::array::uniform6(0u64..1_000_000),
-        mask in 0u8..32,
-        deadline in 0u64..2_000_000,
-    ) {
-        let usable = usable_fn(mask);
+/// The selected rung is usable and within budget whenever possible.
+#[test]
+fn selection_is_sound() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let costs = costs(&mut rng, 1_000_000);
+        let usable = usable_fn(mask(&mut rng));
+        let deadline = rng.next_below(2_000_000);
         let pick = select_from_costs(&costs, deadline, &usable);
-        prop_assert!(usable(pick) || pick.is_terminal());
+        assert!(usable(pick) || pick.is_terminal(), "case {case}: {pick:?}");
         if !pick.is_terminal() {
             // A non-terminal pick always fits its budget...
-            prop_assert!(costs[pick.index()] <= deadline);
+            assert!(
+                costs[pick.index()] <= deadline,
+                "case {case}: {pick:?} costs {} of {deadline}",
+                costs[pick.index()]
+            );
             // ...and no usable higher-fidelity rung also fit.
             for r in Rung::ALL.iter().take(pick.index()) {
-                prop_assert!(!(usable(*r) && costs[r.index()] <= deadline));
+                assert!(
+                    !(usable(*r) && costs[r.index()] <= deadline),
+                    "case {case}: {r:?} fit but {pick:?} was picked"
+                );
             }
         }
     }
+}
 
-    /// Monotonicity survives the live ladder (histogram p95s + priors),
-    /// not just the pure function: feed arbitrary latency observations,
-    /// then check a deadline pair.
-    #[test]
-    fn live_ladder_selection_is_monotone(
-        obs in prop::collection::vec((0usize..6, 1u64..500_000), 0..64),
-        mask in 0u8..32,
-        d_lo in 0u64..1_000_000,
-        extra in 0u64..1_000_000,
-    ) {
-        let ladder = LatencyLadder::new(LadderConfig::default());
-        for (rung_idx, micros) in obs {
-            ladder.observe(Rung::from_index(rung_idx), micros);
-        }
-        let d_hi = d_lo.saturating_add(extra);
+/// Monotonicity survives the live ladder (histogram p95s + priors),
+/// not just the pure function: feed arbitrary latency observations,
+/// then check a deadline pair.
+#[test]
+fn live_ladder_selection_is_monotone() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let ladder = observed_ladder(&mut rng, 1);
+        let mask = mask(&mut rng);
+        let d_lo = rng.next_below(1_000_000);
+        let d_hi = d_lo + rng.next_below(1_000_000);
         let pick_lo = ladder.select(d_lo, usable_fn(mask));
         let pick_hi = ladder.select(d_hi, usable_fn(mask));
-        prop_assert!(pick_lo.index() >= pick_hi.index());
+        assert!(
+            pick_lo.index() >= pick_hi.index(),
+            "case {case}: deadline {d_lo} picked {pick_lo:?} but deadline {d_hi} picked {pick_hi:?}"
+        );
     }
+}
 
-    /// The zero/negative-budget boundary: when the remaining deadline
-    /// budget is already exhausted at dequeue (a negative budget saturates
-    /// to 0 upstream), selection must never panic and must go straight to
-    /// a free rung or the terminal prior — it cannot pick a rung whose
-    /// cost estimate is nonzero, for any cost snapshot or breaker mask.
-    #[test]
-    fn zero_budget_selection_is_total_and_free(
-        costs in prop::array::uniform6(0u64..u64::MAX),
-        mask in 0u8..32,
-    ) {
+/// The zero/negative-budget boundary: when the remaining deadline
+/// budget is already exhausted at dequeue (a negative budget saturates
+/// to 0 upstream), selection must never panic and must go straight to
+/// a free rung or the terminal prior — it cannot pick a rung whose
+/// cost estimate is nonzero, for any cost snapshot or breaker mask.
+#[test]
+fn zero_budget_selection_is_total_and_free() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        // Any cost at all, with a free rung in about one case out of three.
+        let costs: [u64; 6] = std::array::from_fn(|_| match rng.next_below(16) {
+            0 => 0,
+            _ => rng.next_u64(),
+        });
+        let mask = mask(&mut rng);
         let usable = usable_fn(mask);
         let pick = select_from_costs(&costs, 0, &usable);
-        prop_assert!(
+        assert!(
             costs[pick.index()] == 0 || pick.is_terminal(),
-            "budget 0 picked {pick:?} with cost {} (costs {costs:?}, mask {mask:#06b})",
+            "case {case}: budget 0 picked {pick:?} with cost {} (costs {costs:?}, mask {mask:#07b})",
             costs[pick.index()]
         );
-        prop_assert!(usable(pick) || pick.is_terminal());
+        assert!(usable(pick) || pick.is_terminal(), "case {case}: {pick:?}");
         // And the boundary is consistent with monotonicity: no positive
         // budget may pick a *higher*-index rung than budget 0 does.
         let pick_one = select_from_costs(&costs, 1, &usable);
-        prop_assert!(pick.index() >= pick_one.index());
+        assert!(
+            pick.index() >= pick_one.index(),
+            "case {case}: budget 0 picked {pick:?}, budget 1 picked {pick_one:?}"
+        );
     }
+}
 
-    /// The live ladder at the same boundary: arbitrary observations, then
-    /// a zero-budget selection — total, and only free-or-terminal.
-    #[test]
-    fn live_ladder_zero_budget_is_total(
-        obs in prop::collection::vec((0usize..6, 0u64..500_000), 0..64),
-        mask in 0u8..32,
-    ) {
-        let ladder = LatencyLadder::new(LadderConfig::default());
-        for (rung_idx, micros) in obs {
-            ladder.observe(Rung::from_index(rung_idx), micros);
-        }
-        let pick = ladder.select(0, usable_fn(mask));
-        prop_assert!(ladder.cost_us(pick) == 0 || pick.is_terminal());
+/// The live ladder at the same boundary: arbitrary observations, then
+/// a zero-budget selection — total, and only free-or-terminal.
+#[test]
+fn live_ladder_zero_budget_is_total() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
+        let ladder = observed_ladder(&mut rng, 0);
+        let pick = ladder.select(0, usable_fn(mask(&mut rng)));
+        assert!(
+            ladder.cost_us(pick) == 0 || pick.is_terminal(),
+            "case {case}: budget 0 picked {pick:?} with cost {}",
+            ladder.cost_us(pick)
+        );
     }
+}
 
-    /// The terminal fallback answers every query with a finite,
-    /// non-negative travel time — even for absurd or non-finite inputs.
-    #[test]
-    fn fallback_estimate_is_always_finite(
-        olng in prop::num::f64::ANY,
-        olat in prop::num::f64::ANY,
-        dlng in prop::num::f64::ANY,
-        dlat in prop::num::f64::ANY,
-        t_dep in prop::num::f64::ANY,
-    ) {
+/// The terminal fallback answers every query with a finite,
+/// non-negative travel time — even for absurd or non-finite inputs.
+#[test]
+fn fallback_estimate_is_always_finite() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(case);
         let odt = OdtInput {
-            origin: LngLat { lng: olng, lat: olat },
-            dest: LngLat { lng: dlng, lat: dlat },
-            t_dep,
+            origin: LngLat {
+                lng: any_f64(&mut rng),
+                lat: any_f64(&mut rng),
+            },
+            dest: LngLat {
+                lng: any_f64(&mut rng),
+                lat: any_f64(&mut rng),
+            },
+            t_dep: any_f64(&mut rng),
         };
         let secs = fallback_estimate_seconds(&odt);
-        prop_assert!(secs.is_finite() && secs >= 0.0, "fallback produced {secs}");
+        assert!(
+            secs.is_finite() && secs >= 0.0,
+            "case {case}: fallback produced {secs} for {odt:?}"
+        );
     }
 }

@@ -499,6 +499,9 @@ pub fn conv2d_grad_bias(grad_out: &Tensor) -> Tensor {
     let mut gb = Tensor::zeros(vec![c_out]);
     let gd = grad_out.data();
     let gbd = gb.data_mut();
+    // `co` also places the channel's plane in `gd`; zipping `gbd` with an
+    // index would rewrite a loop the `train` workload times.
+    #[allow(clippy::needless_range_loop)]
     for bi in 0..b {
         for co in 0..c_out {
             let base = ((bi * c_out + co) * ho) * wo;
@@ -563,9 +566,7 @@ pub fn upsample_nearest2_grad(grad_out: &Tensor) -> Tensor {
 }
 
 /// Naive single-threaded reference kernels, kept as test oracles for the
-/// parallel implementations above (also exercised by the property-based
-/// equivalence suite in `tests/parallel_equivalence.rs`, which carries its
-/// own copies since integration tests cannot see `#[cfg(test)]` items).
+/// parallel implementations above.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
@@ -804,6 +805,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odt_obs::SplitMix64;
 
     fn pseudo(n: usize, seed: u32) -> Vec<f32> {
         let mut s = seed | 1;
@@ -1050,5 +1052,242 @@ mod tests {
         // Sum over a one-tensor upstream grad = 4 copies of each pixel.
         let g = upsample_nearest2_grad(&Tensor::ones(vec![1, 1, 4, 4]));
         assert!(g.data().iter().all(|&v| v == 4.0));
+    }
+
+    // The parallel-equivalence suite: every kernel on `odt-compute` against
+    // its `reference` oracle over randomized shapes (including sizes that are
+    // not multiples of the GEMM's k-block of 64) and against
+    // `odt_compute::run_sequential`, the single-lane mode `ODT_THREADS=1`
+    // pins. matmul, bmm, conv2d forward and grad-input keep the per-element
+    // accumulation order, so they are bit-identical to both; grad-weight's
+    // fixed-split batch reduction is bit-identical to the sequential run and
+    // within tolerance of the definition's serial sum. Case `n` draws from
+    // `SplitMix64::new(n)`, so the case number in a failure is its seed.
+
+    const CASES: u64 = 48;
+
+    /// Uniform draw in `lo..=hi`.
+    fn between(rng: &mut SplitMix64, lo: usize, hi: usize) -> usize {
+        lo + rng.next_below((hi - lo + 1) as u64) as usize
+    }
+
+    /// A tensor of `shape` with values in `[-1, 1)`.
+    fn tensor_of(rng: &mut SplitMix64, shape: Vec<usize>) -> Tensor {
+        let n: usize = shape.iter().product();
+        let data = (0..n)
+            .map(|_| (rng.next_f64() * 2.0 - 1.0) as f32)
+            .collect();
+        Tensor::from_vec(data, shape)
+    }
+
+    /// Conv operands small enough to be fast but covering strides, padding,
+    /// multi-channel and batch > 1.
+    struct ConvCase {
+        x: Tensor,
+        w: Tensor,
+        bias: Tensor,
+        stride: usize,
+        pad: usize,
+    }
+
+    fn conv_case(rng: &mut SplitMix64) -> ConvCase {
+        let (b, c_in) = (between(rng, 1, 4), between(rng, 1, 3));
+        let (h, w) = (between(rng, 3, 8), between(rng, 3, 8));
+        let c_out = between(rng, 1, 3);
+        let kk = [1, 3][between(rng, 0, 1)];
+        ConvCase {
+            x: tensor_of(rng, vec![b, c_in, h, w]),
+            w: tensor_of(rng, vec![c_out, c_in, kk, kk]),
+            bias: tensor_of(rng, vec![c_out]),
+            stride: between(rng, 1, 2),
+            pad: between(rng, 0, 1),
+        }
+    }
+
+    #[test]
+    fn matmul_equivalent() {
+        for case in 0..CASES {
+            let mut rng = SplitMix64::new(case);
+            let (m, k, n) = (
+                between(&mut rng, 1, 20),
+                between(&mut rng, 1, 130),
+                between(&mut rng, 1, 20),
+            );
+            let a = tensor_of(&mut rng, vec![m, k]);
+            let b = tensor_of(&mut rng, vec![k, n]);
+            let par = matmul(&a, &b);
+            let seq = odt_compute::run_sequential(|| matmul(&a, &b));
+            let mut want = vec![0.0f32; m * n];
+            reference::gemm_acc(a.data(), b.data(), &mut want, m, k, n);
+            assert_eq!(
+                bits(par.data()),
+                bits(seq.data()),
+                "case {case}: [{m},{k}]x[{k},{n}] vs sequential"
+            );
+            assert_eq!(
+                bits(par.data()),
+                bits(&want),
+                "case {case}: [{m},{k}]x[{k},{n}] vs reference"
+            );
+        }
+    }
+
+    #[test]
+    fn bmm_equivalent() {
+        for case in 0..CASES {
+            let mut rng = SplitMix64::new(case);
+            let (ba, m, k, n) = (
+                between(&mut rng, 1, 4),
+                between(&mut rng, 1, 12),
+                between(&mut rng, 1, 16),
+                between(&mut rng, 1, 12),
+            );
+            let a = tensor_of(&mut rng, vec![ba, m, k]);
+            let b = tensor_of(&mut rng, vec![ba, k, n]);
+            let par = bmm(&a, &b);
+            let seq = odt_compute::run_sequential(|| bmm(&a, &b));
+            let mut want = vec![0.0f32; ba * m * n];
+            for t in 0..ba {
+                reference::gemm_acc(
+                    &a.data()[t * m * k..(t + 1) * m * k],
+                    &b.data()[t * k * n..(t + 1) * k * n],
+                    &mut want[t * m * n..(t + 1) * m * n],
+                    m,
+                    k,
+                    n,
+                );
+            }
+            assert_eq!(
+                bits(par.data()),
+                bits(seq.data()),
+                "case {case}: vs sequential"
+            );
+            assert_eq!(bits(par.data()), bits(&want), "case {case}: vs reference");
+        }
+    }
+
+    #[test]
+    fn conv2d_forward_equivalent() {
+        for case in 0..CASES {
+            let ConvCase {
+                x,
+                w,
+                bias,
+                stride,
+                pad,
+            } = conv_case(&mut SplitMix64::new(case));
+            let par = conv2d(&x, &w, Some(&bias), stride, pad);
+            let seq = odt_compute::run_sequential(|| conv2d(&x, &w, Some(&bias), stride, pad));
+            let want = reference::conv2d_naive(&x, &w, Some(&bias), stride, pad);
+            assert_eq!(
+                bits(par.data()),
+                bits(seq.data()),
+                "case {case}: vs sequential"
+            );
+            assert_eq!(
+                bits(par.data()),
+                bits(want.data()),
+                "case {case}: vs reference"
+            );
+        }
+    }
+
+    #[test]
+    fn conv2d_grad_input_equivalent() {
+        for case in 0..CASES {
+            let ConvCase {
+                x, w, stride, pad, ..
+            } = conv_case(&mut SplitMix64::new(case));
+            let y = conv2d(&x, &w, None, stride, pad);
+            let g = y.map(|v| v * 0.5 + 0.1); // arbitrary upstream gradient
+            let par = conv2d_grad_input(&g, &w, x.shape(), stride, pad);
+            let seq =
+                odt_compute::run_sequential(|| conv2d_grad_input(&g, &w, x.shape(), stride, pad));
+            let want = reference::conv2d_grad_input_naive(&g, &w, x.shape(), stride, pad);
+            assert_eq!(
+                bits(par.data()),
+                bits(seq.data()),
+                "case {case}: vs sequential"
+            );
+            assert_eq!(
+                bits(par.data()),
+                bits(want.data()),
+                "case {case}: vs reference"
+            );
+        }
+    }
+
+    #[test]
+    fn conv2d_grad_weight_equivalent() {
+        for case in 0..CASES {
+            let ConvCase {
+                x, w, stride, pad, ..
+            } = conv_case(&mut SplitMix64::new(case));
+            let y = conv2d(&x, &w, None, stride, pad);
+            let g = y.map(|v| v * 0.25 - 0.05);
+            let par = conv2d_grad_weight(&g, &x, w.shape(), stride, pad);
+            let seq =
+                odt_compute::run_sequential(|| conv2d_grad_weight(&g, &x, w.shape(), stride, pad));
+            assert_eq!(
+                bits(par.data()),
+                bits(seq.data()),
+                "case {case}: vs sequential"
+            );
+            // Definition: dW[co,ci,ky,kx] = Σ_{b,oy,ox} g[b,co,oy,ox] · x[...].
+            let (b, c_in, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+            let (c_out, kh, kw) = (w.shape()[0], w.shape()[2], w.shape()[3]);
+            let (ho, wo) = (g.shape()[2], g.shape()[3]);
+            for co in 0..c_out {
+                for ci in 0..c_in {
+                    for ky in 0..kh {
+                        for kx in 0..kw {
+                            let mut acc = 0.0f64;
+                            for bi in 0..b {
+                                for oy in 0..ho {
+                                    for ox in 0..wo {
+                                        let iy = (oy * stride + ky) as isize - pad as isize;
+                                        let ix = (ox * stride + kx) as isize - pad as isize;
+                                        if iy < 0 || iy >= h as isize || ix < 0 || ix >= wd as isize
+                                        {
+                                            continue;
+                                        }
+                                        let gv = g.data()[((bi * c_out + co) * ho + oy) * wo + ox];
+                                        let xv = x.data()[((bi * c_in + ci) * h + iy as usize)
+                                            * wd
+                                            + ix as usize];
+                                        acc += (gv * xv) as f64;
+                                    }
+                                }
+                            }
+                            let got = par.data()[((co * c_in + ci) * kh + ky) * kw + kx];
+                            assert!(
+                                (got as f64 - acc).abs() <= 1e-4 * (1.0 + acc.abs()),
+                                "case {case}: dW[{co},{ci},{ky},{kx}] = {got} vs {acc}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_rows_equivalent() {
+        for case in 0..CASES {
+            let mut rng = SplitMix64::new(case);
+            let (rows, inner) = (between(&mut rng, 1, 32), between(&mut rng, 1, 40));
+            let t = tensor_of(&mut rng, vec![rows, inner]);
+            let par = t.softmax_lastdim();
+            let seq = odt_compute::run_sequential(|| t.softmax_lastdim());
+            assert_eq!(
+                bits(par.data()),
+                bits(seq.data()),
+                "case {case}: vs sequential"
+            );
+            for (r, row) in par.data().chunks(inner).enumerate() {
+                let s: f32 = row.iter().sum();
+                assert!((s - 1.0).abs() < 1e-4, "case {case}: row {r} sums to {s}");
+            }
+        }
     }
 }

@@ -629,8 +629,8 @@ impl Tensor {
             t = t.sum_axis(0, false);
         }
         // Sum over dims where target is 1 but t is larger.
-        for d in 0..target.len() {
-            if target[d] == 1 && t.shape[d] != 1 {
+        for (d, &want) in target.iter().enumerate() {
+            if want == 1 && t.shape[d] != 1 {
                 t = t.sum_axis(d, true);
             }
         }

@@ -195,7 +195,7 @@ mod tests {
                 t: 60.0,
             },
         ]);
-        let g = GridSpec::covering(&[t.clone()], 8);
+        let g = GridSpec::covering(std::slice::from_ref(&t), 8);
         for p in &t.points {
             let (row, col) = g.cell_of(p.loc);
             assert!(row < 8 && col < 8);

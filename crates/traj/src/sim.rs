@@ -573,7 +573,7 @@ mod tests {
         for _ in 0..30 {
             let t = sim.generate_trip(&mut rng);
             let rel = t.departure() - sim.config.epoch_start;
-            assert!(rel >= 0.0 && rel < 10.0 * 86_400.0);
+            assert!((0.0..10.0 * 86_400.0).contains(&rel));
         }
     }
 

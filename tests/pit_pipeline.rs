@@ -1,12 +1,13 @@
 //! Integration tests of the PiT data path: trajectory → PiT → estimators /
 //! denoiser, PiT → path → path-based models, and the property-based
-//! invariants of the rasterization.
+//! invariants of the rasterization (case `n` draws its trip seed from
+//! `SplitMix64::new(n)`, and a failure message names both).
 
 use odt::diffusion::{ConditionedDenoiser, DenoiserConfig, NoisePredictor};
 use odt::estimator::{MVit, MVitConfig, PitEstimator};
+use odt::obs::SplitMix64;
 use odt::prelude::*;
 use odt::tensor::{Graph, Tensor};
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -57,18 +58,26 @@ fn pit_to_path_round_trip_is_ordered() {
     assert_eq!(first_cell, origin_cell);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// One simulated trip per case, from a seed below `seed_bound`; seed 80 once
+/// made the first property fail and is always among them.
+fn trips(cases: u64, seed_bound: u64) -> impl Iterator<Item = (String, Trajectory)> {
+    let mut cfg = odt::traj::sim::CitySimConfig::chengdu_like();
+    cfg.nx = 8;
+    cfg.ny = 8;
+    let sim = odt::traj::sim::CitySim::new(cfg);
+    (0..cases)
+        .map(move |case| (case, SplitMix64::new(case).next_below(seed_bound)))
+        .chain([(cases, 80)])
+        .map(move |(case, seed)| {
+            let trip = sim.generate_trip(&mut StdRng::seed_from_u64(seed));
+            (format!("case {case} (trip seed {seed})"), trip)
+        })
+}
 
-    /// Any trajectory rasterizes to a PiT whose values respect Definition 2.
-    #[test]
-    fn pit_values_respect_definition(seed in 0u64..500) {
-        let mut cfg = odt::traj::sim::CitySimConfig::chengdu_like();
-        cfg.nx = 8;
-        cfg.ny = 8;
-        let sim = odt::traj::sim::CitySim::new(cfg);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let trip = sim.generate_trip(&mut rng);
+/// Any trajectory rasterizes to a PiT whose values respect Definition 2.
+#[test]
+fn pit_values_respect_definition() {
+    for (case, trip) in trips(24, 500) {
         let grid = GridSpec::covering(std::slice::from_ref(&trip), 10);
         let pit = Pit::from_trajectory(&trip, &grid);
 
@@ -77,7 +86,7 @@ proptest! {
             for row in 0..10 {
                 for col in 0..10 {
                     let v = pit.at(ch, row, col);
-                    prop_assert!((-1.0..=1.0).contains(&v), "value {v} out of range");
+                    assert!((-1.0..=1.0).contains(&v), "{case}: value {v} out of range");
                 }
             }
         }
@@ -85,13 +94,13 @@ proptest! {
             for col in 0..10 {
                 if !pit.is_visited(row, col) {
                     for ch in 0..3 {
-                        prop_assert_eq!(pit.at(ch, row, col), -1.0);
+                        assert_eq!(pit.at(ch, row, col), -1.0, "{case}: ({row}, {col})");
                     }
                 }
             }
         }
         // At least origin and destination cells visited; offsets span -1..1.
-        prop_assert!(pit.num_visited() >= 2);
+        assert!(pit.num_visited() >= 2, "{case}");
         let offsets: Vec<f32> = pit
             .visited_indices()
             .iter()
@@ -103,22 +112,24 @@ proptest! {
         let min = offsets.iter().copied().fold(f32::INFINITY, f32::min);
         let max = offsets.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         // The origin cell's earliest point is the first fix -> offset -1.
-        prop_assert!((min + 1.0).abs() < 1e-5, "first visit offset must be -1, got {min}");
+        assert!(
+            (min + 1.0).abs() < 1e-5,
+            "{case}: first visit offset must be -1, got {min}"
+        );
         // The final fix may fall in an already-visited cell (earliest point
         // wins per Definition 2), so the max offset is <= 1, not == 1.
-        prop_assert!(max <= 1.0 && max > min, "offsets must increase, got max {max}");
+        assert!(
+            max <= 1.0 && max > min,
+            "{case}: offsets must increase, got max {max}"
+        );
     }
+}
 
-    /// The visit times decoded from the ToD channel are consistent with the
-    /// trip's departure and arrival.
-    #[test]
-    fn decoded_visit_times_within_trip_span(seed in 0u64..200) {
-        let mut cfg = odt::traj::sim::CitySimConfig::chengdu_like();
-        cfg.nx = 8;
-        cfg.ny = 8;
-        let sim = odt::traj::sim::CitySim::new(cfg);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let trip = sim.generate_trip(&mut rng);
+/// The visit times decoded from the ToD channel are consistent with the
+/// trip's departure and arrival.
+#[test]
+fn decoded_visit_times_within_trip_span() {
+    for (case, trip) in trips(24, 200) {
         let grid = GridSpec::covering(std::slice::from_ref(&trip), 8);
         let pit = Pit::from_trajectory(&trip, &grid);
         let dep = trip.departure_second_of_day();
@@ -127,8 +138,10 @@ proptest! {
             let (r, c) = grid.cell_of_index(idx);
             let s = pit.visit_second_of_day(r, c).unwrap();
             // Allow f32 quantization of the ToD channel (~±6 s over a day).
-            prop_assert!(s >= dep - 10.0 && s <= arr + 10.0,
-                "visit at {s:.0}s outside [{dep:.0}, {arr:.0}]");
+            assert!(
+                s >= dep - 10.0 && s <= arr + 10.0,
+                "{case}: visit at {s:.0}s outside [{dep:.0}, {arr:.0}]"
+            );
         }
     }
 }
