@@ -802,8 +802,8 @@ fn run_cluster_drill(name: &str, seed: u64, quick: bool) -> Line {
                 .field("failovers", o.failovers)
                 .field("prior_serves", o.prior_serves)
                 .field("quorum_ready_end", o.quorum_ready_end)
-                .object("router_conns", |r| {
-                    r.field("opened", o.router_stats.opened)
+                .object("router_conns", |c| {
+                    c.field("opened", o.router_stats.opened)
                         .field("closed", o.router_stats.closed)
                         .field("active", o.router_stats.active)
                         .field("forced_closes", o.router_stats.forced_closes);
@@ -864,13 +864,36 @@ fn run_corrupt_swap_drill(model: &Dot, data: &Dataset, seed: u64, quick: bool) -
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("swap drill temp dir");
     let registry = ModelRegistry::open(dir.join("registry")).expect("swap drill registry");
-    let v1 = registry
+    let description = "corrupt, misshapen and drift-failing swap candidates are refused with typed codes; a good one promotes; serving never interrupted";
+    let head = |wall_seconds: f64, s: &FrontendSnapshot| Head {
+        name: "cluster_corrupt_swap",
+        description,
+        seed,
+        quick,
+        wall_seconds,
+        submitted: s.submitted,
+        admitted: s.admitted,
+        served: s.served,
+    };
+    // Serve a *loaded* copy so the drill also exercises the load path. A
+    // build that cannot write a checkpoint (the offline stand-in codec
+    // returns `Err`) has nothing to swap; that fails this drill's line and
+    // leaves the drills after it their run.
+    let published = registry
         .publish(model)
-        .expect("publishing the drill oracle");
+        .and_then(|v1| Ok((v1, registry.load_current()?)));
+    let (v1, (v, serving)) = match published {
+        Ok(published) => published,
+        Err(e) => {
+            let _ = std::fs::remove_dir_all(&dir);
+            let why = format!("the drill oracle could not be published and reloaded: {e}");
+            println!("  {:<18} FAIL: {why}", "cluster_corrupt_swap");
+            let unserved = FrontendSnapshot::default();
+            return scenario_line(head(0.0, &unserved), &trace.finish(), &[why], |_| {});
+        }
+    };
     let good = dir.join("cand_good.dotckpt");
     std::fs::copy(registry.version_path(v1), &good).expect("staging the good candidate");
-    // Serve a *loaded* copy so the drill also exercises the load path.
-    let (v, serving) = registry.load_current().expect("reloading the drill oracle");
     let slot = ModelSlot::from_model(serving, v);
 
     let mut fe: SlotFrontend = dot_frontend(
@@ -1027,17 +1050,7 @@ fn run_corrupt_swap_drill(model: &Dot, data: &Dataset, seed: u64, quick: bool) -
             format!("FAIL: {}", violations.join("; "))
         }
     );
-    let head = Head {
-        name: "cluster_corrupt_swap",
-        description: "corrupt, misshapen and drift-failing swap candidates are refused with typed codes; a good one promotes; serving never interrupted",
-        seed,
-        quick,
-        wall_seconds: wall_s,
-        submitted: s.submitted,
-        admitted: s.admitted,
-        served: s.served,
-    };
-    scenario_line(head, &evidence, &violations, |o| {
+    scenario_line(head(wall_s, &s), &evidence, &violations, |o| {
         o.object("swap", |o| {
             o.field("corrupt_code", &corrupt_code)
                 .field("shape_code", &shape_code)

@@ -188,16 +188,12 @@ fn main() {
     );
     println!("batched speedup: {speedup:.2}x over sequential");
 
-    let timed = |seconds: f64| ModeTiming {
-        queries: queries.len(),
-        seconds,
-        sec_per_k_queries: per_k(seconds),
-    };
     let methods: Vec<&MethodResult> = results.iter().chain([&dot_result]).collect();
     let report = report_json(
         &profile,
         batch_size,
-        [timed(seq_s), timed(bat_s)],
+        queries.len(),
+        [seq_s, bat_s],
         speedup,
         &methods,
     );
@@ -206,26 +202,21 @@ fn main() {
     println!("wrote {path}");
 }
 
-/// One serving mode's row of the report.
-struct ModeTiming {
-    queries: usize,
-    seconds: f64,
-    sec_per_k_queries: f64,
-}
-
-/// The `BENCH_table5.json` document of the module docs.
+/// The `BENCH_table5.json` document of the module docs, from the seconds the
+/// same `queries` took one by one and in batches.
 fn report_json(
     profile: &EvalProfile,
     batch_size: usize,
-    [sequential, batched]: [ModeTiming; 2],
+    queries: usize,
+    [sequential, batched]: [f64; 2],
     speedup: f64,
     methods: &[&MethodResult],
 ) -> String {
-    let mode = |o: &mut Obj<'_, String>, key: &str, t: ModeTiming| {
+    let mode = |o: &mut Obj<'_, String>, key: &str, seconds: f64| {
         o.object(key, |o| {
-            o.field("queries", t.queries)
-                .field("seconds", t.seconds)
-                .field("sec_per_k_queries", t.sec_per_k_queries);
+            o.field("queries", queries)
+                .field("seconds", seconds)
+                .field("sec_per_k_queries", seconds / queries as f64 * 1_000.0);
         });
     };
     json::object_string(|o| {
@@ -265,18 +256,7 @@ mod tests {
             train_seconds: 0.22,
             sec_per_k_queries: 0.21,
         };
-        let timing = |seconds| ModeTiming {
-            queries: 8,
-            seconds,
-            sec_per_k_queries: seconds / 8.0 * 1_000.0,
-        };
-        let text = report_json(
-            &EvalProfile::fast(),
-            8,
-            [timing(2.0), timing(0.5)],
-            4.0,
-            &[&method],
-        );
+        let text = report_json(&EvalProfile::fast(), 8, 8, [2.0, 0.5], 4.0, &[&method]);
         let doc = JsonValue::parse(&text).unwrap();
         let keys = |v: &JsonValue| match v {
             JsonValue::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),

@@ -1,14 +1,12 @@
 #!/usr/bin/env bash
 # `cargo test --workspace` with no crate registry: scripts/offline.toml points
-# rand / serde / serde_json at the stand-ins under benchmark/shims. Extra
-# arguments go to cargo (`scripts/offline_test.sh -p odt-nn`). Release profile:
+# rand / serde / serde_json at the stand-ins under benchmark/shims. Arguments
+# replace `--workspace` (`scripts/offline_test.sh -p odt-nn`). Release profile:
 # crates/serve/tests/frontend_dot.rs holds deadlines a debug build misses.
-#
-# The stand-in serde_json returns Err from every call, so the twelve tests
-# below, each of which saves or loads a checkpoint, cannot pass here. CI's
-# `test` job runs them against the real crate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# The stand-in serde_json returns Err from every call, so these twelve tests, each
+# saving or loading a checkpoint, fail here; CI's `test` job runs them for real.
 skips=(
     serialize::tests::round_trip
     serialize::tests::json_format_is_pinned
@@ -23,10 +21,10 @@ skips=(
     checkpoint_round_trip_through_disk
     hot_swap_gates_and_promotes_without_interrupting_serving
 )
-cargo_test=(cargo --config scripts/offline.toml test --release --offline --workspace)
+cargo_test=(cargo --config scripts/offline.toml test --release --offline)
 # A renamed test must not hide behind a stale skip: each name is one test.
-listed=$("${cargo_test[@]}" -- --list)
+listed=$("${cargo_test[@]}" --workspace -- --list)
 for name in "${skips[@]}"; do
-    [ "$(grep -c "^$name: test$" <<<"$listed")" = 1 ] || { echo "skip list: '$name' is not exactly one test" >&2; exit 1; }
+    [ "$(grep -cx "$name: test" <<<"$listed")" = 1 ] || { echo "skip list: '$name' is not exactly one test" >&2; exit 1; }
 done
-"${cargo_test[@]}" "$@" -- "${skips[@]/#/--skip=}"
+"${cargo_test[@]}" "${@:---workspace}" -- "${skips[@]/#/--skip=}"
