@@ -63,14 +63,6 @@ pub trait OdtOracle {
     fn model_size_bytes(&self) -> usize;
 }
 
-/// Supervised training pairs from trajectories: (ODT-Input, seconds).
-pub fn training_pairs(trips: &[Trajectory]) -> Vec<(OdtInput, f64)> {
-    trips
-        .iter()
-        .map(|t| (OdtInput::from_trajectory(t), t.travel_time()))
-        .collect()
-}
-
 /// Mean/std of the travel times, for target normalization.
 pub fn target_stats(trips: &[Trajectory]) -> (f64, f64) {
     let n = trips.len().max(1) as f64;

@@ -4,7 +4,7 @@
 //! trees, which captures the mechanism the paper credits GBM with: higher
 //! capacity than LR without using trajectories.
 
-use crate::common::{training_pairs, OdtOracle, OracleContext};
+use crate::common::{OdtOracle, OracleContext};
 use odt_traj::{OdtInput, Trajectory};
 
 /// Booster hyper-parameters.
@@ -154,7 +154,7 @@ impl Gbm {
 
     /// Fit with explicit hyper-parameters.
     pub fn fit_with(ctx: OracleContext, trips: &[Trajectory], cfg: &GbmConfig) -> Self {
-        let pairs = training_pairs(trips);
+        let pairs = OdtInput::labelled(trips);
         assert!(!pairs.is_empty(), "GBM needs training data");
         let xs: Vec<Vec<f64>> = pairs
             .iter()

@@ -1,7 +1,7 @@
 //! Linear regression via the normal equations — the paper's LR baseline
 //! ("learns a linear map from ODT-Inputs to travel times").
 
-use crate::common::{training_pairs, OdtOracle, OracleContext};
+use crate::common::{OdtOracle, OracleContext};
 use odt_traj::{OdtInput, Trajectory};
 
 /// Closed-form least-squares linear model over the standard feature vector
@@ -15,7 +15,7 @@ pub struct LinearRegression {
 impl LinearRegression {
     /// Solve the normal equations with ridge damping for stability.
     pub fn fit(ctx: OracleContext, trips: &[Trajectory]) -> Self {
-        let pairs = training_pairs(trips);
+        let pairs = OdtInput::labelled(trips);
         assert!(!pairs.is_empty(), "LR needs training data");
         let f = ctx.features(&pairs[0].0).len() + 1;
         // Accumulate X^T X and X^T y.

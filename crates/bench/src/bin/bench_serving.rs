@@ -270,22 +270,23 @@ fn main() {
     );
 
     let data = odt_bench::bench_dataset(lg);
-    let mut cfg = DotConfig::fast();
-    cfg.lg = lg;
-    if quick {
-        cfg.n_steps = 8;
-        cfg.base_channels = 4;
-        cfg.cond_dim = 16;
-        cfg.d_e = 16;
-        cfg.stage1_iters = 12;
-        cfg.stage1_batch = 4;
-        cfg.stage2_iters = 40;
-        cfg.stage2_batch = 4;
+    let mut cfg = if quick {
+        DotConfig {
+            stage1_iters: 12,
+            stage1_batch: 4,
+            stage2_iters: 40,
+            stage2_batch: 4,
+            ..DotConfig::tiny()
+        }
     } else {
-        cfg.n_steps = 20;
-        cfg.stage1_iters = 200;
-        cfg.stage2_iters = 200;
-    }
+        DotConfig {
+            n_steps: 20,
+            stage1_iters: 200,
+            stage2_iters: 200,
+            ..DotConfig::fast()
+        }
+    };
+    cfg.lg = lg;
     cfg.early_stop_samples = 4;
     cfg.early_stop_every = 1_000;
     let t0 = Instant::now();
@@ -353,12 +354,8 @@ fn main() {
         let _ = model.estimate(q, &mut rng);
         lat_off.push(t.elapsed().as_micros() as u64);
     }
-    let holdout: Vec<(OdtInput, f64)> = data
-        .split(Split::Test)
-        .iter()
-        .take(64)
-        .map(|t| (OdtInput::from_trajectory(t), t.travel_time()))
-        .collect();
+    let mut holdout = OdtInput::labelled(data.split(Split::Test));
+    holdout.truncate(64);
     let mut scorer = ShadowScorer::new(holdout, ShadowConfig::default());
     let mut shadow_rng = StdRng::seed_from_u64(13);
     let mut rng = StdRng::seed_from_u64(11);

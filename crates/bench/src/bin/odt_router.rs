@@ -32,7 +32,7 @@
 //! * `--admin`     — the router's own admin plane. Its `/readyz` is the
 //!   quorum aggregation: 200 only while every shard has
 //!   at least one routable replica, 503 otherwise and
-//!   during drain. `/varz` serves `odt-router-varz/v1`
+//!   during drain. `/varz` serves `odt-router-varz/v2`
 //!   (per-replica health/breaker rows, failover and
 //!   prior-serve totals). `/metrics/cluster` federates
 //!   every replica's `/metrics` (shard/replica labels +
@@ -49,7 +49,7 @@
 //! odt_router ready                    # quorum reached (or wait expired)
 //! ```
 //!
-//! On drain the final report (`odt-router/v1`) carries the wire-port
+//! On drain the final report (`odt-router/v2`) carries the wire-port
 //! connection counters, the full cluster snapshot (per-replica rows,
 //! `failovers_total`, `prior_serves_total`, `quorum_ready`), and the
 //! drain outcome; exit status is non-zero on forced drain or leaked
@@ -57,8 +57,8 @@
 
 use odt_net::admin::{start_admin, AdminConfig, AdminSources};
 use odt_net::cluster::{
-    cluster_members, render_router_varz, start_health_prober, ClusterConfig, ClusterShared,
-    ReplicaAddr, RouterBackend,
+    render_router_varz, start_health_prober, ClusterConfig, ClusterShared, ReplicaAddr,
+    RouterBackend,
 };
 use odt_net::fed::{start_scraper, ClusterScraper};
 use odt_net::loadgen::Region;
@@ -269,31 +269,16 @@ fn main() {
     );
 
     let mut json = json::object_string(|o| {
-        o.field("schema", "odt-router/v1")
+        o.field("schema", "odt-router/v2")
             .field("addr", Text(bound))
             .field("uptime_s", uptime_s)
-            .object("conns", |o| {
-                o.field("opened", c.opened)
-                    .field("closed", c.closed)
-                    .field("active", c.active)
-                    .field("rejected_capacity", c.rejected_capacity)
-                    .field("rejected_draining", c.rejected_draining)
-                    .field("frames_in", c.frames_in)
-                    .field("frames_out", c.frames_out)
-                    .field("malformed", c.malformed)
-                    .field("dispatch_shed", c.dispatch_shed)
-                    .field("forced_closes", c.forced_closes);
-            })
-            .object("cluster", |o| cluster_members(o, &snap))
+            .field("conns", c)
+            .field("cluster", &snap)
             .object_or_null("admin", admin.as_ref(), |o, a| {
                 o.field("addr", Text(a.addr()))
                     .field("requests", a.requests());
             })
-            .object("drain", |o| {
-                o.field("clean", report.clean)
-                    .field("forced_conns", report.forced_conns)
-                    .field("wait_ms", report.wait_ms);
-            })
+            .field("drain", &report)
             .field("pass", pass);
     });
     json.push('\n');

@@ -65,7 +65,7 @@
 //! answers from the admin line onward. **`odt_server ready` is the
 //! routable-traffic signal**: scripts must key off it (or poll
 //! `/readyz`, which flips 503 → 200 at the same instant), not off the
-//! listening line. On drain the final report (`odt-net-server/v4`)
+//! listening line. On drain the final report (`odt-net-server/v5`)
 //! carries the connection counters (leak check: `conns.active == 0`),
 //! the frontend snapshot (typed shed reasons, rung hits, SLO burn
 //! rates), cache counters (when `--cache` is on), adopted wire trace
@@ -81,14 +81,13 @@ use odt_net::server::{set_instance_name, FrontendBridge, ServerConfig, SharedFro
 use odt_net::signal;
 use odt_obs::json::{self, Text};
 use odt_obs::QualitySnapshot;
-use odt_roadnet::LngLat;
 use odt_serve::{
     dot_frontend, dot_frontend_cached, CacheConfig, ChaosConfig, DotFrontendConfig, DotSwapHost,
     DotSwapHostConfig, DriftInvalidator, EstimateCache, FrontendConfig, HotTracker, ModelSlot,
     PrewarmConfig, Prewarmer, SwapConfig, SwapController, SwapError, SwapOutcome, SwapStats,
 };
 use odt_serve::{ShadowConfig, ShadowScorer};
-use odt_traj::{Dataset, GridSpec, OdtInput, Split};
+use odt_traj::{Dataset, OdtInput, Split};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write as _;
@@ -120,37 +119,14 @@ fn server_dataset(quick: bool) -> Dataset {
 }
 
 fn server_model(data: &Dataset, quick: bool) -> Dot {
-    let mut cfg = DotConfig::fast();
-    cfg.lg = 8;
-    cfg.n_steps = 8;
-    cfg.base_channels = 4;
-    cfg.cond_dim = 16;
-    cfg.d_e = 16;
-    if quick {
-        cfg.stage1_iters = 15;
-        cfg.stage2_iters = 30;
-        cfg.early_stop_samples = 3;
-        cfg.early_stop_every = 15;
-    } else {
+    let mut cfg = DotConfig::tiny();
+    if !quick {
         cfg.stage1_iters = 60;
         cfg.stage2_iters = 120;
         cfg.early_stop_samples = 4;
         cfg.early_stop_every = 60;
     }
     Dot::train(cfg, data, |_| {})
-}
-
-/// The box strict admission accepts, shrunk 5% inside the grid so load
-/// endpoints never land on the reject margin.
-fn region_of(grid: &GridSpec) -> Region {
-    let mx = (grid.max.lng - grid.min.lng) * 0.05;
-    let my = (grid.max.lat - grid.min.lat) * 0.05;
-    Region {
-        lng0: grid.min.lng + mx,
-        lat0: grid.min.lat + my,
-        lng1: grid.max.lng - mx,
-        lat1: grid.max.lat - my,
-    }
 }
 
 /// One `POST /swap` request in flight from an admin handler thread to
@@ -287,28 +263,14 @@ fn main() {
                 .map(OdtInput::from_trajectory)
                 .collect();
             fe.warmup(&warmup);
-            let mut bridge = FrontendBridge::new(fe, |q: &odt_net::wire::WireQuery| OdtInput {
-                origin: LngLat {
-                    lng: q.o_lng,
-                    lat: q.o_lat,
-                },
-                dest: LngLat {
-                    lng: q.d_lng,
-                    lat: q.d_lat,
-                },
-                t_dep: q.t_dep,
-            });
+            let mut bridge = FrontendBridge::new(fe, |q: &odt_net::wire::WireQuery| q.into());
             if holdout_n > 0 {
                 // Shadow quality observer: ground-truth test trajectories
                 // replayed through the live oracle on idle ticks. Drift
                 // alerts route through the tracker into the SLO monitor
                 // and the flight recorder (odt_obs::quality).
-                let holdout: Vec<(OdtInput, f64)> = data
-                    .split(Split::Test)
-                    .iter()
-                    .take(holdout_n)
-                    .map(|t| (OdtInput::from_trajectory(t), t.travel_time()))
-                    .collect();
+                let mut holdout = OdtInput::labelled(data.split(Split::Test));
+                holdout.truncate(holdout_n);
                 let shadow_cfg = ShadowConfig {
                     quality: odt_obs::QualityConfig {
                         slo: Some(odt_obs::slo::BurnRateConfig::default()),
@@ -375,15 +337,10 @@ fn main() {
                 // one bounded step per dispatcher tick (load, then one
                 // shadow batch at a time), so a swap in flight steals
                 // microseconds from serving, never a pause.
-                let holdout: Vec<(OdtInput, f64)> = data
-                    .split(Split::Test)
-                    .iter()
-                    .map(|t| (OdtInput::from_trajectory(t), t.travel_time()))
-                    .collect();
                 let host = DotSwapHost::new(
                     reg,
                     slot.clone(),
-                    holdout,
+                    OdtInput::labelled(data.split(Split::Test)),
                     cache_fe.clone(),
                     DotSwapHostConfig {
                         rng_seed: seed ^ 0xC4AD,
@@ -406,11 +363,11 @@ fn main() {
                 drop(swap_rx);
                 *swap_pub.lock().unwrap() = (slot.version(), None);
             }
-            let _ = ready_tx.send((
-                bridge.shared_stats(),
-                region_of(slot.model().grid()),
-                train_s,
-            ));
+            // Shrunk 5% inside the grid so load endpoints never land on the
+            // strict-admission reject margin.
+            let grid = *slot.model().grid();
+            let region = Region::inside(grid.min, grid.max, 0.05);
+            let _ = ready_tx.send((bridge.shared_stats(), region, train_s));
             bridge
         })
         .expect("binding the listen address")
@@ -574,99 +531,22 @@ fn main() {
     }
 
     let mut json = json::object_string(|o| {
-        o.field("schema", "odt-net-server/v4")
+        o.field("schema", "odt-net-server/v5")
             .field("addr", Text(bound))
             .field("quick", quick)
             .field("uptime_s", uptime_s)
-            .object("conns", |o| {
-                o.field("opened", c.opened)
-                    .field("closed", c.closed)
-                    .field("active", c.active)
-                    .field("rejected_capacity", c.rejected_capacity)
-                    .field("rejected_draining", c.rejected_draining)
-                    .field("frames_in", c.frames_in)
-                    .field("frames_out", c.frames_out)
-                    .field("malformed", c.malformed)
-                    .field("too_large", c.too_large)
-                    .field("timeouts_idle", c.timeouts_idle)
-                    .field("timeouts_frame", c.timeouts_frame)
-                    .field("read_errors", c.read_errors)
-                    .field("write_errors", c.write_errors)
-                    .field("backpressure_stalls", c.backpressure_stalls)
-                    .field("dispatch_shed", c.dispatch_shed)
-                    .field("reply_drops", c.reply_drops)
-                    .field("forced_closes", c.forced_closes);
-            })
-            .object("frontend", |o| {
-                o.field("submitted", snap.submitted)
-                    .field("admitted", snap.admitted)
-                    .field("served", snap.served)
-                    .object("shed", |o| {
-                        o.field("queue_full", snap.shed_queue_full)
-                            .field("queue_expired", snap.shed_deadline)
-                            .field("invalid_query", snap.shed_invalid)
-                            .field("internal", snap.shed_internal);
-                    })
-                    .object("rung_hits", |o| {
-                        o.field("cached", snap.rung_hits[0])
-                            .field("full_ddpm", snap.rung_hits[1])
-                            .field("ddim", snap.rung_hits[2])
-                            .field("ddim_reduced", snap.rung_hits[3])
-                            .field("cached_stale", snap.rung_hits[4])
-                            .field("fallback", snap.rung_hits[5]);
-                    })
-                    .object("deadline", |o| {
-                        o.field("met", snap.deadline_met)
-                            .field("missed", snap.deadline_missed);
-                    })
-                    .object_or_null("slo", snap.slo.as_ref(), |o, s| {
-                        o.field("fast_burn", s.fast_burn)
-                            .field("slow_burn", s.slow_burn)
-                            .field("alerts", s.alerts);
-                    });
-            })
-            .object_or_null("cache", cache_stats.as_ref(), |o, cs| {
-                o.field("len", cs.len)
-                    .field("capacity", cs.capacity)
-                    .field("generation", cs.generation)
-                    .field("hits", cs.hits)
-                    .field("stale_hits", cs.stale_hits)
-                    .field("misses", cs.misses)
-                    .field("hit_rate", cs.hit_rate())
-                    .field("evictions", cs.evictions)
-                    .field("admission_rejects", cs.admission_rejects)
-                    .field("prewarm_batches", cs.prewarm_batches)
-                    .field("invalidations", cs.invalidations)
-                    .field("invalidated_entries", cs.invalidated_entries);
-            })
-            .object_or_null("swap", swap_stats.as_ref(), |o, s| {
-                o.field("model_version", model_version)
-                    .field("state", s.state)
-                    .field("requested", s.requested)
-                    .field("promoted", s.promoted)
-                    .field("rejected", s.rejected)
-                    .field("last_reject_code", s.last_reject_code)
-                    .field("last_promoted_version", s.last_promoted_version);
-            })
+            .field("conns", c)
+            .field("frontend", &snap)
+            .field("cache", cache_stats)
+            .field("model_version", model_version)
+            .field("swap", &swap_stats)
             .field("adopted_traces", adopted)
             .object_or_null("admin", admin.as_ref(), |o, (a, _)| {
                 o.field("addr", Text(a.addr()))
                     .field("requests", a.requests());
             })
-            .object_or_null("quality", quality.as_ref(), |o, q| {
-                o.field("samples", q.samples)
-                    .field("mae_s", q.mae_s)
-                    .field("mape", q.mape)
-                    .field("bias_s", q.bias_s)
-                    .field("drift_score", q.drift_score)
-                    .field("drift_alerts", q.drift_alerts)
-                    .field("reference_frozen", q.reference_frozen);
-            })
-            .object("drain", |o| {
-                o.field("clean", report.clean)
-                    .field("forced_conns", report.forced_conns)
-                    .field("wait_ms", report.wait_ms);
-            })
+            .field("quality", &quality)
+            .field("drain", &report)
             .field("flightrec_dumps", odt_obs::flightrec::dump_count())
             .field("pass", pass);
     });

@@ -181,6 +181,25 @@ impl DotConfig {
         }
     }
 
+    /// The smallest model that still trains end to end in well under a
+    /// second: what tests, drills and the `--quick` servers build on an
+    /// 8 x 8 simulated city. A caller with other iteration counts overrides
+    /// only those.
+    pub fn tiny() -> Self {
+        DotConfig {
+            lg: 8,
+            n_steps: 8,
+            d_e: 16,
+            base_channels: 4,
+            cond_dim: 16,
+            stage1_iters: 15,
+            stage2_iters: 30,
+            early_stop_samples: 3,
+            early_stop_every: 15,
+            ..DotConfig::fast()
+        }
+    }
+
     /// Apply a conditioning mask to raw ODT features (the 5-vector of
     /// Eq. 13): zero out what the ablation removes.
     pub fn mask_features(&self, feats: [f32; 5]) -> [f32; 5] {

@@ -402,16 +402,14 @@ mod tests {
         sim_cfg.nx = 8;
         sim_cfg.ny = 8;
         let data = Dataset::simulated(sim_cfg, 150, 8, 11);
-        let mut cfg = DotConfig::fast();
-        cfg.lg = 8;
-        cfg.n_steps = 6;
-        cfg.base_channels = 4;
-        cfg.cond_dim = 16;
-        cfg.d_e = 16;
-        cfg.stage1_iters = 6;
-        cfg.stage2_iters = 12;
-        cfg.early_stop_samples = 2;
-        cfg.early_stop_every = 10;
+        let cfg = DotConfig {
+            n_steps: 6,
+            stage1_iters: 6,
+            stage2_iters: 12,
+            early_stop_samples: 2,
+            early_stop_every: 10,
+            ..DotConfig::tiny()
+        };
         let model = Dot::train(cfg, &data, |_| {});
         (data, model)
     }

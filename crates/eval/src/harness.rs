@@ -521,15 +521,14 @@ mod tests {
         let mut p = EvalProfile::fast();
         p.raw_trips = 250;
         p.lg = 8;
-        p.dot.lg = 8;
-        p.dot.n_steps = 6;
-        p.dot.base_channels = 4;
-        p.dot.cond_dim = 16;
-        p.dot.d_e = 16;
-        p.dot.stage1_iters = 6;
-        p.dot.stage2_iters = 15;
-        p.dot.early_stop_samples = 3;
-        p.dot.early_stop_every = 10;
+        p.dot = odt_core::DotConfig {
+            lr: p.dot.lr,
+            n_steps: 6,
+            stage1_iters: 6,
+            stage2_iters: 15,
+            early_stop_every: 10,
+            ..odt_core::DotConfig::tiny()
+        };
         p.neural.iters = 15;
         p.max_test_queries = 6;
         p

@@ -21,11 +21,16 @@
 //! gauges and latency histograms (p50/p95/p99/max) collected through
 //! [`odt_obs`], including the `serve.query.full` / `serve.query.fallback`
 //! split between full-pipeline answers and degraded-mode fallbacks.
+//!
+//! Being the one crate that sees `odt-core`, `odt-serve` and `odt-net`, it
+//! also owns the standing resilience drills: [`drill::DRILLS`] is the whole
+//! catalog, run by the `chaos_drill` bin and walked by `tests/drills.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod casestudy;
+pub mod drill;
 pub mod harness;
 pub mod metrics;
 pub mod profile;

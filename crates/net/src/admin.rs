@@ -455,7 +455,7 @@ fn route(head: &str, body: &str, shared: &Arc<AdminShared>) -> String {
         ("GET", "/varz") => {
             let body = match &shared.sources.varz {
                 Some(f) => f(),
-                None => unavailable("odt-varz/v1"),
+                None => unavailable("odt-varz/v2"),
             };
             response(200, JSON, &body)
         }
@@ -545,23 +545,12 @@ pub fn swap_refusal(code: &str, detail: &str) -> String {
     })
 }
 
-/// `"slo":{burn-rate block}`, or `"slo":null` for a monitor that is off.
-fn slo_field(o: &mut json::Obj<'_, String>, slo: &Option<odt_obs::slo::BurnRateSnapshot>) {
-    o.object_or_null("slo", slo.as_ref(), |o, slo| {
-        o.field("fast_burn", slo.fast_burn)
-            .field("slow_burn", slo.slow_burn)
-            .field("alerting", slo.alerting)
-            .field("alerts", slo.alerts)
-            .field("total", slo.total)
-            .field("errors", slo.errors);
-    });
-}
-
-/// Render the `/varz` JSON body (`odt-varz/v1`) from the server's live
-/// state. The server binary wraps this in a closure over its stats
-/// handles; tests call it directly. `cache` is the estimate cache's
-/// counters when the server runs with `--cache`; without one the block
-/// renders as `null` so consumers can tell "disabled" from "cold".
+/// Render the `/varz` JSON body (`odt-varz/v2`) from the server's live
+/// state, each block spelled by its snapshot's own `ToJson`. The server
+/// binary wraps this in a closure over its stats handles; tests call it
+/// directly. A block whose source is off (no frontend yet, no shadow
+/// scorer, no `--cache`) renders as `null`, so consumers can tell
+/// "disabled" from "cold".
 pub fn render_varz(
     state: &str,
     conn: &ConnStatsSnapshot,
@@ -571,78 +560,14 @@ pub fn render_varz(
     cache: Option<&odt_serve::CacheStats>,
 ) -> String {
     json::object_string(|o| {
-        o.field("schema", "odt-varz/v1")
+        o.field("schema", "odt-varz/v2")
             .field("state", state)
             .field("inflight", inflight)
-            .object("conns", |o| {
-                o.field("opened", conn.opened)
-                    .field("closed", conn.closed)
-                    .field("active", conn.active)
-                    .field("rejected_capacity", conn.rejected_capacity)
-                    .field("rejected_draining", conn.rejected_draining)
-                    .field("frames_in", conn.frames_in)
-                    .field("frames_out", conn.frames_out)
-                    .field("malformed", conn.malformed)
-                    .field("too_large", conn.too_large)
-                    .field("timeouts_idle", conn.timeouts_idle)
-                    .field("timeouts_frame", conn.timeouts_frame)
-                    .field("read_errors", conn.read_errors)
-                    .field("write_errors", conn.write_errors)
-                    .field("backpressure_stalls", conn.backpressure_stalls)
-                    .field("dispatch_shed", conn.dispatch_shed)
-                    .field("reply_drops", conn.reply_drops)
-                    .field("forced_closes", conn.forced_closes);
-            });
-        o.object_or_null("frontend", frontend, |o, (fe, adopted)| {
-            o.field("submitted", fe.submitted)
-                .field("admitted", fe.admitted)
-                .field("served", fe.served)
-                .object("shed", |o| {
-                    o.field("queue_full", fe.shed_queue_full)
-                        .field("deadline", fe.shed_deadline)
-                        .field("invalid", fe.shed_invalid)
-                        .field("internal", fe.shed_internal);
-                })
-                .field("rung_hits", fe.rung_hits)
-                .field("rung_failures", fe.rung_failures)
-                .field("ladder_cost_us", fe.ladder_cost_us)
-                .object("breaker", |o| {
-                    o.field("trips", fe.breaker_trips)
-                        .field("states", fe.breaker_states);
-                })
-                .object("deadline", |o| {
-                    o.field("met", fe.deadline_met)
-                        .field("missed", fe.deadline_missed);
-                });
-            slo_field(o, &fe.slo);
-            o.field("adopted_traces", adopted);
-        });
-        o.object_or_null("quality", quality, |o, q| {
-            o.field("samples", q.samples)
-                .field("window_len", q.window_len)
-                .field("mae_s", q.mae_s)
-                .field("mape", q.mape)
-                .field("bias_s", q.bias_s)
-                .field("drift_score", q.drift_score)
-                .field("reference_frozen", q.reference_frozen)
-                .field("drift_alerting", q.drift_alerting)
-                .field("drift_alerts", q.drift_alerts);
-            slo_field(o, &q.slo);
-        });
-        o.object_or_null("cache", cache, |o, c| {
-            o.field("len", c.len)
-                .field("capacity", c.capacity)
-                .field("generation", c.generation)
-                .field("hits", c.hits)
-                .field("stale_hits", c.stale_hits)
-                .field("misses", c.misses)
-                .field("hit_rate", c.hit_rate())
-                .field("evictions", c.evictions)
-                .field("admission_rejects", c.admission_rejects)
-                .field("prewarm_batches", c.prewarm_batches)
-                .field("invalidations", c.invalidations)
-                .field("invalidated_entries", c.invalidated_entries);
-        });
+            .field("conns", conn)
+            .field("frontend", frontend.map(|(fe, _)| fe))
+            .field("adopted_traces", frontend.map(|(_, adopted)| adopted))
+            .field("quality", quality)
+            .field("cache", cache);
     })
 }
 
@@ -819,7 +744,7 @@ mod tests {
         let (st, head, body) = simple_get(h.addr(), "/varz?pretty=1");
         assert_eq!(st, 200);
         assert!(head.contains("Content-Type: application/json"));
-        assert!(body.starts_with("{\"schema\":\"odt-varz/v1\""), "{body}");
+        assert!(body.starts_with("{\"schema\":\"odt-varz/v2\""), "{body}");
         assert!(body.contains("\"state\":\"running\""));
         h.shutdown();
     }
@@ -1069,8 +994,8 @@ mod tests {
             "\"state\":\"draining\"",
             "\"inflight\":2",
             "\"opened\":3",
-            "\"rung_hits\":[3,5,2,1,0,0]",
-            "\"ladder_cost_us\":[5,4000,1500,700,5,10]",
+            "\"rung_hits\":{\"cached\":3,\"full_ddpm\":5,\"ddim\":2,\"ddim_reduced\":1,",
+            "\"ladder_cost_us\":{\"cached\":5,\"full_ddpm\":4000,\"ddim\":1500,",
             "\"states\":[\"closed\",\"closed\",\"open\",\"half_open\",\"closed\"]",
             "\"adopted_traces\":4",
             "\"mae_s\":12.5",
@@ -1181,21 +1106,26 @@ mod tests {
                 Some(&q),
                 Some(&cache)
             ),
-            "{\"schema\":\"odt-varz/v1\",\"state\":\"drain\\\"ing\",\"inflight\":-2,\
+            "{\"schema\":\"odt-varz/v2\",\"state\":\"drain\\\"ing\",\"inflight\":-2,\
              \"conns\":{\"opened\":3,\"closed\":2,\"active\":1,\"rejected_capacity\":4,\
              \"rejected_draining\":5,\"frames_in\":6,\"frames_out\":7,\"malformed\":8,\
              \"too_large\":9,\"timeouts_idle\":10,\"timeouts_frame\":11,\"read_errors\":12,\
              \"write_errors\":13,\"backpressure_stalls\":14,\"dispatch_shed\":15,\
              \"reply_drops\":16,\"forced_closes\":17},\
              \"frontend\":{\"submitted\":10,\"admitted\":9,\"served\":8,\
-             \"shed\":{\"queue_full\":1,\"deadline\":2,\"invalid\":3,\"internal\":4},\
-             \"rung_hits\":[3,5,2,1,0,0],\"rung_failures\":[0,1,0,0,0,0],\
-             \"ladder_cost_us\":[5,4000,1500,700,5,10],\
+             \"shed\":{\"queue_full\":1,\"queue_expired\":2,\"invalid_query\":3,\
+             \"internal\":4},\
+             \"rung_hits\":{\"cached\":3,\"full_ddpm\":5,\"ddim\":2,\"ddim_reduced\":1,\
+             \"cached_stale\":0,\"fallback\":0},\
+             \"rung_failures\":{\"cached\":0,\"full_ddpm\":1,\"ddim\":0,\"ddim_reduced\":0,\
+             \"cached_stale\":0,\"fallback\":0},\
+             \"ladder_cost_us\":{\"cached\":5,\"full_ddpm\":4000,\"ddim\":1500,\
+             \"ddim_reduced\":700,\"cached_stale\":5,\"fallback\":10},\
              \"breaker\":{\"trips\":[0,0,1,2,0],\
              \"states\":[\"closed\",\"closed\",\"open\",\"half_open\",\"closed\"]},\
              \"deadline\":{\"met\":7,\"missed\":1},\
              \"slo\":{\"fast_burn\":1.5,\"slow_burn\":null,\"alerting\":true,\"alerts\":2,\
-             \"total\":50,\"errors\":4},\"adopted_traces\":4},\
+             \"total\":50,\"errors\":4}},\"adopted_traces\":4,\
              \"quality\":{\"samples\":100,\"window_len\":64,\"mae_s\":12.5,\"mape\":0.08,\
              \"bias_s\":-3,\"drift_score\":0.2,\"reference_frozen\":true,\
              \"drift_alerting\":false,\"drift_alerts\":1,\"slo\":null},\
@@ -1213,13 +1143,13 @@ mod tests {
                 None,
                 None
             ),
-            "{\"schema\":\"odt-varz/v1\",\"state\":\"running\",\"inflight\":0,\
+            "{\"schema\":\"odt-varz/v2\",\"state\":\"running\",\"inflight\":0,\
              \"conns\":{\"opened\":0,\"closed\":0,\"active\":0,\"rejected_capacity\":0,\
              \"rejected_draining\":0,\"frames_in\":0,\"frames_out\":0,\"malformed\":0,\
              \"too_large\":0,\"timeouts_idle\":0,\"timeouts_frame\":0,\"read_errors\":0,\
              \"write_errors\":0,\"backpressure_stalls\":0,\"dispatch_shed\":0,\
              \"reply_drops\":0,\"forced_closes\":0},\
-             \"frontend\":null,\"quality\":null,\"cache\":null}"
+             \"frontend\":null,\"adopted_traces\":null,\"quality\":null,\"cache\":null}"
         );
     }
 

@@ -46,7 +46,7 @@
 //!
 //! Everything is observable: per-replica health/breaker state and
 //! forward/refusal/transport counters in [`ClusterSnapshot`] (rendered
-//! by [`render_router_varz`] as `odt-router-varz/v1`), and cluster
+//! by [`render_router_varz`] as `odt-router-varz/v2`), and cluster
 //! totals as `cluster.*` metrics in the process registry.
 
 use crate::admin::http_request;
@@ -54,11 +54,10 @@ use crate::loadgen::Region;
 use crate::server::{instance_name, ConnStatsSnapshot, NetBackend, NetRequest};
 use crate::shard::ShardMap;
 use crate::wire::{Client, WireErrorCode, WireRequest, WireResponse, DEFAULT_MAX_FRAME_BYTES};
-use odt_obs::json;
+use odt_obs::json::{self, ToJson};
 use odt_obs::{counter, event, gauge, Level};
-use odt_serve::{
-    fallback_estimate_seconds, BreakerConfig, BreakerState, CircuitBreaker, LngLat, OdtInput,
-};
+use odt_serve::{fallback_estimate_seconds, BreakerConfig, BreakerState, CircuitBreaker, OdtInput};
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -350,8 +349,12 @@ pub struct ReplicaSnapshot {
     pub transport_errors: u64,
 }
 
+odt_obs::fields_to_json! {
+    ReplicaSnapshot: addr, health, breaker, breaker_trips, forwarded, refusals, transport_errors
+}
+
 /// Cluster counters at one instant (the `/varz` source).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ClusterSnapshot {
     /// Per-shard, per-replica rows.
     pub shards: Vec<Vec<ReplicaSnapshot>>,
@@ -367,6 +370,28 @@ pub struct ClusterSnapshot {
     pub transport_errors: u64,
     /// Whether every shard had a routable replica.
     pub quorum_ready: bool,
+}
+
+/// The `cluster` block of the router's `/varz`, of its exit report and of
+/// the cluster drills' lines.
+impl ToJson for ClusterSnapshot {
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        json::object(out, |o| {
+            o.field("quorum_ready", self.quorum_ready)
+                .field("forwarded_total", self.forwarded)
+                .field("failovers_total", self.failovers)
+                .field("prior_serves_total", self.prior_serves)
+                .field("refusals_total", self.refusals)
+                .field("transport_errors_total", self.transport_errors)
+                .array("shards", |a| {
+                    for replicas in &self.shards {
+                        a.object(|o| {
+                            o.field("replicas", &replicas[..]);
+                        });
+                    }
+                });
+        })
+    }
 }
 
 /// A running background poller (the health prober here, the federation
@@ -665,17 +690,7 @@ impl RouterBackend {
         }
         WireResponse::Ok {
             id: req.id,
-            seconds: fallback_estimate_seconds(&OdtInput {
-                origin: LngLat {
-                    lng: q.o_lng,
-                    lat: q.o_lat,
-                },
-                dest: LngLat {
-                    lng: q.d_lng,
-                    lat: q.d_lat,
-                },
-                t_dep: q.t_dep,
-            }),
+            seconds: fallback_estimate_seconds(&OdtInput::from(&q)),
             rung: PRIOR_RUNG.to_string(),
             queue_wait_us: nr.age_us,
             service_us: 0,
@@ -759,7 +774,7 @@ impl NetBackend for RouterBackend {
     }
 }
 
-/// Render the router's `/varz` JSON body (`odt-router-varz/v1`): server
+/// Render the router's `/varz` JSON body (`odt-router-varz/v2`): server
 /// state, wire-port connection counters, and the cluster block.
 pub fn render_router_varz(
     state: &str,
@@ -767,50 +782,11 @@ pub fn render_router_varz(
     cluster: &ClusterSnapshot,
 ) -> String {
     json::object_string(|o| {
-        o.field("schema", "odt-router-varz/v1")
+        o.field("schema", "odt-router-varz/v2")
             .field("state", state)
-            .object("conns", |o| {
-                o.field("opened", conn.opened)
-                    .field("closed", conn.closed)
-                    .field("active", conn.active)
-                    .field("frames_in", conn.frames_in)
-                    .field("frames_out", conn.frames_out)
-                    .field("malformed", conn.malformed)
-                    .field("rejected_capacity", conn.rejected_capacity)
-                    .field("rejected_draining", conn.rejected_draining);
-            })
-            .object("cluster", |o| cluster_members(o, cluster));
+            .field("conns", conn)
+            .field("cluster", cluster);
     })
-}
-
-/// The members of the `cluster` block of `odt-router-varz/v1` (the router
-/// binary's exit report carries the same block).
-pub fn cluster_members(o: &mut json::Obj<'_, String>, cluster: &ClusterSnapshot) {
-    o.field("quorum_ready", cluster.quorum_ready)
-        .field("forwarded_total", cluster.forwarded)
-        .field("failovers_total", cluster.failovers)
-        .field("prior_serves_total", cluster.prior_serves)
-        .field("refusals_total", cluster.refusals)
-        .field("transport_errors_total", cluster.transport_errors)
-        .array("shards", |a| {
-            for replicas in &cluster.shards {
-                a.object(|o| {
-                    o.array("replicas", |a| {
-                        for rep in replicas {
-                            a.object(|o| {
-                                o.field("addr", &rep.addr)
-                                    .field("health", rep.health)
-                                    .field("breaker", rep.breaker)
-                                    .field("breaker_trips", rep.breaker_trips)
-                                    .field("forwarded", rep.forwarded)
-                                    .field("refusals", rep.refusals)
-                                    .field("transport_errors", rep.transport_errors);
-                            });
-                        }
-                    });
-                });
-            }
-        });
 }
 
 #[cfg(test)]
@@ -896,17 +872,7 @@ mod tests {
             .chain((0..8).map(|_| random_query(&mut rng)))
             .collect();
         for (id, q) in queries.iter().enumerate() {
-            let shard_says = fallback_estimate_seconds(&OdtInput {
-                origin: LngLat {
-                    lng: q.o_lng,
-                    lat: q.o_lat,
-                },
-                dest: LngLat {
-                    lng: q.d_lng,
-                    lat: q.d_lat,
-                },
-                t_dep: q.t_dep,
-            });
+            let shard_says = fallback_estimate_seconds(&OdtInput::from(q));
             match &router.process(vec![request(id as u64, *q)])[0].1 {
                 WireResponse::Ok { seconds, rung, .. } => {
                     assert_eq!(rung, PRIOR_RUNG);
@@ -1019,7 +985,7 @@ mod tests {
         assert!(snap.transport_errors > 0);
         let body = render_router_varz("running", &ConnStatsSnapshot::default(), &snap);
         assert!(
-            body.starts_with("{\"schema\":\"odt-router-varz/v1\""),
+            body.starts_with("{\"schema\":\"odt-router-varz/v2\""),
             "{body}"
         );
         assert!(body.contains("\"failovers_total\":"), "{body}");
@@ -1257,10 +1223,12 @@ mod tests {
         };
         assert_eq!(
             render_router_varz("draining", &conn, &snap),
-            "{\"schema\":\"odt-router-varz/v1\",\"state\":\"draining\",\
-             \"conns\":{\"opened\":3,\"closed\":2,\"active\":1,\"frames_in\":6,\
-             \"frames_out\":7,\"malformed\":8,\"rejected_capacity\":4,\
-             \"rejected_draining\":5},\
+            "{\"schema\":\"odt-router-varz/v2\",\"state\":\"draining\",\
+             \"conns\":{\"opened\":3,\"closed\":2,\"active\":1,\"rejected_capacity\":4,\
+             \"rejected_draining\":5,\"frames_in\":6,\"frames_out\":7,\"malformed\":8,\
+             \"too_large\":0,\"timeouts_idle\":0,\"timeouts_frame\":0,\"read_errors\":0,\
+             \"write_errors\":0,\"backpressure_stalls\":0,\"dispatch_shed\":0,\
+             \"reply_drops\":0,\"forced_closes\":0},\
              \"cluster\":{\"quorum_ready\":false,\"forwarded_total\":40,\
              \"failovers_total\":2,\"prior_serves_total\":1,\"refusals_total\":5,\
              \"transport_errors_total\":6,\"shards\":[\

@@ -465,7 +465,7 @@ mod tests {
             let doc = format!(
                 "{{\"state\":\"running\",\"quality\":{{\"mae_s\":{mae},\"drift_score\":0.25,\
                  \"slo\":null}},\"cache\":null,\
-                 \"frontend\":{{\"served\":8,\"rung_hits\":[3,5],\"note\":\"a\\\"b\"}}}}"
+                 \"frontend\":{{\"served\":8,\"rung_hits\":{{\"cached\":3}},\"note\":\"a\\\"b\"}}}}"
             );
             JsonValue::parse(&doc).unwrap()
         };
@@ -492,11 +492,11 @@ mod tests {
              {\"replica\":0,\"admin\":\"10.0.0.1:9100\",\"stale\":false,\"scrapes_ok\":2,\
              \"scrapes_failed\":0,\"state\":\"running\",\
              \"quality\":{\"mae_s\":12.5,\"drift_score\":0.25,\"slo\":null},\"cache\":null,\
-             \"frontend\":{\"served\":8,\"rung_hits\":[3,5],\"note\":\"a\\\"b\"}},\
+             \"frontend\":{\"served\":8,\"rung_hits\":{\"cached\":3},\"note\":\"a\\\"b\"}},\
              {\"replica\":1,\"admin\":\"10.0.0.2:9100\",\"stale\":true,\"scrapes_ok\":1,\
              \"scrapes_failed\":3,\"state\":\"running\",\
              \"quality\":{\"mae_s\":99,\"drift_score\":0.25,\"slo\":null},\"cache\":null,\
-             \"frontend\":{\"served\":8,\"rung_hits\":[3,5],\"note\":\"a\\\"b\"}}],\
+             \"frontend\":{\"served\":8,\"rung_hits\":{\"cached\":3},\"note\":\"a\\\"b\"}}],\
              \"live_replicas\":1,\"worst_mae_s\":12.5,\"worst_drift_score\":0.25},\
              {\"shard\":1,\"replicas\":[\
              {\"replica\":0,\"admin\":null,\"stale\":true,\"scrapes_ok\":0,\

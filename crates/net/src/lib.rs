@@ -5,8 +5,7 @@
 //! ([`server`]) that feeds the deadline-aware [`odt_serve`] frontend
 //! through bounded queues with typed overload errors and graceful
 //! drain, a coordinated-omission-free load generator ([`loadgen`]), a
-//! network- and cluster-fault drill catalog ([`drill`]) extending the
-//! serving chaos harness, a tiny Unix signal shim ([`signal`]) so server binaries
+//! tiny Unix signal shim ([`signal`]) so server binaries
 //! can drain on SIGTERM/ctrl-c, and a live introspection plane
 //! ([`admin`]): an off-band HTTP endpoint serving Prometheus
 //! `/metrics`, `/healthz`/`/readyz` probes, `/varz`/`/tracez` JSON and
@@ -17,8 +16,9 @@
 //! On top of the single-process stack sits the sharded cluster: grid-
 //! region placement by rendezvous hashing ([`shard`]), a router with
 //! per-replica health probing, circuit-breaker failover, and the
-//! shard's own fallback prior when a shard is dark ([`cluster`]), plus
-//! deterministic replica-kill and shard-partition drills ([`drill`]).
+//! shard's own fallback prior when a shard is dark ([`cluster`]). The
+//! network- and cluster-fault drills that abuse all of this over real
+//! loopback sockets are rows of `odt_eval::drill::DRILLS`.
 //!
 //! The cluster observes itself through one pane: requests carry
 //! trace/parent-span context across every hop (router spans and shard
@@ -32,7 +32,6 @@
 
 pub mod admin;
 pub mod cluster;
-pub mod drill;
 pub mod fed;
 pub mod loadgen;
 pub mod server;
@@ -47,11 +46,6 @@ pub use admin::{
 pub use cluster::{
     render_router_varz, start_health_prober, ClusterConfig, ClusterShared, ClusterSnapshot,
     PollerHandle, ReplicaAddr, ReplicaHealth, ReplicaSnapshot, RouterBackend, PRIOR_RUNG,
-};
-pub use drill::{
-    cluster_drill_names, net_scenarios, run_cluster_replica_kill, run_cluster_router_partition,
-    run_cluster_trace_loss, run_net_scenario_with, ClusterDrillOutcome, NetDrillOutcome,
-    NetExpectations, NetScenarioKind, NetScenarioSpec,
 };
 pub use fed::{http_get, start_scraper, ClusterScraper, ScrapeTarget};
 pub use loadgen::{

@@ -35,6 +35,7 @@ use crate::wire::{
     read_frame, Client, FrameRead, WireErrorCode, WireQuery, WireRequest, WireResponse,
 };
 use odt_obs::{SplitMix64, TraceId};
+use odt_serve::LngLat;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -76,6 +77,21 @@ pub struct Region {
     pub lng1: f64,
     /// North edge.
     pub lat1: f64,
+}
+
+impl Region {
+    /// The box from `min` to `max` pulled in by `margin` of its extent on
+    /// every side: `inside(grid.min, grid.max, 0.05)` is where strict
+    /// admission accepts both endpoints with room to spare.
+    pub fn inside(min: LngLat, max: LngLat, margin: f64) -> Region {
+        let (mx, my) = ((max.lng - min.lng) * margin, (max.lat - min.lat) * margin);
+        Region {
+            lng0: min.lng + mx,
+            lat0: min.lat + my,
+            lng1: max.lng - mx,
+            lat1: max.lat - my,
+        }
+    }
 }
 
 impl Default for Region {

@@ -209,6 +209,12 @@ pub struct ConnStatsSnapshot {
     pub forced_closes: u64,
 }
 
+odt_obs::fields_to_json! {
+    ConnStatsSnapshot: opened, closed, active, rejected_capacity, rejected_draining, frames_in,
+    frames_out, malformed, too_large, timeouts_idle, timeouts_frame, read_errors, write_errors,
+    backpressure_stalls, dispatch_shed, reply_drops, forced_closes
+}
+
 #[derive(Default)]
 struct ConnStats {
     opened: AtomicU64,
@@ -338,7 +344,7 @@ pub struct ServerHandle {
 }
 
 /// What [`ServerHandle::drain`] observed.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DrainReport {
     /// Every admitted request flushed and every connection closed within
     /// the budget.
@@ -351,6 +357,11 @@ pub struct DrainReport {
     pub stats: ConnStatsSnapshot,
     /// Flight-recorder dump path, when a force-stop triggered one.
     pub flightrec_dump: Option<String>,
+}
+
+// `stats` renders beside it as `conns`, wherever a drain is reported.
+odt_obs::fields_to_json! {
+    DrainReport: clean, forced_conns, wait_ms, flightrec_dump
 }
 
 /// Start a server: binds, spawns acceptors and the dispatcher, returns

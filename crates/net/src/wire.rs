@@ -55,6 +55,7 @@
 
 use odt_obs::json::{self, JsonValue};
 use odt_obs::TraceId;
+use odt_serve::{LngLat, OdtInput};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -84,6 +85,22 @@ pub struct WireQuery {
     pub d_lat: f64,
     /// Departure time, seconds since local midnight.
     pub t_dep: f64,
+}
+
+impl From<&WireQuery> for OdtInput {
+    fn from(q: &WireQuery) -> OdtInput {
+        OdtInput {
+            origin: LngLat {
+                lng: q.o_lng,
+                lat: q.o_lat,
+            },
+            dest: LngLat {
+                lng: q.d_lng,
+                lat: q.d_lat,
+            },
+            t_dep: q.t_dep,
+        }
+    }
 }
 
 /// One parsed `odt-wire/v1` request.
@@ -702,7 +719,7 @@ impl Client {
     }
 
     /// The connected socket, for callers that pipeline or hand-cut bytes.
-    pub(crate) fn stream(&mut self) -> io::Result<&mut TcpStream> {
+    pub fn stream(&mut self) -> io::Result<&mut TcpStream> {
         self.ensure_connected()?;
         Ok(self.stream.as_mut().expect("connected above"))
     }
@@ -717,7 +734,7 @@ impl Client {
 
     /// Write one request; a write may take up to `deadline` (nonzero).
     /// The socket options are only touched when the deadline changes.
-    pub(crate) fn send(&mut self, req: &WireRequest, deadline: Duration) -> io::Result<()> {
+    pub fn send(&mut self, req: &WireRequest, deadline: Duration) -> io::Result<()> {
         self.ensure_connected()?;
         let stream = self.stream.as_mut().expect("connected above");
         self.frame.clear();
@@ -734,7 +751,7 @@ impl Client {
     }
 
     /// Read the next reply, whatever its id, giving up at `until`.
-    pub(crate) fn recv(&mut self, until: Instant) -> io::Result<WireResponse> {
+    pub fn recv(&mut self, until: Instant) -> io::Result<WireResponse> {
         let stream = self
             .stream
             .as_mut()

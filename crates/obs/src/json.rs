@@ -141,6 +141,21 @@ impl<T: ToJson, const N: usize> ToJson for [T; N] {
     }
 }
 
+/// `impl ToJson for $ty`: one object holding the named fields in the order
+/// given, each keyed by its own name, so a counter has one spelling.
+#[macro_export]
+macro_rules! fields_to_json {
+    ($ty:ty: $($field:ident),* $(,)?) => {
+        impl $crate::json::ToJson for $ty {
+            fn write_json<W: ::std::fmt::Write>(&self, out: &mut W) -> ::std::fmt::Result {
+                $crate::json::object(out, |o| {
+                    $(o.field(stringify!($field), &self.$field);)*
+                })
+            }
+        }
+    };
+}
+
 /// A `Display` value written as a JSON string (a trace id, a socket
 /// address): escaped like any other string, with no `String` in between.
 pub struct Text<T>(pub T);

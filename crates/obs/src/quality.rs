@@ -101,6 +101,11 @@ pub struct QualitySnapshot {
     pub slo: Option<BurnRateSnapshot>,
 }
 
+crate::fields_to_json! {
+    QualitySnapshot: samples, window_len, mae_s, mape, bias_s, drift_score, reference_frozen,
+    drift_alerting, drift_alerts, slo
+}
+
 /// Linear-interpolated `q`-quantile of a sorted non-empty slice.
 fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     debug_assert!(!sorted.is_empty());

@@ -87,6 +87,10 @@ pub struct BurnRateSnapshot {
     pub errors: u64,
 }
 
+crate::fields_to_json! {
+    BurnRateSnapshot: fast_burn, slow_burn, alerting, alerts, total, errors
+}
+
 /// Sliding-window burn-rate monitor over a boolean good/bad sample stream.
 ///
 /// Not thread-safe by itself (the serving frontend records from its one

@@ -37,9 +37,11 @@
 //! relative to the TTL).
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use odt_obs::json::{self, ToJson};
 use odt_obs::rng::splitmix64;
 use odt_obs::{event, Level};
 
@@ -510,6 +512,25 @@ impl CacheStats {
         } else {
             self.hits as f64 / total as f64
         }
+    }
+}
+
+impl ToJson for CacheStats {
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        json::object(out, |o| {
+            o.field("len", self.len)
+                .field("capacity", self.capacity)
+                .field("generation", self.generation)
+                .field("hits", self.hits)
+                .field("stale_hits", self.stale_hits)
+                .field("misses", self.misses)
+                .field("hit_rate", self.hit_rate())
+                .field("evictions", self.evictions)
+                .field("admission_rejects", self.admission_rejects)
+                .field("prewarm_batches", self.prewarm_batches)
+                .field("invalidations", self.invalidations)
+                .field("invalidated_entries", self.invalidated_entries);
+        })
     }
 }
 

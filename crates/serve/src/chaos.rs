@@ -3,16 +3,11 @@
 //! [`ChaosExecutor`] wraps any [`RungExecutor`] and injects faults —
 //! extra latency, NaN outputs, outright panics — drawn from a seedable
 //! [`SplitMix64`] stream, so a drill with the same seed injects the same
-//! fault sequence. The [`scenarios`] catalog defines the standing chaos
-//! drills (run by the `chaos_drill` eval binary and the CI smoke job),
-//! each with explicit [`Expectations`] the frontend must meet *under*
-//! that fault load: the point of the drill is not that faults happen but
-//! that every request still gets an answer or an honest shed.
+//! fault sequence. The drills that run the frontend *under* a fault mix,
+//! and what it must still deliver there, are `odt_eval::drill`'s.
 
-use crate::breaker::BreakerConfig;
-use crate::frontend::{CacheProbe, FrontendSnapshot, RungExecutor};
+use crate::frontend::{CacheProbe, RungExecutor};
 use crate::ladder::Rung;
-use crate::queue::ShedPolicy;
 use odt_obs::{event, Level};
 
 /// The workspace-shared seedable PRNG driving the fault stream (one
@@ -186,252 +181,6 @@ impl<E: RungExecutor> RungExecutor for ChaosExecutor<E> {
     }
 }
 
-/// What a drill scenario requires of the frontend under fault load.
-/// `check` returns the violated expectations (empty = pass).
-#[derive(Copy, Clone, Debug)]
-pub struct Expectations {
-    /// Minimum served / submitted ratio.
-    pub min_answer_rate: f64,
-    /// Whether load shedding (queue-full or deadline sheds) must occur.
-    pub expect_sheds: bool,
-    /// Whether at least one breaker trip must occur.
-    pub expect_breaker_trips: bool,
-    /// Whether at least one answer must come from a degraded rung.
-    pub expect_downgrades: bool,
-    /// Whether the full-fidelity rung must be serving again by the end
-    /// (breaker closed and at least one full-fidelity answer).
-    pub expect_full_rung_recovers: bool,
-    /// Hard ceiling on `Internal` sheds (every-rung-failed).
-    pub max_internal_sheds: u64,
-}
-
-impl Default for Expectations {
-    fn default() -> Self {
-        Expectations {
-            min_answer_rate: 1.0,
-            expect_sheds: false,
-            expect_breaker_trips: false,
-            expect_downgrades: false,
-            expect_full_rung_recovers: false,
-            max_internal_sheds: 0,
-        }
-    }
-}
-
-impl Expectations {
-    /// Check a drill's final snapshot; returns human-readable violations.
-    pub fn check(&self, s: &FrontendSnapshot) -> Vec<String> {
-        let mut v = Vec::new();
-        let rate = if s.submitted == 0 {
-            1.0
-        } else {
-            s.served as f64 / s.submitted as f64
-        };
-        if rate < self.min_answer_rate {
-            v.push(format!(
-                "answer rate {rate:.3} below required {:.3} ({} / {} served)",
-                self.min_answer_rate, s.served, s.submitted
-            ));
-        }
-        let sheds = s.shed_queue_full + s.shed_deadline;
-        if self.expect_sheds && sheds == 0 {
-            v.push("expected load shedding, none occurred".to_string());
-        }
-        let trips: u64 = s.breaker_trips.iter().sum();
-        if self.expect_breaker_trips && trips == 0 {
-            v.push("expected breaker trips, none occurred".to_string());
-        }
-        let downgraded: u64 = s.rung_hits[Rung::Full.index() + 1..].iter().sum();
-        if self.expect_downgrades && downgraded == 0 {
-            v.push("expected degraded-rung answers, none occurred".to_string());
-        }
-        if self.expect_full_rung_recovers {
-            let full = Rung::Full.index();
-            if s.breaker_states[full] != "closed" {
-                v.push(format!(
-                    "full-fidelity breaker did not recover (state {})",
-                    s.breaker_states[full]
-                ));
-            }
-            if s.rung_hits[full] == 0 {
-                v.push("full-fidelity rung never served after recovery".to_string());
-            }
-        }
-        if s.shed_internal > self.max_internal_sheds {
-            v.push(format!(
-                "{} internal sheds exceed the ceiling of {}",
-                s.shed_internal, self.max_internal_sheds
-            ));
-        }
-        v
-    }
-}
-
-/// One standing chaos drill.
-#[derive(Copy, Clone, Debug)]
-pub struct ScenarioSpec {
-    /// Scenario name (`--scenario` argument of `chaos_drill`).
-    pub name: &'static str,
-    /// One-line description for the report.
-    pub description: &'static str,
-    /// The fault mix active from the first wave.
-    pub chaos: ChaosConfig,
-    /// Request waves to run.
-    pub waves: usize,
-    /// Requests per wave.
-    pub wave_size: usize,
-    /// Per-request deadline budget (µs); `None` = frontend default.
-    pub deadline_us: Option<u64>,
-    /// Admission queue capacity for this drill.
-    pub queue_capacity: usize,
-    /// Shed policy for this drill.
-    pub shed_policy: ShedPolicy,
-    /// Clear the fault mix after this wave index (recovery drills).
-    pub clear_chaos_after_wave: Option<usize>,
-    /// Breaker override (`None` = crate default).
-    pub breaker: Option<BreakerConfig>,
-    /// What the frontend must deliver under this load.
-    pub expect: Expectations,
-}
-
-impl ScenarioSpec {
-    fn base(name: &'static str, description: &'static str, seed: u64) -> Self {
-        ScenarioSpec {
-            name,
-            description,
-            chaos: ChaosConfig::quiet(seed),
-            waves: 3,
-            wave_size: 16,
-            deadline_us: None,
-            queue_capacity: 256,
-            shed_policy: ShedPolicy::RejectNewest,
-            clear_chaos_after_wave: None,
-            breaker: None,
-            expect: Expectations::default(),
-        }
-    }
-}
-
-/// The standing drill catalog. `seed` perturbs every scenario's fault
-/// stream, so drills can be replayed (same seed) or varied (new seed).
-pub fn scenarios(seed: u64) -> Vec<ScenarioSpec> {
-    vec![
-        ScenarioSpec::base(
-            "baseline",
-            "no faults: everything serves at full fidelity",
-            seed,
-        ),
-        ScenarioSpec {
-            chaos: ChaosConfig {
-                p_nan: 0.9,
-                ..ChaosConfig::quiet(seed ^ 0x6e_61_6e)
-            },
-            // Backoff far beyond the drill duration: once a breaker opens
-            // it stays open, so replays with the same seed attempt the
-            // same call sequence regardless of machine speed (the CI
-            // replay-determinism check relies on this).
-            breaker: Some(BreakerConfig {
-                base_backoff_us: 60_000_000,
-                max_backoff_us: 60_000_000,
-                ..BreakerConfig::default()
-            }),
-            expect: Expectations {
-                expect_breaker_trips: true,
-                expect_downgrades: true,
-                ..Expectations::default()
-            },
-            ..ScenarioSpec::base(
-                "nan_storm",
-                "90% of model-rung calls return NaN: breakers trip, fallback answers",
-                seed,
-            )
-        },
-        ScenarioSpec {
-            chaos: ChaosConfig {
-                p_latency: 0.8,
-                latency_us: 30_000,
-                ..ChaosConfig::quiet(seed ^ 0x6c_61_74)
-            },
-            deadline_us: Some(20_000),
-            expect: Expectations {
-                // Early requests may be served late or expire in the queue
-                // while the ladder is still learning the spike; once the
-                // live p95s exceed the deadline, traffic routes to the
-                // fallback and answer rate recovers.
-                min_answer_rate: 0.3,
-                expect_downgrades: true,
-                ..Expectations::default()
-            },
-            ..ScenarioSpec::base(
-                "latency_spike",
-                "30ms injected latency against a 20ms deadline: the ladder routes down",
-                seed,
-            )
-        },
-        ScenarioSpec {
-            chaos: ChaosConfig {
-                p_panic: 0.7,
-                ..ChaosConfig::quiet(seed ^ 0x70_61_6e)
-            },
-            breaker: Some(BreakerConfig {
-                failure_threshold: 2,
-                base_backoff_us: 60_000_000,
-                ..BreakerConfig::default()
-            }),
-            expect: Expectations {
-                expect_breaker_trips: true,
-                expect_downgrades: true,
-                ..Expectations::default()
-            },
-            ..ScenarioSpec::base(
-                "panic_wave",
-                "70% of model-rung calls panic: panics are contained, requests still answer",
-                seed,
-            )
-        },
-        ScenarioSpec {
-            waves: 1,
-            wave_size: 160,
-            queue_capacity: 16,
-            expect: Expectations {
-                min_answer_rate: 0.05,
-                expect_sheds: true,
-                ..Expectations::default()
-            },
-            ..ScenarioSpec::base(
-                "queue_flood",
-                "10x queue capacity in one wave: overflow is shed, admitted requests serve",
-                seed,
-            )
-        },
-        ScenarioSpec {
-            chaos: ChaosConfig {
-                p_nan: 1.0,
-                ..ChaosConfig::quiet(seed ^ 0x72_65_63)
-            },
-            waves: 4,
-            clear_chaos_after_wave: Some(0),
-            breaker: Some(BreakerConfig {
-                failure_threshold: 3,
-                base_backoff_us: 1_000,
-                max_backoff_us: 10_000,
-                half_open_probes: 2,
-            }),
-            expect: Expectations {
-                expect_breaker_trips: true,
-                expect_downgrades: true,
-                expect_full_rung_recovers: true,
-                ..Expectations::default()
-            },
-            ..ScenarioSpec::base(
-                "breaker_recovery",
-                "total NaN outage then recovery: breakers close and full fidelity resumes",
-                seed,
-            )
-        },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,42 +220,5 @@ mod tests {
             assert_eq!(inj.next_fault(Rung::Fallback), Fault::None);
             assert_eq!(inj.next_fault(Rung::Full), Fault::Panic);
         }
-    }
-
-    #[test]
-    fn scenario_catalog_is_well_formed() {
-        let cat = scenarios(7);
-        assert!(cat.len() >= 5);
-        let names: Vec<_> = cat.iter().map(|s| s.name).collect();
-        for required in ["baseline", "nan_storm", "queue_flood", "breaker_recovery"] {
-            assert!(names.contains(&required), "missing {required}");
-        }
-        for s in &cat {
-            assert!(s.waves > 0 && s.wave_size > 0, "{}", s.name);
-            assert!(s.expect.min_answer_rate >= 0.0, "{}", s.name);
-        }
-    }
-
-    #[test]
-    fn expectations_flag_violations() {
-        let mut snap = FrontendSnapshot {
-            submitted: 10,
-            served: 10,
-            rung_hits: [0, 10, 0, 0, 0, 0],
-            breaker_states: ["closed"; crate::ladder::MODEL_RUNGS],
-            ..FrontendSnapshot::default()
-        };
-        assert!(Expectations::default().check(&snap).is_empty());
-        let strict = Expectations {
-            expect_breaker_trips: true,
-            expect_downgrades: true,
-            ..Expectations::default()
-        };
-        assert_eq!(strict.check(&snap).len(), 2);
-        snap.served = 5;
-        snap.shed_internal = 5;
-        let v = Expectations::default().check(&snap);
-        assert!(v.iter().any(|m| m.contains("answer rate")));
-        assert!(v.iter().any(|m| m.contains("internal sheds")));
     }
 }

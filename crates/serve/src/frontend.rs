@@ -30,9 +30,11 @@
 //! [`crate::breaker`]). An optional SLO burn-rate monitor
 //! ([`FrontendConfig::slo`]) scores each outcome against the deadline SLA.
 
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
+use odt_obs::json::{self, ToJson};
 use odt_obs::{event, Level};
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
@@ -253,6 +255,47 @@ pub struct FrontendSnapshot {
     /// The latency ladder's live per-rung cost estimates (µs, ladder
     /// order) at snapshot time — what selection is currently using.
     pub ladder_cost_us: [u64; NUM_RUNGS],
+}
+
+/// The one JSON spelling of the snapshot (`/varz`, the server's exit report,
+/// the drill lines): per-rung arrays keyed by [`Rung::name`], shed counters
+/// by [`ShedReason::name`]; breakers stay arrays over the model rungs.
+impl ToJson for FrontendSnapshot {
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        fn by_rung<W: fmt::Write>(o: &mut json::Obj<'_, W>, key: &str, v: &[u64; NUM_RUNGS]) {
+            o.object(key, |o| {
+                for (rung, n) in Rung::ALL.iter().zip(v) {
+                    o.field(rung.name(), n);
+                }
+            });
+        }
+        json::object(out, |o| {
+            o.field("submitted", self.submitted)
+                .field("admitted", self.admitted)
+                .field("served", self.served)
+                .object("shed", |o| {
+                    o.field(ShedReason::QueueFull.name(), self.shed_queue_full)
+                        .field(
+                            ShedReason::DeadlineExpiredInQueue.name(),
+                            self.shed_deadline,
+                        )
+                        .field(ShedReason::InvalidQuery.name(), self.shed_invalid)
+                        .field(ShedReason::Internal.name(), self.shed_internal);
+                });
+            by_rung(o, "rung_hits", &self.rung_hits);
+            by_rung(o, "rung_failures", &self.rung_failures);
+            by_rung(o, "ladder_cost_us", &self.ladder_cost_us);
+            o.object("breaker", |o| {
+                o.field("trips", self.breaker_trips)
+                    .field("states", self.breaker_states);
+            })
+            .object("deadline", |o| {
+                o.field("met", self.deadline_met)
+                    .field("missed", self.deadline_missed);
+            })
+            .field("slo", self.slo);
+        })
+    }
 }
 
 /// The deadline-aware serving frontend. See the module docs.

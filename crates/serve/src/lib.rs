@@ -19,10 +19,9 @@
 //!   [`CircuitBreaker`] (closed → open → half-open, exponential backoff)
 //!   that trips on panics, NaN outputs, and latency-budget violations;
 //!   the ladder routes around open breakers.
-//! * **Chaos harness** — [`ChaosExecutor`] injects seeded, replayable
-//!   faults (latency, NaN, panics) and [`scenarios`] defines standing
-//!   drills with explicit [`Expectations`], run by the `chaos_drill` eval
-//!   binary and the CI `chaos-smoke` job.
+//! * **Fault injection** — [`ChaosExecutor`] injects seeded, replayable
+//!   faults (latency, NaN, panics) around any executor; the standing
+//!   drills that use it are rows of `odt_eval::drill::DRILLS`.
 //! * **Shadow quality scoring** — [`ShadowScorer`] replays a ground-truth
 //!   holdout through the live model on idle ticks, feeding
 //!   `odt_obs::QualityTracker`'s accuracy/drift windows so the admin
@@ -65,10 +64,7 @@ pub use cache::{
     CacheConfig, CacheLookup, CacheStats, DriftInvalidator, EstimateCache, HotTracker, OdKey,
     PrewarmConfig, Prewarmer,
 };
-pub use chaos::{
-    scenarios, ChaosConfig, ChaosExecutor, Expectations, Fault, FaultInjector, ScenarioSpec,
-    SplitMix64,
-};
+pub use chaos::{ChaosConfig, ChaosExecutor, Fault, FaultInjector, SplitMix64};
 pub use dot::{
     dot_frontend, dot_frontend_cached, DotExecutor, DotFrontendConfig, DotSwapHost,
     DotSwapHostConfig, LoadedCandidate, ModelSlot, ModelSource,

@@ -189,7 +189,7 @@ impl<M> SwapState<M> {
 }
 
 /// Counters and state for varz / `POST /swap` reporting.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SwapStats {
     /// Current state name: `idle` / `loading` / `shadowing`.
     pub state: &'static str,
@@ -203,6 +203,10 @@ pub struct SwapStats {
     pub last_reject_code: Option<&'static str>,
     /// Version of the most recent promotion, if any.
     pub last_promoted_version: Option<u64>,
+}
+
+odt_obs::fields_to_json! {
+    SwapStats: state, requested, promoted, rejected, last_reject_code, last_promoted_version
 }
 
 /// The swap state machine. Owns the host; driven by `tick()` from the

@@ -19,17 +19,7 @@ fn dataset() -> Dataset {
 }
 
 fn tiny_model(data: &Dataset) -> Dot {
-    let mut cfg = DotConfig::fast();
-    cfg.lg = 8;
-    cfg.n_steps = 8;
-    cfg.base_channels = 4;
-    cfg.cond_dim = 16;
-    cfg.d_e = 16;
-    cfg.stage1_iters = 15;
-    cfg.stage2_iters = 30;
-    cfg.early_stop_samples = 3;
-    cfg.early_stop_every = 15;
-    Dot::train(cfg, data, |_| {})
+    Dot::train(DotConfig::tiny(), data, |_| {})
 }
 
 fn queries(data: &Dataset, n: usize) -> Vec<OdtInput> {

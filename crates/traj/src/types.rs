@@ -98,6 +98,15 @@ impl OdtInput {
         }
     }
 
+    /// `(query, observed travel time in seconds)` for each trajectory: the
+    /// supervised pairs baselines train on and shadow scoring holds out.
+    pub fn labelled(trips: &[Trajectory]) -> Vec<(OdtInput, f64)> {
+        trips
+            .iter()
+            .map(|t| (OdtInput::from_trajectory(t), t.travel_time()))
+            .collect()
+    }
+
     /// Second-of-day of the departure.
     pub fn second_of_day(&self) -> f64 {
         self.t_dep.rem_euclid(86_400.0)

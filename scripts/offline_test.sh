@@ -19,7 +19,7 @@ skips=(
     persist::tests::truncated_checkpoint_is_rejected_as_corrupt
     train::tests::resumable_training_continues_from_checkpoint
     checkpoint_round_trip_through_disk
-    hot_swap_gates_and_promotes_without_interrupting_serving
+    cluster_corrupt_swap_holds
 )
 cargo_test=(cargo --config scripts/offline.toml test --release --offline)
 # A renamed test must not hide behind a stale skip: each name is one test.

@@ -15,19 +15,15 @@ fn dataset() -> Dataset {
 }
 
 fn tiny_config() -> DotConfig {
-    let mut cfg = DotConfig::fast();
-    cfg.lg = 8;
-    cfg.n_steps = 8;
-    cfg.base_channels = 4;
-    cfg.cond_dim = 16;
-    cfg.d_e = 16;
-    cfg.stage1_iters = 12;
-    cfg.stage1_batch = 4;
-    cfg.stage2_iters = 40;
-    cfg.stage2_batch = 4;
-    cfg.early_stop_samples = 4;
-    cfg.early_stop_every = 20;
-    cfg
+    DotConfig {
+        stage1_iters: 12,
+        stage1_batch: 4,
+        stage2_iters: 40,
+        stage2_batch: 4,
+        early_stop_samples: 4,
+        early_stop_every: 20,
+        ..DotConfig::tiny()
+    }
 }
 
 #[test]
