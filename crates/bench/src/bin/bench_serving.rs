@@ -11,15 +11,15 @@
 //! `16,64,256`; `none` skips it).
 //!
 //! Tracing: set `ODT_TRACE_SAMPLE=1` to trace every frontend request.
-//! The sweep then also writes `BENCH_serving_trace.json` (Chrome/Perfetto
-//! trace of the retained requests) and `BENCH_serving_spans.jsonl` (the
-//! span stream consumed by the `trace_report` eval binary).
+//! The sweep then also writes `BENCH_serving_tracez.json`: every retained
+//! trace as one `odt-tracez/v1` payload, the `--source` of the
+//! `trace_report` eval binary (stage rollup, Perfetto export).
 //!
-//! Schema (`odt-bench-serving/v5`):
+//! Schema (`odt-bench-serving/v6`):
 //!
 //! ```json
 //! {
-//!   "schema": "odt-bench-serving/v5",
+//!   "schema": "odt-bench-serving/v6",
 //!   "threads": usize,        // odt-compute pool width
 //!   "quick": bool,
 //!   "batch_size": usize,
@@ -63,8 +63,7 @@
 //!     "finished": u64,       // root spans closed
 //!     "retained": u64,       // traces kept (sampled or force-retained)
 //!     "p99_exemplar": "hex trace id" | null,  // which request was the p99
-//!     "chrome_trace": "path" | null,
-//!     "spans_jsonl": "path" | null
+//!     "tracez": "path" | null   // the odt-tracez/v1 export
 //!   }
 //! }
 //! ```
@@ -139,8 +138,7 @@ struct Report {
     finished: u64,
     retained: usize,
     p99_exemplar: Option<String>,
-    chrome_trace: Option<&'static str>,
-    spans_jsonl: Option<&'static str>,
+    tracez: Option<&'static str>,
 }
 
 fn quantiles_members(o: &mut Obj<'_, String>, q: Quantiles) {
@@ -156,7 +154,7 @@ fn report_json(r: &Report) -> String {
         });
     };
     let mut out = json::object_string(|o| {
-        o.field("schema", "odt-bench-serving/v5")
+        o.field("schema", "odt-bench-serving/v6")
             .field("threads", odt_compute::num_threads())
             .field("quick", r.quick)
             .field("batch_size", r.batch_size)
@@ -230,8 +228,7 @@ fn report_json(r: &Report) -> String {
                 .field("finished", r.finished)
                 .field("retained", r.retained)
                 .field("p99_exemplar", r.p99_exemplar.as_deref())
-                .field("chrome_trace", r.chrome_trace)
-                .field("spans_jsonl", r.spans_jsonl);
+                .field("tracez", r.tracez);
         });
     });
     out.push('\n');
@@ -552,8 +549,8 @@ fn main() {
     }
 
     // Trace export: when tracing is on (ODT_TRACE_SAMPLE > 0) the sweep's
-    // requests produced retained traces; write them in both formats and
-    // surface the p99 exemplar — "which request was the p99".
+    // requests produced retained traces; write all of them as one tracez
+    // payload and surface the p99 exemplar — "which request was the p99".
     let trace_enabled = odt_obs::trace::enabled();
     let (finished, _, _) = odt_obs::trace::trace_stats();
     let retained = odt_obs::trace::retained_count();
@@ -561,22 +558,17 @@ fn main() {
         .summary()
         .p99_exemplar
         .map(|raw| format!("{raw:016x}"));
-    let (chrome_path, spans_path) = if trace_enabled && retained > 0 {
-        let cp = "BENCH_serving_trace.json";
-        let sp = "BENCH_serving_spans.jsonl";
-        let n_chrome =
-            odt_obs::trace::write_chrome_trace(cp).unwrap_or_else(|e| panic!("writing {cp}: {e}"));
-        let n_spans =
-            odt_obs::trace::write_spans_jsonl(sp).unwrap_or_else(|e| panic!("writing {sp}: {e}"));
+    let tracez = (trace_enabled && retained > 0).then(|| {
+        let path = "BENCH_serving_tracez.json";
+        let body = odt_net::render_tracez(usize::MAX) + "\n";
+        odt_obs::atomic_write(path.as_ref(), body.as_bytes())
+            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!(
-            "traces: {retained} retained ({finished} roots), {n_chrome} events -> {cp}, \
-             {n_spans} lines -> {sp}, p99 exemplar {}",
+            "traces: {retained} retained ({finished} roots) -> {path}, p99 exemplar {}",
             p99_exemplar.as_deref().unwrap_or("none")
         );
-        (Some(cp), Some(sp))
-    } else {
-        (None, None)
-    };
+        path
+    });
     let report = Report {
         quick,
         batch_size,
@@ -596,8 +588,7 @@ fn main() {
         finished,
         retained,
         p99_exemplar,
-        chrome_trace: chrome_path,
-        spans_jsonl: spans_path,
+        tracez,
     };
     let path = "BENCH_serving.json";
     std::fs::write(path, report_json(&report)).unwrap_or_else(|e| panic!("writing {path}: {e}"));
@@ -664,8 +655,7 @@ mod tests {
             finished: 300,
             retained: 12,
             p99_exemplar: Some("00000000000000ab".into()),
-            chrome_trace: Some("BENCH_serving_trace.json"),
-            spans_jsonl: Some("BENCH_serving_spans.jsonl"),
+            tracez: Some("BENCH_serving_tracez.json"),
         };
         let doc = JsonValue::parse(&report_json(&report)).unwrap();
         let at = |path: &[&str]| path.iter().fold(&doc, |v, key| v.get(key).expect(key));
@@ -687,7 +677,7 @@ mod tests {
                 "trace"
             ]
         );
-        assert_eq!(at(&["schema"]).as_str(), Some("odt-bench-serving/v5"));
+        assert_eq!(at(&["schema"]).as_str(), Some("odt-bench-serving/v6"));
         assert!(at(&["threads"]).as_u64().unwrap() >= 1);
         assert_eq!(
             keys(at(&["sequential"])),
@@ -781,8 +771,7 @@ mod tests {
                 "finished",
                 "retained",
                 "p99_exemplar",
-                "chrome_trace",
-                "spans_jsonl"
+                "tracez"
             ]
         );
         assert_eq!(at(&["trace", "enabled"]).as_bool(), Some(true));
@@ -795,11 +784,11 @@ mod tests {
         // Sweeps skipped and tracing off: `null`, not a missing key.
         report.cache_sweep = None;
         report.p99_exemplar = None;
-        report.chrome_trace = None;
+        report.tracez = None;
         let doc = JsonValue::parse(&report_json(&report)).unwrap();
         assert_eq!(doc.get("cache_sweep"), Some(&JsonValue::Null));
         let trace = doc.get("trace").unwrap();
         assert_eq!(trace.get("p99_exemplar"), Some(&JsonValue::Null));
-        assert_eq!(trace.get("chrome_trace"), Some(&JsonValue::Null));
+        assert_eq!(trace.get("tracez"), Some(&JsonValue::Null));
     }
 }

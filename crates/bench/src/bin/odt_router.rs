@@ -27,7 +27,7 @@
 //! * `--region`    — the placement grid's bbox (must match the shards'
 //!   served region; default: the loadgen default region).
 //! * `--instance`  — this process's name in traces (`/tracez` tags every
-//!   span fragment with it so `cluster_report` can give
+//!   span fragment with it so `trace_report` can give
 //!   the router its own Perfetto track).
 //! * `--admin`     — the router's own admin plane. Its `/readyz` is the
 //!   quorum aggregation: 200 only while every shard has

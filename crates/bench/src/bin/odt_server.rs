@@ -44,7 +44,7 @@
 //! * `--instance`    — this process's name in wire `served_by` replies
 //!   and `/tracez` fragments (default `pid-<pid>`);
 //!   give each replica a distinct name so
-//!   `cluster_report` and the federated metrics can
+//!   `trace_report` and the federated metrics can
 //!   tell them apart.
 //! * `--max-run-s`   — self-drain after this many seconds even without a
 //!   signal (CI watchdog; default: run until signaled).

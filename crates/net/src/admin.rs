@@ -53,7 +53,6 @@
 use crate::server::ConnStatsSnapshot;
 use odt_obs::json;
 use odt_obs::QualitySnapshot;
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -572,9 +571,8 @@ pub fn render_varz(
 }
 
 /// Render the `/tracez` JSON body (`odt-tracez/v1`): the most recent
-/// `limit` force-retained/sampled traces with per-span *self* times
-/// (duration minus the duration of direct children — where inside the
-/// request the time actually went).
+/// `limit` retained traces, each as `odt_obs`'s trace object (per-span
+/// *self* times: where inside the request the time actually went).
 pub fn render_tracez(limit: usize) -> String {
     let traces = odt_obs::trace::retained_traces();
     let skip = traces.len().saturating_sub(limit);
@@ -582,48 +580,8 @@ pub fn render_tracez(limit: usize) -> String {
         o.field("schema", "odt-tracez/v1")
             .field("instance", crate::server::instance_name())
             .field("retained", traces.len())
-            .array("traces", |a| {
-                for t in &traces[skip..] {
-                    a.object(|o| trace_members(o, t));
-                }
-            });
+            .field("traces", &traces[skip..]);
     })
-}
-
-fn trace_members(o: &mut json::Obj<'_, String>, t: &odt_obs::trace::TraceRecord) {
-    // Sum of each span's direct children's durations, keyed by parent.
-    let mut child_us: HashMap<u64, u64> = HashMap::new();
-    for s in &t.spans {
-        *child_us.entry(s.parent_id).or_insert(0) += s.dur_us;
-    }
-    o.field("trace_id", t.trace_id)
-        .field("root", t.root_name)
-        // Remote parent span ordinal (0 = rooted in this process) — the
-        // cross-process stitcher attaches this fragment under that span of
-        // the same trace id in the caller's `/tracez`.
-        .field("parent_span", t.parent_span)
-        .field("request_id", t.request_id)
-        .field("start_us", t.start_us)
-        .field("dur_us", t.dur_us)
-        .field("sampled", t.sampled)
-        .field("truncated", t.truncated)
-        .field("retain_reasons", &t.retain_reasons[..])
-        .array("spans", |a| {
-            for s in &t.spans {
-                let self_us = s
-                    .dur_us
-                    .saturating_sub(*child_us.get(&s.span_id).unwrap_or(&0));
-                a.object(|o| {
-                    o.field("span_id", s.span_id)
-                        .field("parent_id", s.parent_id)
-                        .field("name", s.name)
-                        .field("start_us", s.start_us)
-                        .field("dur_us", s.dur_us)
-                        .field("self_us", self_us)
-                        .field("tid", s.tid);
-                });
-            }
-        });
 }
 
 #[cfg(test)]
@@ -853,58 +811,6 @@ mod tests {
         );
         assert_eq!(st, 431);
         h.shutdown();
-    }
-
-    #[test]
-    fn tracez_renders_retained_traces_with_self_times() {
-        // Build one force-retained trace with a nested span.
-        odt_obs::trace::set_sample_every(1);
-        {
-            let root = odt_obs::trace::root_span("admin.test.request");
-            root.set_request_id(77);
-            {
-                let _child = odt_obs::span!("admin.test.stage");
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            odt_obs::trace::force_retain_current("admin_test");
-        }
-        let body = render_tracez(8);
-        assert!(body.starts_with("{\"schema\":\"odt-tracez/v1\""), "{body}");
-        assert!(body.contains("\"root\":\"admin.test.request\""), "{body}");
-        assert!(body.contains("\"request_id\":77"), "{body}");
-        assert!(body.contains("admin.test.stage"), "{body}");
-        assert!(body.contains("\"self_us\":"), "{body}");
-        // The root's self time excludes the child: find the root span and
-        // check self_us < dur_us there.
-        let our_trace = body
-            .split("{\"trace_id\":")
-            .find(|t| t.contains("\"root\":\"admin.test.request\""))
-            .expect("trace rendered");
-        let spans = our_trace.split("\"spans\":[").nth(1).expect("spans array");
-        let root_span = spans
-            .split("{\"span_id\":")
-            .find(|s| s.contains("\"name\":\"admin.test.request\""))
-            .expect("root span rendered");
-        let field = |name: &str| -> u64 {
-            root_span
-                .split(&format!("\"{name}\":"))
-                .nth(1)
-                .unwrap()
-                .split(|c: char| !c.is_ascii_digit())
-                .next()
-                .unwrap()
-                .parse()
-                .unwrap()
-        };
-        assert!(
-            field("self_us") < field("dur_us"),
-            "root self time must exclude the child: {root_span}"
-        );
-        // Every trace carries its remote-parent ordinal and the header
-        // names the process, so cross-process stitchers can work from
-        // `/tracez` bodies alone.
-        assert!(body.contains("\"instance\":"), "{body}");
-        assert!(body.contains("\"parent_span\":"), "{body}");
     }
 
     #[test]
@@ -1159,7 +1065,7 @@ mod tests {
         {
             let root = odt_obs::trace::root_span("admin.golden.request");
             root.set_request_id(78);
-            let _child = odt_obs::span!("admin.golden.stage");
+            let _child = odt_obs::span("admin.golden.stage");
             odt_obs::trace::force_retain_current("admin_golden");
         }
         let body = render_tracez(usize::MAX);
@@ -1167,28 +1073,10 @@ mod tests {
             .into_iter()
             .find(|t| t.root_name == "admin.golden.request")
             .expect("trace retained");
-        assert_eq!(t.spans.len(), 2);
-        let (child, root) = (&t.spans[0], &t.spans[1]);
-        let want = format!(
-            "{{\"trace_id\":\"{}\",\"root\":\"admin.golden.request\",\"parent_span\":0,\
-             \"request_id\":78,\"start_us\":{},\"dur_us\":{},\"sampled\":true,\
-             \"truncated\":0,\"retain_reasons\":[\"admin_golden\"],\"spans\":[\
-             {{\"span_id\":2,\"parent_id\":1,\"name\":\"admin.golden.stage\",\
-             \"start_us\":{},\"dur_us\":{},\"self_us\":{},\"tid\":{}}},\
-             {{\"span_id\":1,\"parent_id\":0,\"name\":\"admin.golden.request\",\
-             \"start_us\":{},\"dur_us\":{},\"self_us\":{},\"tid\":{}}}]}}",
-            t.trace_id.to_hex(),
-            t.start_us,
-            t.dur_us,
-            child.start_us,
-            child.dur_us,
-            child.dur_us,
-            child.tid,
-            root.start_us,
-            root.dur_us,
-            root.dur_us - child.dur_us,
-            root.tid,
-        );
+        // The trace object's own bytes are pinned beside its `ToJson`.
+        let mut want = String::new();
+        odt_obs::json::ToJson::write_json(&t, &mut want).unwrap();
+        assert!(want.contains("\"request_id\":78,") && want.contains("admin.golden.stage"));
         assert!(body.contains(&want), "missing {want} in {body}");
         let head = format!(
             "{{\"schema\":\"odt-tracez/v1\",\"instance\":\"{}\",\"retained\":",

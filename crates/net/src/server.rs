@@ -283,10 +283,6 @@ impl Shared {
     fn set_state(&self, s: u8) {
         self.state.store(s, Ordering::Release);
     }
-
-    fn set_conn_gauge(&self) {
-        odt_obs::gauge("net.conns.active").set(self.stats.active.load(Ordering::Relaxed) as f64);
-    }
 }
 
 struct WorkItem {
@@ -319,7 +315,6 @@ impl ConnGuard {
         shared.stats.active.fetch_add(1, Ordering::Relaxed);
         shared.stats.opened.fetch_add(1, Ordering::Relaxed);
         odt_obs::counter("net.conns.opened").inc();
-        shared.set_conn_gauge();
         ConnGuard { shared }
     }
 }
@@ -328,8 +323,6 @@ impl Drop for ConnGuard {
     fn drop(&mut self) {
         self.shared.stats.active.fetch_sub(1, Ordering::Relaxed);
         self.shared.stats.closed.fetch_add(1, Ordering::Relaxed);
-        odt_obs::counter("net.conns.closed").inc();
-        self.shared.set_conn_gauge();
     }
 }
 
@@ -596,7 +589,6 @@ fn admit(stream: TcpStream, shared: &Arc<Shared>) {
             .stats
             .rejected_draining
             .fetch_add(1, Ordering::Relaxed);
-        odt_obs::counter("net.conns.rejected_draining").inc();
         refuse(stream, WireErrorCode::ServerDraining, "server is draining");
         return;
     }
@@ -609,7 +601,6 @@ fn admit(stream: TcpStream, shared: &Arc<Shared>) {
             .stats
             .rejected_capacity
             .fetch_add(1, Ordering::Relaxed);
-        odt_obs::counter("net.conns.rejected_capacity").inc();
         refuse(
             stream,
             WireErrorCode::OverCapacity,
@@ -702,7 +693,6 @@ fn writer_main(
     shared: Arc<Shared>,
     dead: Arc<AtomicBool>,
 ) {
-    let frames_out = odt_obs::counter("net.frames.out");
     let mut burst: Vec<u8> = Vec::with_capacity(4096);
     while let Ok(first) = rx.recv() {
         burst.clear();
@@ -725,7 +715,6 @@ fn writer_main(
         match stream.write_all(&burst) {
             Ok(()) => {
                 shared.stats.frames_out.fetch_add(frames, Ordering::Relaxed);
-                frames_out.add(frames);
             }
             Err(_) => {
                 shared.stats.write_errors.fetch_add(1, Ordering::Relaxed);
@@ -733,7 +722,6 @@ fn writer_main(
                     .stats
                     .reply_drops
                     .fetch_add(frames - 1, Ordering::Relaxed);
-                odt_obs::counter("net.errors.write").inc();
                 dead.store(true, Ordering::Relaxed);
                 let _ = stream.shutdown(Shutdown::Both);
             }
@@ -755,7 +743,6 @@ fn reader_loop(
     let idle_timeout = Duration::from_millis(cfg.idle_timeout_ms.max(1));
     let max_inflight = cfg.max_inflight_per_conn.max(1) as i64;
 
-    let frames_in = odt_obs::counter("net.frames.in");
     // Bytes read and not yet consumed are `acc[head..]`; frames are parsed
     // where they lie and the consumed prefix is dropped once per read.
     let mut acc: Vec<u8> = Vec::with_capacity(4096);
@@ -801,7 +788,6 @@ fn reader_loop(
             let declared = u32::from_be_bytes(*header) as usize;
             if declared > cfg.max_frame_bytes {
                 shared.stats.too_large.fetch_add(1, Ordering::Relaxed);
-                odt_obs::counter("net.errors.too_large").inc();
                 reader_error(
                     0,
                     WireErrorCode::FrameTooLarge,
@@ -822,7 +808,6 @@ fn reader_loop(
                 Some(Instant::now())
             };
             shared.stats.frames_in.fetch_add(1, Ordering::Relaxed);
-            frames_in.inc();
             if !handle_payload(payload, shared, dispatch, reply_tx, inflight, &reader_error) {
                 return;
             }
@@ -837,7 +822,6 @@ fn reader_loop(
                     .stats
                     .backpressure_stalls
                     .fetch_add(1, Ordering::Relaxed);
-                odt_obs::counter("net.backpressure.stalls").inc();
             }
             // The stall is the server's own doing — don't let it count
             // against the client's slow-frame deadline.
@@ -867,7 +851,6 @@ fn reader_loop(
                 if let Some(t0) = frame_started {
                     if t0.elapsed() > frame_deadline {
                         shared.stats.timeouts_frame.fetch_add(1, Ordering::Relaxed);
-                        odt_obs::counter("net.timeouts.frame").inc();
                         event(Level::Warn, "net.conn.slow_frame")
                             .field("partial_bytes", acc.len() as u64)
                             .emit();
@@ -876,14 +859,12 @@ fn reader_loop(
                 }
                 if last_activity.elapsed() > idle_timeout {
                     shared.stats.timeouts_idle.fetch_add(1, Ordering::Relaxed);
-                    odt_obs::counter("net.timeouts.idle").inc();
                     return;
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => {
                 shared.stats.read_errors.fetch_add(1, Ordering::Relaxed);
-                odt_obs::counter("net.errors.read").inc();
                 return;
             }
         }
@@ -904,7 +885,6 @@ fn handle_payload(
         Ok(t) => t,
         Err(_) => {
             shared.stats.malformed.fetch_add(1, Ordering::Relaxed);
-            odt_obs::counter("net.errors.malformed").inc();
             reader_error(
                 0,
                 WireErrorCode::MalformedFrame,
@@ -917,7 +897,6 @@ fn handle_payload(
         Ok(r) => r,
         Err((id, detail)) => {
             shared.stats.malformed.fetch_add(1, Ordering::Relaxed);
-            odt_obs::counter("net.errors.malformed").inc();
             reader_error(id, WireErrorCode::MalformedFrame, detail);
             return true;
         }
@@ -940,7 +919,6 @@ fn handle_payload(
             inflight.fetch_sub(1, Ordering::Relaxed);
             shared.inflight.fetch_sub(1, Ordering::Relaxed);
             shared.stats.dispatch_shed.fetch_add(1, Ordering::Relaxed);
-            odt_obs::counter("net.dispatch.shed").inc();
             reader_error(
                 id,
                 WireErrorCode::Backpressure,
@@ -1240,7 +1218,6 @@ where
                     debug_assert_eq!(got, fid);
                     if trace.is_some() {
                         self.adopted_traces += 1;
-                        odt_obs::counter("net.trace.adopted").inc();
                     }
                     pending.insert(got, (idx, nr.req.id, trace));
                 }
@@ -1257,7 +1234,6 @@ where
                         }
                         if trace.is_some() {
                             self.adopted_traces += 1;
-                            odt_obs::counter("net.trace.adopted").inc();
                         }
                         pending.insert(fid, (idx, nr.req.id, trace));
                     }

@@ -16,20 +16,20 @@
 //!   log-bucketed latency [`Histogram`]s keyed by `&'static str` names.
 //!   Histograms answer p50/p95/p99/max/mean queries ([`Histogram::summary`]);
 //!   [`snapshot`] returns everything for end-of-run reports.
-//! * **Span timers** — [`span!`] returns an RAII [`SpanTimer`] that records
-//!   its wall-clock duration into the histogram of the same name on drop.
-//!   Spans nest (the current depth is visible via [`span_depth`]), so
-//!   wall-clock can be attributed per stage (`stage1.denoise_step` inside
-//!   `oracle.infer_pits` inside a query).
-//! * **Request tracing** — [`trace`] mints per-process trace/span ids
-//!   (entropy-seeded so cluster peers never collide; pin the seed via
-//!   `ODT_TRACE_SEED` for replayable runs),
-//!   propagates a thread-local context (explicitly across thread pools via
-//!   [`trace::install_context`]), head-samples 1-in-N with force-retention
-//!   of anomalous traces, and exports Perfetto-loadable JSON. While a
-//!   context is installed, [`SpanTimer`]s double as trace child spans,
-//!   events carry `trace_id`/`span_id` fields, and histograms capture
-//!   per-bucket trace-id exemplars ([`HistogramSummary::p99_exemplar`]).
+//! * **Spans and request tracing** — [`span`] and [`trace::root_span`]
+//!   return the one RAII guard, [`SpanTimer`], which records its wall-clock
+//!   duration into the histogram of the same name on drop, so wall-clock
+//!   can be attributed per stage (`stage1.denoise_step` inside
+//!   `oracle.infer_pits` inside a query) whether or not a trace is kept.
+//!   [`trace`] mints per-process trace/span ids (entropy-seeded so cluster
+//!   peers never collide; pin the seed via `ODT_TRACE_SEED` for replayable
+//!   runs), propagates a thread-local context (explicitly across thread
+//!   pools via [`trace::install_context`]), head-samples 1-in-N with
+//!   force-retention of anomalous traces, and serialises a retained trace
+//!   one way, as the `odt-tracez/v1` trace object. While a context is
+//!   installed, spans are children of the innermost open span, events
+//!   carry `trace_id`/`span_id` fields, and histograms capture per-bucket
+//!   trace-id exemplars ([`HistogramSummary::p99_exemplar`]).
 //! * **Flight recorder** — [`flightrec`] dumps the event ring, open spans
 //!   and a metrics snapshot as an `odt-flightrec/v1` JSONL black box on
 //!   incident triggers (breaker open, SLO breach, panic).
@@ -54,7 +54,7 @@
 //! ```
 //! let h = odt_obs::histogram("demo.step");
 //! {
-//!     let _span = odt_obs::span!("demo.step");
+//!     let _span = odt_obs::span("demo.step");
 //!     // ... timed work ...
 //! }
 //! assert_eq!(h.count(), 1);
@@ -77,7 +77,6 @@ mod ring;
 pub mod rng;
 mod sink;
 pub mod slo;
-mod span;
 pub mod trace;
 
 pub use event::{emit, event, min_level, set_min_level, Event, EventBuilder, FieldValue, Level};
@@ -91,15 +90,4 @@ pub use rng::SplitMix64;
 pub use sink::{
     add_sink, atomic_write, flush_sinks, remove_sink, FnSink, JsonlSink, Sink, SinkId, StderrSink,
 };
-pub use span::{span, span_depth, span_if_traced, SpanTimer};
-pub use trace::{SpanId, TraceContext, TraceId};
-
-/// Start an RAII span timer feeding the histogram of the same name:
-/// `let _guard = span!("stage1.denoise_step");`. The duration is recorded
-/// when the guard drops.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
-}
+pub use trace::{span, span_if_traced, SpanId, SpanTimer, TraceContext, TraceId};

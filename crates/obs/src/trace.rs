@@ -4,7 +4,7 @@
 //! A **trace** is one causally-linked unit of work (for the serving stack:
 //! one admitted request; for drills: one scenario). It is minted by
 //! [`root_span`], which installs a [`TraceContext`] on the current thread.
-//! While a context is installed, every [`crate::span`] becomes a **child
+//! While a context is installed, every [`span`] becomes a **child
 //! span** of the innermost open span, [`crate::Histogram::record_micros`]
 //! attaches the current trace id as a per-bucket *exemplar*, and every
 //! emitted [`crate::Event`] is tagged with `trace_id`/`span_id` fields.
@@ -29,14 +29,18 @@
 //! its spans, and [`force_retain_current`] (called on deadline breaches,
 //! fallback-rung answers, and breaker trips) promotes it to retained —
 //! tail-latency outliers are never lost to head sampling. Retained traces
-//! land in a bounded in-memory store exported by [`write_chrome_trace`]
-//! (Perfetto/chrome-tracing JSON) and [`write_spans_jsonl`] (the input of
-//! the `trace_report` analysis bin).
+//! land in a bounded in-memory store ([`retained_traces`]); a
+//! [`TraceRecord`]'s `ToJson` is the `odt-tracez/v1` trace object that
+//! `GET /tracez` serves and the `trace_report` bin reads.
+//!
+//! **One guard.** A root, a child and a plain timer are all a
+//! [`SpanTimer`]: its drop records the same-named histogram, traced or not,
+//! and one function closes every span of a trace, back-dated ones included.
 
 use crate::json;
+use crate::metrics::{histogram, Histogram};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -171,7 +175,7 @@ pub struct TraceRecord {
     /// `parent_span` carried by the `odt-wire/v1` request that adopted
     /// this trace id); 0 for a locally-rooted trace.
     pub parent_span: u64,
-    /// Request id attached via [`RootSpan::set_request_id`], if any.
+    /// Request id attached via [`SpanTimer::set_request_id`], if any.
     pub request_id: Option<u64>,
     /// Root start, µs on the process trace clock.
     pub start_us: u64,
@@ -204,10 +208,8 @@ pub struct OpenSpanRecord {
 }
 
 struct ActiveTrace {
-    root_name: &'static str,
     parent_span: u64,
     request_id: Option<u64>,
-    start_us: u64,
     sampled: bool,
     retained: bool,
     retain_reasons: Vec<&'static str>,
@@ -419,131 +421,195 @@ pub fn current_is_retained() -> bool {
         .unwrap_or(false)
 }
 
-/// Live child-span bookkeeping carried by [`crate::SpanTimer`].
-pub(crate) struct SpanHandle {
+/// Where an open span sits: its own context, its parent's ordinal (0 for
+/// a root) and where and when it opened.
+struct Position {
     ctx: TraceContext,
     parent: u64,
     start_us: u64,
     tid: u64,
 }
 
-/// Open a child span under the current context, if one is installed.
-pub(crate) fn begin_span(name: &'static str) -> Option<SpanHandle> {
-    if !enabled() {
-        return None;
-    }
-    let parent = CTX_STACK.with(|s| s.borrow().last().copied())?;
+/// What [`open_span`] opens: the root of a new trace, or the next child of
+/// an installed context.
+enum Open {
+    Root {
+        trace: TraceId,
+        sampled: bool,
+        parent_span: u64,
+    },
+    Child(TraceContext),
+}
+
+fn next_trace_id() -> (u64, TraceId) {
+    let k = NEXT_TRACE.fetch_add(1, Ordering::Relaxed);
+    (k, TraceId(mint_trace_id(trace_seed(), k)))
+}
+
+/// Open a span in the store and make it the current context of this
+/// thread. `None` for a child whose trace has already closed.
+fn open_span(name: &'static str, at: Open) -> Option<Position> {
     let start_us = now_us();
     let tid = thread_ordinal();
-    let span_id = {
-        let mut st = store().lock().expect("trace store poisoned");
-        let t = st.active.get_mut(&parent.trace.raw())?;
-        let id = t.next_span;
-        t.next_span += 1;
-        st.open.insert(
-            (parent.trace.raw(), id),
-            OpenSpanRecord {
-                trace_id: parent.trace,
-                span_id: id,
-                name,
-                start_us,
-                tid,
-            },
-        );
-        id
+    let mut st = store().lock().expect("trace store poisoned");
+    let (trace, span_id, parent) = match at {
+        Open::Child(p) => {
+            let t = st.active.get_mut(&p.trace.raw())?;
+            t.next_span += 1;
+            (p.trace, t.next_span - 1, p.span.raw())
+        }
+        Open::Root {
+            mut trace,
+            sampled,
+            mut parent_span,
+        } => {
+            // Checked and inserted under this one acquisition: of two
+            // threads adopting one wire id, the second gets a fresh id. A
+            // re-minted id no longer belongs to the remote trace, so the
+            // remote parent ordinal would mislead stitchers: drop it.
+            while st.active.contains_key(&trace.raw()) {
+                (trace, parent_span) = (next_trace_id().1, 0);
+            }
+            st.active.insert(
+                trace.raw(),
+                ActiveTrace {
+                    parent_span,
+                    request_id: None,
+                    sampled,
+                    retained: false,
+                    retain_reasons: Vec::new(),
+                    next_span: 2, // root is span 1
+                    spans: Vec::new(),
+                    truncated: 0,
+                },
+            );
+            (trace, 1, 0)
+        }
     };
+    let open = OpenSpanRecord {
+        trace_id: trace,
+        span_id,
+        name,
+        start_us,
+        tid,
+    };
+    st.open.insert((trace.raw(), span_id), open);
+    drop(st);
     let ctx = TraceContext {
-        trace: parent.trace,
+        trace,
         span: SpanId(span_id),
     };
     push_ctx(ctx);
-    Some(SpanHandle {
+    Some(Position {
         ctx,
-        parent: parent.span.raw(),
+        parent,
         start_us,
         tid,
     })
 }
 
-/// Close a span opened by [`begin_span`], recording it into its trace's
-/// buffer.
-pub(crate) fn end_span(h: SpanHandle, name: &'static str, dur_us: u64) {
-    pop_ctx(h.ctx);
-    let mut st = store().lock().expect("trace store poisoned");
-    st.open.remove(&(h.ctx.trace.raw(), h.ctx.span.raw()));
-    if let Some(t) = st.active.get_mut(&h.ctx.trace.raw()) {
-        if t.spans.len() < MAX_SPANS_PER_TRACE {
-            t.spans.push(SpanRecord {
-                span_id: h.ctx.span.raw(),
-                parent_id: h.parent,
-                name,
-                start_us: h.start_us,
-                dur_us,
-                tid: h.tid,
-            });
-        } else {
-            t.truncated += 1;
+/// Close a span: record it into its trace's buffer and, for a root,
+/// finalize the trace (retain or drop per sampling + force-retention).
+fn close_span(st: &mut TraceStore, pos: &Position, name: &'static str, dur_us: u64) {
+    let (key, span_id) = (pos.ctx.trace.raw(), pos.ctx.span.raw());
+    st.open.remove(&(key, span_id));
+    let record = SpanRecord {
+        span_id,
+        parent_id: pos.parent,
+        name,
+        start_us: pos.start_us,
+        dur_us,
+        tid: pos.tid,
+    };
+    if pos.parent != 0 {
+        match st.active.get_mut(&key) {
+            Some(t) if t.spans.len() < MAX_SPANS_PER_TRACE => t.spans.push(record),
+            Some(t) => t.truncated += 1,
+            None => {}
         }
+        return;
     }
-}
-
-/// Record a span for an interval that was *measured elsewhere* and has
-/// already elapsed (e.g. queue wait, timed by the admission queue before
-/// the request's root span existed): a child of the current span,
-/// back-dated to start `dur_us` ago. No-op without a context.
-pub fn record_backdated_span(name: &'static str, dur_us: u64) {
-    let Some(parent) = current_context() else {
+    let Some(mut t) = st.active.remove(&key) else {
         return;
     };
-    let end = now_us();
-    let tid = thread_ordinal();
-    let mut st = store().lock().expect("trace store poisoned");
-    if let Some(t) = st.active.get_mut(&parent.trace.raw()) {
-        let id = t.next_span;
-        t.next_span += 1;
-        if t.spans.len() < MAX_SPANS_PER_TRACE {
-            t.spans.push(SpanRecord {
-                span_id: id,
-                parent_id: parent.span.raw(),
-                name,
-                start_us: end.saturating_sub(dur_us),
-                dur_us,
-                tid,
-            });
-        } else {
-            t.truncated += 1;
-        }
+    st.finished += 1;
+    if !(t.sampled || t.retained) {
+        st.dropped_unsampled += 1;
+        return;
+    }
+    t.spans.push(record);
+    if st.retained.len() >= MAX_RETAINED_TRACES {
+        st.retained.pop_front();
+        st.evicted_retained += 1;
+    }
+    st.retained.push_back(TraceRecord {
+        trace_id: pos.ctx.trace,
+        root_name: name,
+        parent_span: t.parent_span,
+        request_id: t.request_id,
+        start_us: pos.start_us,
+        dur_us,
+        sampled: t.sampled,
+        retain_reasons: t.retain_reasons,
+        spans: t.spans,
+        truncated: t.truncated,
+    });
+}
+
+/// An RAII wall-clock span, the one guard of [`span`], [`root_span`] and
+/// [`root_span_adopted`]. Dropping it records its elapsed time into the
+/// histogram named after the span, whether or not a trace is being kept.
+/// When it is part of a trace it is also the current context of its
+/// thread while it lives (further spans nest under it) and lands in its
+/// trace's span buffer on drop; a root then finalizes the trace.
+#[must_use = "dropping the guard closes the span"]
+pub struct SpanTimer {
+    hist: &'static Histogram,
+    name: &'static str,
+    start: Instant,
+    pos: Option<Position>,
+}
+
+fn timer(name: &'static str, at: Option<Open>) -> SpanTimer {
+    SpanTimer {
+        hist: histogram(name),
+        name,
+        pos: at.and_then(|at| open_span(name, at)),
+        start: Instant::now(),
     }
 }
 
-/// The root-span guard minted by [`root_span`]. While alive, the current
-/// thread carries the new trace's context; dropping it closes the root,
-/// records its duration into the histogram named after the root, and
-/// finalizes the trace (retain or drop per sampling + force-retention).
-#[must_use = "dropping the guard closes the trace"]
-pub struct RootSpan {
-    inner: Option<RootInner>,
+/// Start a span feeding `histogram(name)`: a child of the innermost open
+/// span when this thread carries a trace context, a plain timer otherwise.
+pub fn span(name: &'static str) -> SpanTimer {
+    timer(name, current_context().map(Open::Child))
 }
 
-struct RootInner {
-    ctx: TraceContext,
-    start_us: u64,
-    start: Instant,
-    name: &'static str,
-    tid: u64,
+/// Like [`span`], but returns `None` unless the current thread carries a
+/// trace context — for hot paths that want per-request attribution when
+/// traced but not even a histogram record otherwise (one relaxed atomic
+/// load when tracing is off).
+pub fn span_if_traced(name: &'static str) -> Option<SpanTimer> {
+    current_context().map(|ctx| timer(name, Some(Open::Child(ctx))))
 }
 
-/// Mint a new trace with a root span named `name`. Inert (no context, no
-/// buffering, `trace_id() == None`) when tracing is off.
-pub fn root_span(name: &'static str) -> RootSpan {
+/// Mint a new trace with a root span named `name`. With tracing off the
+/// guard is a plain timer (no context, no buffering, `trace_id() == None`).
+pub fn root_span(name: &'static str) -> SpanTimer {
     let every = sample_every();
     if every == 0 {
-        return RootSpan { inner: None };
+        return timer(name, None);
     }
-    let k = NEXT_TRACE.fetch_add(1, Ordering::Relaxed);
+    let (k, trace) = next_trace_id();
     let sampled = every == 1 || k.is_multiple_of(every);
-    let trace = TraceId(mint_trace_id(trace_seed(), k));
-    open_root(name, trace, sampled, 0)
+    timer(
+        name,
+        Some(Open::Root {
+            trace,
+            sampled,
+            parent_span: 0,
+        }),
+    )
 }
 
 /// Open a root span *adopting* a caller-supplied trace id — how the
@@ -557,135 +623,79 @@ pub fn root_span(name: &'static str) -> RootSpan {
 /// 1-in-N sampling. If the id is already active in this process (two
 /// clients reusing an id), a locally-minted id is used instead so the
 /// traces stay separable.
-pub fn root_span_adopted(name: &'static str, trace: TraceId, parent_span: u64) -> RootSpan {
-    if sample_every() == 0 {
-        return RootSpan { inner: None };
-    }
-    let collision = {
-        let st = store().lock().expect("trace store poisoned");
-        st.active.contains_key(&trace.raw())
-    };
-    let (trace, parent_span) = if collision {
-        let k = NEXT_TRACE.fetch_add(1, Ordering::Relaxed);
-        // A re-minted id no longer belongs to the remote trace, so the
-        // remote parent ordinal would mislead stitchers: drop it.
-        (TraceId(mint_trace_id(trace_seed(), k)), 0)
-    } else {
-        (trace, parent_span)
-    };
-    open_root(name, trace, true, parent_span)
-}
-
-fn open_root(name: &'static str, trace: TraceId, sampled: bool, parent_span: u64) -> RootSpan {
-    let start_us = now_us();
-    let tid = thread_ordinal();
-    {
-        let mut st = store().lock().expect("trace store poisoned");
-        st.active.insert(
-            trace.raw(),
-            ActiveTrace {
-                root_name: name,
-                parent_span,
-                request_id: None,
-                start_us,
-                sampled,
-                retained: false,
-                retain_reasons: Vec::new(),
-                next_span: 2, // root is span 1
-                spans: Vec::new(),
-                truncated: 0,
-            },
-        );
-        st.open.insert(
-            (trace.raw(), 1),
-            OpenSpanRecord {
-                trace_id: trace,
-                span_id: 1,
-                name,
-                start_us,
-                tid,
-            },
-        );
-    }
-    let ctx = TraceContext {
-        trace,
-        span: SpanId(1),
-    };
-    push_ctx(ctx);
-    RootSpan {
-        inner: Some(RootInner {
-            ctx,
-            start_us,
-            start: Instant::now(),
-            name,
-            tid,
+pub fn root_span_adopted(name: &'static str, trace: TraceId, parent_span: u64) -> SpanTimer {
+    timer(
+        name,
+        enabled().then_some(Open::Root {
+            trace,
+            sampled: true,
+            parent_span,
         }),
-    }
+    )
 }
 
-impl RootSpan {
-    /// This trace's id (`None` when tracing is off).
-    pub fn trace_id(&self) -> Option<TraceId> {
-        self.inner.as_ref().map(|i| i.ctx.trace)
+/// Record a span for an interval that was *measured elsewhere* and has
+/// already elapsed (e.g. queue wait, timed by the admission queue before
+/// the request's root span existed): a child of the current span,
+/// back-dated to start `dur_us` ago. It feeds no histogram (whoever
+/// measured the interval did). No-op without a context.
+pub fn record_backdated_span(name: &'static str, dur_us: u64) {
+    let Some(parent) = current_context() else {
+        return;
+    };
+    let mut st = store().lock().expect("trace store poisoned");
+    let Some(t) = st.active.get_mut(&parent.trace.raw()) else {
+        return;
+    };
+    t.next_span += 1;
+    let pos = Position {
+        ctx: TraceContext {
+            trace: parent.trace,
+            span: SpanId(t.next_span - 1),
+        },
+        parent: parent.span.raw(),
+        start_us: now_us().saturating_sub(dur_us),
+        tid: thread_ordinal(),
+    };
+    close_span(&mut st, &pos, name, dur_us);
+}
+
+impl SpanTimer {
+    /// Microseconds elapsed so far (the value recorded at drop keeps
+    /// counting until then).
+    pub fn elapsed_micros(&self) -> u64 {
+        self.start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
     }
 
-    /// Attach the serving-layer request id to the trace record.
+    /// The trace this span belongs to (`None` for a plain timer).
+    pub fn trace_id(&self) -> Option<TraceId> {
+        self.pos.as_ref().map(|p| p.ctx.trace)
+    }
+
+    /// Attach the serving-layer request id to this span's trace record.
     pub fn set_request_id(&self, id: u64) {
-        let Some(inner) = self.inner.as_ref() else {
+        let Some(trace) = self.trace_id() else {
             return;
         };
         let mut st = store().lock().expect("trace store poisoned");
-        if let Some(t) = st.active.get_mut(&inner.ctx.trace.raw()) {
+        if let Some(t) = st.active.get_mut(&trace.raw()) {
             t.request_id = Some(id);
         }
     }
 }
 
-impl Drop for RootSpan {
+impl Drop for SpanTimer {
     fn drop(&mut self) {
-        let Some(inner) = self.inner.take() else {
-            return;
-        };
-        let dur_us = inner.start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        // Record the root's wall-clock into the histogram of its name
-        // while its context is still current, so the exemplar slot of the
-        // containing latency bucket points at this very trace.
-        crate::metrics::histogram(inner.name).record_micros(dur_us);
-        pop_ctx(inner.ctx);
-        let mut st = store().lock().expect("trace store poisoned");
-        st.open.remove(&(inner.ctx.trace.raw(), 1));
-        let Some(mut t) = st.active.remove(&inner.ctx.trace.raw()) else {
-            return;
-        };
-        st.finished += 1;
-        if !(t.sampled || t.retained) {
-            st.dropped_unsampled += 1;
-            return;
+        let dur_us = self.elapsed_micros();
+        // Record into the histogram *before* closing the trace span: the
+        // span's own context is still current, so the exemplar of the
+        // containing bucket points at this very trace.
+        self.hist.record_micros(dur_us);
+        if let Some(pos) = self.pos.take() {
+            pop_ctx(pos.ctx);
+            let mut st = store().lock().expect("trace store poisoned");
+            close_span(&mut st, &pos, self.name, dur_us);
         }
-        t.spans.push(SpanRecord {
-            span_id: 1,
-            parent_id: 0,
-            name: inner.name,
-            start_us: inner.start_us,
-            dur_us,
-            tid: inner.tid,
-        });
-        if st.retained.len() >= MAX_RETAINED_TRACES {
-            st.retained.pop_front();
-            st.evicted_retained += 1;
-        }
-        st.retained.push_back(TraceRecord {
-            trace_id: inner.ctx.trace,
-            root_name: t.root_name,
-            parent_span: t.parent_span,
-            request_id: t.request_id,
-            start_us: t.start_us,
-            dur_us,
-            sampled: t.sampled,
-            retain_reasons: std::mem::take(&mut t.retain_reasons),
-            spans: std::mem::take(&mut t.spans),
-            truncated: t.truncated,
-        });
     }
 }
 
@@ -729,88 +739,46 @@ pub fn trace_stats() -> (u64, u64, u64) {
     (st.finished, st.dropped_unsampled, st.evicted_retained)
 }
 
-/// Serialize one retained trace as JSONL: a `kind:"trace"` header line
-/// followed by one `kind:"span"` line per span (no trailing newline).
-pub fn trace_to_jsonl(t: &TraceRecord) -> String {
-    let mut out = String::with_capacity(128 * (t.spans.len() + 1));
-    // Writing into a `String` cannot fail.
-    let _ = json::object(&mut out, |o| {
-        o.field("kind", "trace")
-            .field("trace_id", t.trace_id)
-            .field("root", t.root_name)
-            .field("parent_span", t.parent_span)
-            .field("request_id", t.request_id)
-            .field("start_us", t.start_us)
-            .field("dur_us", t.dur_us)
-            .field("sampled", t.sampled)
-            .field("retain_reasons", &t.retain_reasons[..])
-            .field("spans", t.spans.len())
-            .field("truncated", t.truncated);
-    });
-    for s in &t.spans {
-        out.push('\n');
-        // Writing into a `String` cannot fail.
-        let _ = json::object(&mut out, |o| {
-            o.field("kind", "span")
-                .field("trace_id", t.trace_id)
-                .field("span_id", s.span_id)
-                .field("parent_id", s.parent_id)
-                .field("name", s.name)
-                .field("start_us", s.start_us)
-                .field("dur_us", s.dur_us)
-                .field("tid", s.tid);
-        });
-    }
-    out
-}
-
-/// Write every retained trace as JSONL (see [`trace_to_jsonl`]) to `path`
-/// atomically. Returns the number of traces written.
-pub fn write_spans_jsonl(path: impl AsRef<Path>) -> std::io::Result<usize> {
-    let traces = retained_traces();
-    let mut out = String::new();
-    for t in &traces {
-        out.push_str(&trace_to_jsonl(t));
-        out.push('\n');
-    }
-    crate::atomic_write(path.as_ref(), out.as_bytes())?;
-    Ok(traces.len())
-}
-
-/// Write every retained trace as a chrome-tracing / Perfetto-loadable JSON
-/// object (`{"traceEvents":[...]}`, complete `ph:"X"` events) to `path`
-/// atomically. Returns the number of trace events written.
-pub fn write_chrome_trace(path: impl AsRef<Path>) -> std::io::Result<usize> {
-    let traces = retained_traces();
-    let mut out = json::object_string(|o| {
-        o.field("displayTimeUnit", "ms")
-            .array_lines("traceEvents", |a| {
-                for t in &traces {
-                    let reasons = t.retain_reasons.join(",");
-                    for s in &t.spans {
+/// The `odt-tracez/v1` trace object, the one serialisation of a retained
+/// trace (`GET /tracez`, `bench_serving`'s export, the input of
+/// `trace_report`). Each span carries its *self* time: its duration minus
+/// the durations of its direct children, clamped at zero (children on pool
+/// workers can overlap their parent, and overlap goes to the child).
+impl json::ToJson for TraceRecord {
+    fn write_json<W: std::fmt::Write>(&self, out: &mut W) -> std::fmt::Result {
+        let mut child_us: HashMap<u64, u64> = HashMap::new();
+        for s in &self.spans {
+            *child_us.entry(s.parent_id).or_insert(0) += s.dur_us;
+        }
+        json::object(out, |o| {
+            o.field("trace_id", self.trace_id)
+                .field("root", self.root_name)
+                // Remote parent span ordinal (0 = rooted in this process):
+                // a stitcher attaches this fragment under that span of the
+                // same trace id in the caller's payload.
+                .field("parent_span", self.parent_span)
+                .field("request_id", self.request_id)
+                .field("start_us", self.start_us)
+                .field("dur_us", self.dur_us)
+                .field("sampled", self.sampled)
+                .field("truncated", self.truncated)
+                .field("retain_reasons", &self.retain_reasons[..])
+                .array("spans", |a| {
+                    for s in &self.spans {
+                        let children = child_us.get(&s.span_id).copied().unwrap_or(0);
                         a.object(|o| {
-                            o.field("ph", "X")
-                                .field("pid", 1u8)
-                                .field("cat", "odt")
+                            o.field("span_id", s.span_id)
+                                .field("parent_id", s.parent_id)
                                 .field("name", s.name)
-                                .field("ts", s.start_us)
-                                .field("dur", s.dur_us)
-                                .field("tid", s.tid)
-                                .object("args", |o| {
-                                    o.field("trace_id", t.trace_id)
-                                        .field("span_id", s.span_id)
-                                        .field("parent_id", s.parent_id)
-                                        .field("sampled", t.sampled)
-                                        .field("retained", &reasons);
-                                });
+                                .field("start_us", s.start_us)
+                                .field("dur_us", s.dur_us)
+                                .field("self_us", s.dur_us.saturating_sub(children))
+                                .field("tid", s.tid);
                         });
                     }
-                }
-            });
-    });
-    out.push('\n');
-    crate::atomic_write(path.as_ref(), out.as_bytes())?;
-    Ok(traces.iter().map(|t| t.spans.len()).sum())
+                });
+        })
+    }
 }
 
 /// Serialize tests that toggle the process-global sampling state (shared
@@ -824,7 +792,14 @@ pub(crate) fn test_gate() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fs;
+    use crate::json::ToJson;
+    use std::time::Duration;
+
+    fn rendered(t: &TraceRecord) -> String {
+        let mut out = String::new();
+        t.write_json(&mut out).unwrap();
+        out
+    }
 
     /// Serialize trace-store-global tests (sampling counters and the
     /// retained deque are process-wide).
@@ -1005,11 +980,7 @@ mod tests {
         assert!(t.sampled, "adoption implies sampling");
         assert_eq!(t.parent_span, 7, "remote parent ordinal retained");
         assert!(t.spans.iter().any(|s| s.name == "test.trace.adopted_child"));
-        let jsonl = trace_to_jsonl(t);
-        assert!(
-            jsonl.lines().next().unwrap().contains("\"parent_span\":7"),
-            "{jsonl}"
-        );
+        assert!(rendered(t).contains("\"parent_span\":7"), "{}", rendered(t));
         let reminted = traces
             .iter()
             .find(|t| t.trace_id == inner_id)
@@ -1064,37 +1035,6 @@ mod tests {
     }
 
     #[test]
-    fn exports_are_loadable_shapes() {
-        let _g = lock_tests();
-        set_sample_every(1);
-        {
-            let _root = root_span("test.trace.export");
-            let _c = crate::span("test.trace.export_child");
-        }
-        set_sample_every(0);
-        let dir = std::env::temp_dir();
-        let chrome = dir.join(format!("odt_trace_chrome_{}.json", std::process::id()));
-        let jsonl = dir.join(format!("odt_trace_spans_{}.jsonl", std::process::id()));
-        let n = write_chrome_trace(&chrome).unwrap();
-        assert!(n >= 2);
-        let content = fs::read_to_string(&chrome).unwrap();
-        assert!(content.starts_with("{\"displayTimeUnit\""), "{content}");
-        assert!(content.contains("\"ph\":\"X\""));
-        assert!(content.contains("\"tid\":"));
-        assert!(content.trim_end().ends_with("]}"));
-        let t = write_spans_jsonl(&jsonl).unwrap();
-        assert!(t >= 1);
-        let content = fs::read_to_string(&jsonl).unwrap();
-        assert!(content.lines().any(|l| l.contains("\"kind\":\"trace\"")));
-        assert!(content.lines().any(|l| l.contains("\"kind\":\"span\"")));
-        for line in content.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        }
-        let _ = fs::remove_file(&chrome);
-        let _ = fs::remove_file(&jsonl);
-    }
-
-    #[test]
     fn open_spans_are_visible_until_closed() {
         let _g = lock_tests();
         set_sample_every(1);
@@ -1141,70 +1081,140 @@ mod tests {
     }
 
     #[test]
-    fn span_jsonl_bytes_are_pinned() {
+    fn tracez_trace_object_bytes_are_pinned() {
         assert_eq!(
-            trace_to_jsonl(&golden_trace(
+            rendered(&golden_trace(
                 Some(77),
                 vec!["deadline_breach", "fallback_rung"]
             )),
-            "{\"kind\":\"trace\",\"trace_id\":\"0000000000abc123\",\
-             \"root\":\"serve.\\\"request\\\"\",\"parent_span\":4,\"request_id\":77,\
-             \"start_us\":1000,\"dur_us\":250,\"sampled\":true,\
-             \"retain_reasons\":[\"deadline_breach\",\"fallback_rung\"],\"spans\":2,\
-             \"truncated\":3}\n\
-             {\"kind\":\"span\",\"trace_id\":\"0000000000abc123\",\"span_id\":2,\
-             \"parent_id\":1,\"name\":\"stage1.denoise_step\",\"start_us\":1010,\
-             \"dur_us\":200,\"tid\":2}\n\
-             {\"kind\":\"span\",\"trace_id\":\"0000000000abc123\",\"span_id\":1,\
-             \"parent_id\":0,\"name\":\"serve.\\\"request\\\"\",\"start_us\":1000,\
-             \"dur_us\":250,\"tid\":1}"
+            "{\"trace_id\":\"0000000000abc123\",\"root\":\"serve.\\\"request\\\"\",\
+             \"parent_span\":4,\"request_id\":77,\"start_us\":1000,\"dur_us\":250,\
+             \"sampled\":true,\"truncated\":3,\
+             \"retain_reasons\":[\"deadline_breach\",\"fallback_rung\"],\"spans\":[\
+             {\"span_id\":2,\"parent_id\":1,\"name\":\"stage1.denoise_step\",\
+             \"start_us\":1010,\"dur_us\":200,\"self_us\":200,\"tid\":2},\
+             {\"span_id\":1,\"parent_id\":0,\"name\":\"serve.\\\"request\\\"\",\
+             \"start_us\":1000,\"dur_us\":250,\"self_us\":50,\"tid\":1}]}"
         );
-        let bare = trace_to_jsonl(&golden_trace(None, Vec::new()));
+        let bare = rendered(&golden_trace(None, Vec::new()));
         assert!(
-            bare.starts_with(
-                "{\"kind\":\"trace\",\"trace_id\":\"0000000000abc123\",\
-                 \"root\":\"serve.\\\"request\\\"\",\"parent_span\":4,\"request_id\":null,\
-                 \"start_us\":1000,\"dur_us\":250,\"sampled\":true,\"retain_reasons\":[],\
-                 \"spans\":2,\"truncated\":3}\n"
-            ),
+            bare.contains("\"request_id\":null,") && bare.contains("\"retain_reasons\":[],"),
             "{bare}"
         );
     }
 
     #[test]
-    fn chrome_trace_bytes_are_pinned() {
+    fn spans_record_into_histograms_traced_or_not() {
+        {
+            let outer = span("test.span.outer");
+            {
+                let _inner = span("test.span.inner");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert!(outer.elapsed_micros() >= 2_000);
+            assert_eq!(outer.trace_id(), None, "no root on this thread");
+        }
+        assert_eq!(histogram("test.span.outer").count(), 1);
+        assert_eq!(histogram("test.span.inner").count(), 1);
+    }
+
+    #[test]
+    fn nested_span_timings_are_monotone() {
+        // A parent's wall-clock must dominate the sum of its (sequential)
+        // children — the property wall-clock attribution rests on.
+        {
+            let _parent = span("test.span.parent");
+            for _ in 0..3 {
+                let _child = span("test.span.child");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let parent = histogram("test.span.parent");
+        let child = histogram("test.span.child");
+        assert_eq!(parent.count(), 1);
+        assert_eq!(child.count(), 3);
+        assert!(
+            parent.max_micros() >= child.sum_micros(),
+            "parent {} µs < children sum {} µs",
+            parent.max_micros(),
+            child.sum_micros()
+        );
+    }
+
+    #[test]
+    fn span_if_traced_is_none_without_context() {
         let _g = lock_tests();
-        let path = std::env::temp_dir().join(format!(
-            "odt_trace_chrome_golden_{}.json",
-            std::process::id()
-        ));
-        let kept = take_retained();
-        write_chrome_trace(&path).unwrap();
-        assert_eq!(
-            fs::read_to_string(&path).unwrap(),
-            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n"
-        );
-        store()
-            .lock()
-            .unwrap()
-            .retained
-            .push_back(golden_trace(None, vec!["deadline_breach", "fallback_rung"]));
-        let n = write_chrome_trace(&path).unwrap();
-        take_retained();
-        store().lock().unwrap().retained.extend(kept);
-        assert_eq!(n, 2);
-        assert_eq!(
-            fs::read_to_string(&path).unwrap(),
-            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
-             {\"ph\":\"X\",\"pid\":1,\"cat\":\"odt\",\"name\":\"stage1.denoise_step\",\
-             \"ts\":1010,\"dur\":200,\"tid\":2,\"args\":{\"trace_id\":\"0000000000abc123\",\
-             \"span_id\":2,\"parent_id\":1,\"sampled\":true,\
-             \"retained\":\"deadline_breach,fallback_rung\"}},\n\
-             {\"ph\":\"X\",\"pid\":1,\"cat\":\"odt\",\"name\":\"serve.\\\"request\\\"\",\
-             \"ts\":1000,\"dur\":250,\"tid\":1,\"args\":{\"trace_id\":\"0000000000abc123\",\
-             \"span_id\":1,\"parent_id\":0,\"sampled\":true,\
-             \"retained\":\"deadline_breach,fallback_rung\"}}\n]}\n"
-        );
-        let _ = fs::remove_file(&path);
+        set_sample_every(0);
+        assert!(span_if_traced("test.span.untraced").is_none());
+        assert_eq!(histogram("test.span.untraced").count(), 0);
+        set_sample_every(1);
+        // Enabled but no root installed on this thread: still None.
+        assert!(span_if_traced("test.span.untraced").is_none());
+        {
+            let _root = root_span("test.span.traced_root");
+            let sp = span_if_traced("test.span.traced_child");
+            assert!(sp.is_some());
+        }
+        set_sample_every(0);
+        assert_eq!(histogram("test.span.traced_child").count(), 1);
+    }
+
+    #[test]
+    fn a_root_feeds_its_histogram_exactly_once_in_every_sampling_mode() {
+        let _g = lock_tests();
+        let hist = histogram("test.trace.root_hist");
+        let wire = TraceId::from_hex("00000000feedf00d").unwrap();
+        // Off, everything kept, and 1-in-N with this trace unsampled.
+        for (every, roots) in [(0, 1), (1, 2), (u64::MAX, 3)] {
+            set_sample_every(every);
+            let before = retained_count();
+            drop(root_span("test.trace.root_hist"));
+            assert_eq!(hist.count(), roots, "sample_every = {every}");
+            assert_eq!(retained_count() - before, usize::from(every == 1));
+        }
+        set_sample_every(0);
+        drop(root_span_adopted("test.trace.root_hist", wire, 3));
+        assert_eq!(hist.count(), 4, "an untraced adopted root");
+        // A back-dated span was measured by someone else: no histogram.
+        set_sample_every(1);
+        {
+            let _root = root_span("test.trace.root_hist");
+            record_backdated_span("test.trace.backdated_hist", 500);
+        }
+        set_sample_every(0);
+        assert_eq!(hist.count(), 5);
+        assert_eq!(histogram("test.trace.backdated_hist").count(), 0);
+    }
+
+    #[test]
+    fn concurrent_adoptions_of_one_wire_id_stay_separate_traces() {
+        let _g = lock_tests();
+        set_sample_every(1);
+        let wire = TraceId::from_hex("00000000c0111de5").unwrap();
+        let all_open = std::sync::Barrier::new(4);
+        let ids: Vec<TraceId> = std::thread::scope(|s| {
+            let adopters: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let root = root_span_adopted("test.trace.race", wire, 9);
+                        let _child = span("test.trace.race_child");
+                        all_open.wait(); // every root is open at once
+                        root.trace_id().unwrap()
+                    })
+                })
+                .collect();
+            adopters.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        set_sample_every(0);
+        let distinct: std::collections::BTreeSet<TraceId> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), 4, "{ids:?}");
+        assert_eq!(ids.iter().filter(|&&id| id == wire).count(), 1, "{ids:?}");
+        // No adopter's buffer was replaced: each trace kept its own child.
+        let traces = retained_traces();
+        for id in ids {
+            let t = traces.iter().find(|t| t.trace_id == id).expect("retained");
+            assert_eq!(t.spans.len(), 2, "{t:?}");
+            assert_eq!(t.parent_span, if id == wire { 9 } else { 0 });
+        }
     }
 }

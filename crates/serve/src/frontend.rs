@@ -527,11 +527,11 @@ impl<E: RungExecutor> ServeFrontend<E> {
     }
 
     fn serve_one(&mut self, req: Request<E::Query>, queue_wait_us: u64) -> Response {
-        // Root span for the whole request (inert when tracing is off).
-        // While it lives, every span/event/histogram sample on this thread
-        // — and, via pool context propagation, on compute workers — is
-        // attributed to this request's trace. A wire-propagated client
-        // trace id is adopted so the client and server share one trace.
+        // Root span for the whole request (with tracing off, just the
+        // `serve.request` histogram's timer). While a traced one lives,
+        // every span/event/histogram sample on this thread, and via pool
+        // context propagation on compute workers, is attributed to its
+        // trace. A wire-propagated id is adopted: one trace, both ends.
         let root = match req.wire_trace {
             Some(id) => odt_obs::trace::root_span_adopted("serve.request", id, req.wire_parent),
             None => odt_obs::trace::root_span("serve.request"),
@@ -1147,6 +1147,19 @@ mod tests {
         assert_eq!(t.root_name, "serve.request");
         assert_eq!(t.request_id, Some(0));
         assert_eq!(t.parent_span, 7);
+    }
+
+    #[test]
+    fn an_untraced_request_still_feeds_the_request_histogram() {
+        let _gate = trace_test_gate();
+        odt_obs::trace::set_sample_every(0);
+        let hist = odt_obs::histogram("serve.request");
+        let before = hist.count();
+        let mut fe = ServeFrontend::new(MockExec::healthy(), cfg());
+        let out = fe.process_wave([("a", None), ("b", None), ("c", None)]);
+        assert!(out.iter().all(Response::is_served));
+        // At least: tests running beside this one serve requests too.
+        assert!(hist.count() >= before + 3, "{} -> {}", before, hist.count());
     }
 
     #[test]
