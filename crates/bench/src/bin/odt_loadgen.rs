@@ -1,5 +1,5 @@
 //! `odt_loadgen`: drive an `odt_server` over TCP and report throughput
-//! vs latency (`BENCH_net.json`).
+//! vs latency (`--report`, default `BENCH_net_load.json`).
 //!
 //! ```text
 //! odt_loadgen --addr <host:port> [--mode open|closed] [--rate <rps>]
@@ -136,7 +136,7 @@ fn main() {
         arg_value("--p-hot").map(|v| v.parse().expect("--p-hot must be a number"));
     let connect_retry_ms: Option<u64> = arg_value("--connect-retry-ms")
         .map(|v| v.parse().expect("--connect-retry-ms must be an integer"));
-    let report_path = arg_value("--report").unwrap_or_else(|| "BENCH_net.json".to_string());
+    let report_path = arg_value("--report").unwrap_or_else(|| "BENCH_net_load.json".to_string());
 
     let region = match arg_value("--region") {
         None => Region::default(),

@@ -122,7 +122,7 @@ impl Dot {
     /// Accelerated PiT inference via deterministic DDIM sampling over
     /// `sample_steps` strided schedule steps (clamped into `1..=N`) — an
     /// extension beyond the paper that trades a little PiT fidelity for a
-    /// large latency cut (benchmarked in `odt-bench`).
+    /// large latency cut (`diffusion.sample_ddim8_ms` in the repository benchmark).
     pub fn infer_pits_fast(
         &self,
         odts: &[OdtInput],

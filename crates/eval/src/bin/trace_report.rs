@@ -15,7 +15,7 @@
 //!
 //! * `--source`   — one `/tracez` payload per flag: an admin address
 //!   (`host:port`, fetched live over HTTP) or a path to a saved payload
-//!   (`bench_serving`'s `BENCH_serving_tracez.json`). For a cluster give
+//!   (a `GET /tracez` body kept in a file). For a cluster give
 //!   the router AND every replica: stitching needs both sides of each
 //!   wire hop.
 //! * `--root`     — only report traces whose (stitched) root span has
@@ -673,7 +673,7 @@ mod tests {
     }
 
     /// A routed request seen by the router and by one shard: the keys and
-    /// value types `trace-smoke` and `fed-smoke` read from both documents.
+    /// value types `fed-smoke` reads from both documents.
     #[test]
     fn report_keys_and_types_are_pinned() {
         let router = r#"{"schema":"odt-tracez/v1","instance":"router","retained":1,"traces":[

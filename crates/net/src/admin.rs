@@ -573,7 +573,7 @@ pub fn render_varz(
 /// Render the `/tracez` JSON body (`odt-tracez/v1`): the most recent
 /// `limit` retained traces, each as `odt_obs`'s trace object (per-span
 /// *self* times: where inside the request the time actually went).
-pub fn render_tracez(limit: usize) -> String {
+fn render_tracez(limit: usize) -> String {
     let traces = odt_obs::trace::retained_traces();
     let skip = traces.len().saturating_sub(limit);
     json::object_string(|o| {

@@ -40,8 +40,7 @@ pub mod signal;
 pub mod wire;
 
 pub use admin::{
-    http_request, render_tracez, render_varz, start_admin, AdminConfig, AdminHandle, AdminSources,
-    SwapFn, VarzFn,
+    http_request, render_varz, start_admin, AdminConfig, AdminHandle, AdminSources, SwapFn, VarzFn,
 };
 pub use cluster::{
     render_router_varz, start_health_prober, ClusterConfig, ClusterShared, ClusterSnapshot,

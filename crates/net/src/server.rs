@@ -140,7 +140,8 @@ pub struct NetRequest {
     pub req: WireRequest,
     /// Microseconds the request spent crossing the network boundary
     /// (read → dispatch → batch pickup); backends subtract this from the
-    /// wire deadline budget so queueing at the boundary still counts.
+    /// wire deadline budget and count it into the `queue_wait_us` they
+    /// report, so queueing at the boundary still counts.
     pub age_us: u64,
 }
 
@@ -1084,8 +1085,8 @@ struct TickConsumer {
 
 /// Bridge a [`odt_serve::ServeFrontend`] into the network boundary:
 /// submits each batch through admission (propagating wire deadlines,
-/// minus boundary age, and trace ids), drains, and maps frontend
-/// responses back to wire responses.
+/// minus boundary age, that age itself and trace ids), drains, and maps
+/// frontend responses back to wire responses.
 pub struct FrontendBridge<E: odt_serve::RungExecutor, F> {
     fe: odt_serve::ServeFrontend<E>,
     make_query: F,
@@ -1209,34 +1210,19 @@ where
                 .map(|ms| ms.saturating_mul(1_000).saturating_sub(nr.age_us));
             let trace = nr.req.trace;
             let parent = nr.req.parent_span.unwrap_or(0);
-            let fid = self.fe.next_request_id();
+            let query = (self.make_query)(&nr.req.query);
             match self
                 .fe
-                .submit_traced((self.make_query)(&nr.req.query), budget_us, trace, parent)
+                .submit_traced(query, budget_us, nr.age_us, trace, parent)
             {
-                Ok(got) => {
-                    debug_assert_eq!(got, fid);
+                Ok(fid) => {
                     if trace.is_some() {
                         self.adopted_traces += 1;
                     }
-                    pending.insert(got, (idx, nr.req.id, trace));
+                    pending.insert(fid, (idx, nr.req.id, trace));
                 }
-                Err(odt_serve::Response::Shed { id, reason, detail }) => {
-                    if id == fid {
-                        // The submitted request itself was refused.
-                        out.push((idx, shed_to_wire(nr.req.id, &reason, &detail)));
-                    } else {
-                        // Reject-oldest evicted an *earlier* admitted
-                        // request from this batch; the current one is in
-                        // the queue under `fid`.
-                        if let Some((pidx, wid, _)) = pending.remove(&id) {
-                            out.push((pidx, shed_to_wire(wid, &reason, &detail)));
-                        }
-                        if trace.is_some() {
-                            self.adopted_traces += 1;
-                        }
-                        pending.insert(fid, (idx, nr.req.id, trace));
-                    }
+                Err(odt_serve::Response::Shed { reason, detail, .. }) => {
+                    out.push((idx, shed_to_wire(nr.req.id, &reason, &detail)));
                 }
                 Err(_) => {
                     out.push((
@@ -1818,6 +1804,51 @@ mod tests {
         let report = h.drain();
         assert!(report.clean);
         assert_eq!(report.stats.active, 0);
+    }
+
+    #[test]
+    fn bridge_queue_wait_runs_from_frame_read_wherever_the_batch_boundary_falls() {
+        /// 30 ms per answer, so the third of three back-to-back requests
+        /// waits ~60 ms: in the dispatch channel when batches are single
+        /// requests, in the frontend's queue when one batch holds all three.
+        struct SlowExec;
+        impl odt_serve::RungExecutor for SlowExec {
+            type Query = ();
+            fn execute(&mut self, _rung: odt_serve::Rung, _q: &()) -> Result<f64, String> {
+                thread::sleep(Duration::from_millis(30));
+                Ok(1.0)
+            }
+        }
+        for max_batch in [1, 64] {
+            let cfg = ServerConfig {
+                max_batch,
+                ..test_cfg()
+            };
+            let h = start_with(cfg, || {
+                let fe =
+                    odt_serve::ServeFrontend::new(SlowExec, odt_serve::FrontendConfig::default());
+                FrontendBridge::new(fe, |_: &WireQuery| ())
+            })
+            .unwrap();
+            let mut s = connect(h.addr());
+            for id in 1..=3 {
+                send_req(&mut s, &plain_req(id));
+            }
+            let waits: Vec<u64> = (1..=3)
+                .map(|want| match recv_resp(&mut s) {
+                    WireResponse::Ok {
+                        id, queue_wait_us, ..
+                    } => {
+                        assert_eq!(id, want);
+                        queue_wait_us
+                    }
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            assert!(waits[2] >= 50_000, "max_batch {max_batch}: {waits:?}");
+            drop(s);
+            assert!(h.drain().clean);
+        }
     }
 
     #[test]

@@ -207,7 +207,7 @@ pub enum WireResponse {
         seconds: f64,
         /// Name of the ladder rung that answered.
         rung: String,
-        /// Time the request spent queued, µs.
+        /// Time from the server reading the frame to a rung starting, µs.
         queue_wait_us: u64,
         /// Service time on the answering rung, µs.
         service_us: u64,

@@ -17,9 +17,9 @@
 //! The seed defaults to per-process entropy (pid + wall clock, mixed
 //! through SplitMix64) so two shards of one cluster cannot mint colliding
 //! ids, and can be pinned with [`set_trace_seed`] or `ODT_TRACE_SEED`
-//! (see [`init_from_env`]) for replayable runs — the CI `trace-smoke`
-//! job double-runs `bench_serving` under one explicit seed and diffs the
-//! id sets. Span ids are small per-trace ordinals; a span's position in a
+//! (see [`init_from_env`]) for replayable runs — the CI `chaos-smoke`
+//! job double-runs one drill under one explicit seed and compares the
+//! ids. Span ids are small per-trace ordinals; a span's position in a
 //! *cross-process* trace additionally records the remote parent span
 //! ordinal carried by `odt-wire/v1` (see [`root_span_adopted`]).
 //!
@@ -308,18 +308,13 @@ pub fn thread_ordinal() -> u64 {
     })
 }
 
-/// Whether tracing is on (`sample_every() > 0`). One relaxed atomic load —
+/// Whether tracing is on (a nonzero sampling rate). One relaxed atomic load —
 /// cheap enough for hot paths to check first.
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// The head-sampling rate: keep 1-in-N traces (0 = tracing off, 1 = all).
-pub fn sample_every() -> u64 {
-    SAMPLE_EVERY.load(Ordering::Relaxed)
-}
-
-/// Set the head-sampling rate (see [`sample_every`]).
+/// Set the head-sampling rate: keep 1-in-N traces (0 = tracing off, 1 = all).
 pub fn set_sample_every(n: u64) {
     SAMPLE_EVERY.store(n, Ordering::Relaxed);
     ENABLED.store(n > 0, Ordering::Relaxed);
@@ -596,7 +591,7 @@ pub fn span_if_traced(name: &'static str) -> Option<SpanTimer> {
 /// Mint a new trace with a root span named `name`. With tracing off the
 /// guard is a plain timer (no context, no buffering, `trace_id() == None`).
 pub fn root_span(name: &'static str) -> SpanTimer {
-    let every = sample_every();
+    let every = SAMPLE_EVERY.load(Ordering::Relaxed);
     if every == 0 {
         return timer(name, None);
     }
@@ -740,10 +735,10 @@ pub fn trace_stats() -> (u64, u64, u64) {
 }
 
 /// The `odt-tracez/v1` trace object, the one serialisation of a retained
-/// trace (`GET /tracez`, `bench_serving`'s export, the input of
-/// `trace_report`). Each span carries its *self* time: its duration minus
-/// the durations of its direct children, clamped at zero (children on pool
-/// workers can overlap their parent, and overlap goes to the child).
+/// trace (`GET /tracez`, the input of `trace_report`). Each span carries
+/// its *self* time: its duration minus the durations of its direct
+/// children, clamped at zero (children on pool workers can overlap their
+/// parent, and overlap goes to the child).
 impl json::ToJson for TraceRecord {
     fn write_json<W: std::fmt::Write>(&self, out: &mut W) -> std::fmt::Result {
         let mut child_us: HashMap<u64, u64> = HashMap::new();

@@ -6,7 +6,7 @@
 //!
 //! 1. **Admission** — requests pass the executor's `admit` check (strict
 //!    query sanitization for the Dot executor) and then a bounded
-//!    [`AdmissionQueue`] with an explicit shed policy.
+//!    [`AdmissionQueue`], which refuses the incoming request when full.
 //! 2. **Selection** — at dequeue time the remaining deadline budget picks
 //!    a rung from the [`LatencyLadder`], skipping rungs whose
 //!    [`CircuitBreaker`] is open.
@@ -39,7 +39,7 @@ use odt_obs::{event, Level};
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::ladder::{LadderConfig, LatencyLadder, Rung, MODEL_RUNGS, NUM_RUNGS};
-use crate::queue::{AdmissionQueue, ShedPolicy};
+use crate::queue::AdmissionQueue;
 
 /// What an executor's cache probe found for a query (the frontend probes
 /// once per request, before rung selection, and gates the two cache rungs
@@ -93,8 +93,6 @@ pub trait RungExecutor {
 pub struct FrontendConfig {
     /// Admission queue capacity (≥ 1).
     pub queue_capacity: usize,
-    /// Which request to refuse when the queue is full.
-    pub shed_policy: ShedPolicy,
     /// Deadline budget for requests that do not carry one, microseconds.
     pub default_deadline_us: u64,
     /// Degradation-ladder tuning.
@@ -111,7 +109,6 @@ impl Default for FrontendConfig {
     fn default() -> Self {
         FrontendConfig {
             queue_capacity: 256,
-            shed_policy: ShedPolicy::RejectNewest,
             default_deadline_us: 1_000_000,
             ladder: LadderConfig::default(),
             breaker: BreakerConfig::default(),
@@ -129,6 +126,9 @@ pub struct Request<Q> {
     pub query: Q,
     /// Absolute deadline (µs since the frontend epoch).
     pub deadline_us: u64,
+    /// How long ago the request arrived when it was submitted, µs; its
+    /// reported queue wait starts there.
+    pub age_us: u64,
     /// A caller-propagated trace id (the `odt-wire/v1` `trace` field):
     /// when set, the request's root span *adopts* it instead of minting a
     /// local id, so client and server observe the same trace.
@@ -143,15 +143,12 @@ pub struct Request<Q> {
 /// Why a request was refused instead of served.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShedReason {
-    /// The admission queue was full (under either shed policy) and the
-    /// refused request still had deadline budget left.
+    /// The admission queue was full, so the incoming request was refused.
     QueueFull,
-    /// The request's deadline expired *while it sat in the queue*: either
-    /// discovered at dequeue, or — under [`ShedPolicy::RejectOldest`] —
-    /// when the already-expired oldest request was evicted to admit a
-    /// fresh one. Distinct from [`ShedReason::QueueFull`] so overload
-    /// accounting separates "refused for capacity" from "waited too long"
-    /// (the wire error code mirrors this split).
+    /// The request's deadline expired *while it sat in the queue*,
+    /// discovered at dequeue. Distinct from [`ShedReason::QueueFull`] so
+    /// overload accounting separates "refused for capacity" from "waited
+    /// too long" (the wire error code mirrors this split).
     DeadlineExpiredInQueue,
     /// The executor's admission check rejected the query.
     InvalidQuery,
@@ -183,7 +180,7 @@ pub enum Response {
         seconds: f64,
         /// The rung that produced the answer.
         rung: Rung,
-        /// Time spent queued, µs.
+        /// Time from arrival (submission less its `age_us`) to dequeue, µs.
         queue_wait_us: u64,
         /// Service time on the answering rung (failed attempts on higher
         /// rungs are not included), µs.
@@ -227,12 +224,9 @@ pub struct FrontendSnapshot {
     pub admitted: u64,
     /// Requests answered by some rung.
     pub served: u64,
-    /// Sheds because the queue was full (the refused request still had
-    /// budget left).
+    /// Sheds because the queue was full.
     pub shed_queue_full: u64,
-    /// Sheds because the deadline expired while queued (`queue_expired`):
-    /// discovered at dequeue, or evicted-already-expired under
-    /// [`ShedPolicy::RejectOldest`].
+    /// Sheds because the deadline expired while queued (`queue_expired`).
     pub shed_deadline: u64,
     /// Sheds by the executor's admission check.
     pub shed_invalid: u64,
@@ -317,7 +311,7 @@ impl<E: RungExecutor> ServeFrontend<E> {
         let breakers =
             std::array::from_fn(|i| CircuitBreaker::new(Rung::from_index(i).name(), cfg.breaker));
         ServeFrontend {
-            queue: AdmissionQueue::new(cfg.queue_capacity, cfg.shed_policy),
+            queue: AdmissionQueue::new(cfg.queue_capacity),
             ladder: LatencyLadder::new(cfg.ladder),
             breakers,
             exec,
@@ -403,31 +397,25 @@ impl<E: RungExecutor> ServeFrontend<E> {
         }
     }
 
-    /// The id the *next* submit will be assigned. Callers correlating
-    /// frontend ids with their own (the network bridge) read this before
-    /// submitting: under [`ShedPolicy::RejectOldest`] a submit can
-    /// return another request's shed response while the submitted
-    /// request itself was admitted under this id.
-    pub fn next_request_id(&self) -> u64 {
-        self.next_id
-    }
-
     /// Submit one request. `deadline_us` is a *budget* from now (the
     /// configured default when `None`). Returns the assigned id, or the
     /// shed response if the request never made it into the queue.
     pub fn submit(&mut self, query: E::Query, deadline_us: Option<u64>) -> Result<u64, Response> {
-        self.submit_traced(query, deadline_us, None, 0)
+        self.submit_traced(query, deadline_us, 0, None, 0)
     }
 
-    /// [`Self::submit`] with a caller-propagated trace context (the
-    /// networked frontend passes the client's `odt-wire/v1` trace here, so
-    /// server spans join the client's trace instead of minting a fresh
-    /// id). `wire_parent` is the caller's span id (`0` = locally rooted);
-    /// it is meaningful only when `wire_trace` is set.
+    /// [`Self::submit`] as the networked frontend calls it. `age_us` is how
+    /// long ago the request arrived (its frame was read): the queue wait it
+    /// reports and its `serve.queue_wait` span start there, while
+    /// `deadline_us` still counts from now. `wire_trace` is the client's
+    /// `odt-wire/v1` trace id, which the server's spans join instead of
+    /// minting a fresh one; `wire_parent` is the caller's span id (`0` =
+    /// locally rooted), meaningful only when `wire_trace` is set.
     pub fn submit_traced(
         &mut self,
         query: E::Query,
         deadline_us: Option<u64>,
+        age_us: u64,
         wire_trace: Option<odt_obs::TraceId>,
         wire_parent: u64,
     ) -> Result<u64, Response> {
@@ -453,6 +441,7 @@ impl<E: RungExecutor> ServeFrontend<E> {
             id,
             query,
             deadline_us: now.saturating_add(budget),
+            age_us,
             wire_trace,
             wire_parent,
         };
@@ -461,37 +450,15 @@ impl<E: RungExecutor> ServeFrontend<E> {
                 self.snap.admitted += 1;
                 Ok(id)
             }
-            Err(shed) => {
-                // Under reject-oldest the evicted request is the longest
-                // waiter; if its deadline has *already passed* it would
-                // have been a `queue_expired` shed at dequeue anyway —
-                // count it as such (typed, not folded into queue_full).
-                let expired = shed.deadline_us <= now && shed.id != id;
-                let reason = if expired {
-                    ShedReason::DeadlineExpiredInQueue
-                } else {
-                    ShedReason::QueueFull
-                };
-                if expired {
-                    self.snap.shed_deadline += 1;
-                } else {
-                    self.snap.shed_queue_full += 1;
-                }
+            Err(_) => {
+                self.snap.shed_queue_full += 1;
                 event(Level::Warn, "serve.request.shed")
-                    .field("reason", reason.name())
+                    .field("reason", ShedReason::QueueFull.name())
                     .emit();
-                let detail = if expired {
-                    format!(
-                        "expired {}us before eviction from a full queue",
-                        now - shed.deadline_us
-                    )
-                } else {
-                    format!("queue at capacity {}", self.queue.capacity())
-                };
                 Err(Response::Shed {
-                    id: shed.id,
-                    reason,
-                    detail,
+                    id,
+                    reason: ShedReason::QueueFull,
+                    detail: format!("queue at capacity {}", self.queue.capacity()),
                 })
             }
         }
@@ -505,6 +472,7 @@ impl<E: RungExecutor> ServeFrontend<E> {
             let Some((req, wait)) = self.queue.pop(now) else {
                 break;
             };
+            let wait = wait + req.age_us;
             out.push(self.serve_one(req, wait));
         }
         out
@@ -1075,67 +1043,12 @@ mod tests {
     }
 
     #[test]
-    fn reject_oldest_eviction_of_expired_request_counts_queue_expired() {
-        let mut fe = ServeFrontend::new(
-            MockExec::healthy(),
-            FrontendConfig {
-                queue_capacity: 1,
-                shed_policy: ShedPolicy::RejectOldest,
-                ..cfg()
-            },
-        );
-        // First request: zero budget, so it is expired the moment it sits
-        // in the queue. Second request evicts it (capacity 1).
-        let a = fe.submit("a", Some(0));
-        assert!(a.is_ok(), "first request admits");
-        let b = fe.submit("b", Some(1_000_000));
-        match b {
-            Err(Response::Shed { id, reason, .. }) => {
-                assert_eq!(id, 0, "the evicted oldest request is the shed one");
-                assert_eq!(reason, ShedReason::DeadlineExpiredInQueue);
-            }
-            other => panic!("expected eviction shed, got {other:?}"),
-        }
-        let s = fe.snapshot();
-        assert_eq!(
-            (s.shed_deadline, s.shed_queue_full),
-            (1, 0),
-            "expired eviction is queue_expired, not folded into queue_full"
-        );
-        // The fresh request still serves.
-        let out = fe.drain();
-        assert_eq!(out.len(), 1);
-        assert!(out[0].is_served());
-    }
-
-    #[test]
-    fn reject_oldest_eviction_of_live_request_still_counts_queue_full() {
-        let mut fe = ServeFrontend::new(
-            MockExec::healthy(),
-            FrontendConfig {
-                queue_capacity: 1,
-                shed_policy: ShedPolicy::RejectOldest,
-                ..cfg()
-            },
-        );
-        fe.submit("a", Some(1_000_000)).unwrap();
-        match fe.submit("b", Some(1_000_000)) {
-            Err(Response::Shed { reason, .. }) => {
-                assert_eq!(reason, ShedReason::QueueFull);
-            }
-            other => panic!("expected queue_full shed, got {other:?}"),
-        }
-        let s = fe.snapshot();
-        assert_eq!((s.shed_deadline, s.shed_queue_full), (0, 1));
-    }
-
-    #[test]
     fn wire_trace_ids_are_adopted_by_the_request_root_span() {
         let _gate = trace_test_gate();
         odt_obs::trace::set_sample_every(u64::MAX); // sampling would drop
         let wire = odt_obs::TraceId::from_hex("0000000000c0ffee").unwrap();
         let mut fe = ServeFrontend::new(MockExec::healthy(), cfg());
-        fe.submit_traced("od", None, Some(wire), 7).unwrap();
+        fe.submit_traced("od", None, 0, Some(wire), 7).unwrap();
         let out = fe.drain();
         odt_obs::trace::set_sample_every(0);
         assert!(out[0].is_served());

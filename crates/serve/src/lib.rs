@@ -6,10 +6,10 @@
 //! The paper's serving story ends at `estimate()`; this crate adds the
 //! production envelope around it:
 //!
-//! * **Admission control** — a bounded [`AdmissionQueue`] with an explicit
-//!   [`ShedPolicy`] (reject-newest or reject-oldest), so overload degrades
-//!   into counted sheds instead of unbounded latency. Strict query
-//!   sanitization refuses far-out-of-region queries with a typed reason.
+//! * **Admission control** — a bounded [`AdmissionQueue`] that refuses
+//!   the incoming request when full, so overload degrades into counted
+//!   sheds instead of unbounded latency. Strict query sanitization
+//!   refuses far-out-of-region queries with a typed reason.
 //! * **Deadline-aware degradation** — each request carries a deadline
 //!   budget; the [`LatencyLadder`] picks the highest-fidelity rung (full
 //!   DDPM → DDIM → reduced-step DDIM → haversine prior) whose live p95
@@ -74,7 +74,7 @@ pub use frontend::{
     ShedReason,
 };
 pub use ladder::{select_from_costs, LadderConfig, LatencyLadder, Rung, MODEL_RUNGS, NUM_RUNGS};
-pub use queue::{AdmissionQueue, ShedPolicy};
+pub use queue::AdmissionQueue;
 pub use shadow::{ShadowConfig, ShadowScorer};
 pub use swap::{SwapConfig, SwapController, SwapError, SwapHost, SwapOutcome, SwapStats};
 

@@ -1,67 +1,39 @@
 //! The bounded admission queue in front of the oracle.
 //!
-//! Overload policy is explicit: the queue has a hard capacity and a
-//! [`ShedPolicy`] deciding *which* request is refused when it is full —
-//! the incoming one ([`ShedPolicy::RejectNewest`], default: first-come
-//! first-served fairness) or the longest-waiting one
-//! ([`ShedPolicy::RejectOldest`], freshest-data preference: the oldest
-//! request is also the one most likely to blow its deadline anyway).
+//! Overload policy is explicit: the queue has a hard capacity, and when it
+//! is full the incoming request is refused (first-come first-served).
 //! Every shed is counted (`serve.queue.shed`) and every dequeue records
 //! the request's queue wait (`serve.queue.wait`).
 
 use std::collections::VecDeque;
-
-/// Which request to refuse when the admission queue is full.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ShedPolicy {
-    /// Refuse the incoming request (FIFO fairness).
-    RejectNewest,
-    /// Drop the longest-waiting request and admit the incoming one.
-    RejectOldest,
-}
-
-impl ShedPolicy {
-    /// Short tag for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ShedPolicy::RejectNewest => "reject_newest",
-            ShedPolicy::RejectOldest => "reject_oldest",
-        }
-    }
-}
 
 struct Enqueued<T> {
     item: T,
     enq_us: u64,
 }
 
-/// A bounded FIFO queue with an explicit load-shedding policy.
+/// A bounded FIFO queue that refuses the incoming request when full.
 ///
 /// Time is supplied by the caller as microseconds on any monotonic clock
 /// (the frontend uses micros since its epoch), which keeps the queue — and
 /// everything built on it — deterministic under test.
 pub struct AdmissionQueue<T> {
     capacity: usize,
-    policy: ShedPolicy,
     q: VecDeque<Enqueued<T>>,
     shed: u64,
 }
 
 impl<T> AdmissionQueue<T> {
     /// A queue holding at most `capacity` (≥ 1) requests.
-    pub fn new(capacity: usize, policy: ShedPolicy) -> Self {
+    pub fn new(capacity: usize) -> Self {
         AdmissionQueue {
             capacity: capacity.max(1),
-            policy,
             q: VecDeque::new(),
             shed: 0,
         }
     }
 
-    /// Enqueue `item` at time `now_us`. On overflow, returns `Err` with the
-    /// shed request: the incoming one under [`ShedPolicy::RejectNewest`],
-    /// the oldest queued one under [`ShedPolicy::RejectOldest`] (the
-    /// incoming request is then admitted in its place).
+    /// Enqueue `item` at time `now_us`. A full queue refuses it: `Err(item)`.
     pub fn push(&mut self, item: T, now_us: u64) -> Result<(), T> {
         if self.q.len() < self.capacity {
             self.q.push_back(Enqueued {
@@ -73,17 +45,7 @@ impl<T> AdmissionQueue<T> {
         }
         self.shed += 1;
         odt_obs::counter("serve.queue.shed").inc();
-        match self.policy {
-            ShedPolicy::RejectNewest => Err(item),
-            ShedPolicy::RejectOldest => {
-                let oldest = self.q.pop_front().expect("full queue has a front").item;
-                self.q.push_back(Enqueued {
-                    item,
-                    enq_us: now_us,
-                });
-                Err(oldest)
-            }
-        }
+        Err(item)
     }
 
     /// Dequeue the oldest request and its queue wait in microseconds.
@@ -122,7 +84,7 @@ mod tests {
 
     #[test]
     fn fifo_order_and_wait_accounting() {
-        let mut q = AdmissionQueue::new(4, ShedPolicy::RejectNewest);
+        let mut q = AdmissionQueue::new(4);
         q.push("a", 0).unwrap();
         q.push("b", 10).unwrap();
         let (item, wait) = q.pop(25).unwrap();
@@ -134,7 +96,7 @@ mod tests {
 
     #[test]
     fn reject_newest_sheds_incoming() {
-        let mut q = AdmissionQueue::new(2, ShedPolicy::RejectNewest);
+        let mut q = AdmissionQueue::new(2);
         q.push(1, 0).unwrap();
         q.push(2, 0).unwrap();
         assert_eq!(q.push(3, 1), Err(3));
@@ -144,19 +106,8 @@ mod tests {
     }
 
     #[test]
-    fn reject_oldest_sheds_head_and_admits_incoming() {
-        let mut q = AdmissionQueue::new(2, ShedPolicy::RejectOldest);
-        q.push(1, 0).unwrap();
-        q.push(2, 0).unwrap();
-        assert_eq!(q.push(3, 1), Err(1));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(2).unwrap().0, 2);
-        assert_eq!(q.pop(2).unwrap().0, 3);
-    }
-
-    #[test]
     fn capacity_floor_is_one() {
-        let mut q = AdmissionQueue::new(0, ShedPolicy::RejectNewest);
+        let mut q = AdmissionQueue::new(0);
         assert_eq!(q.capacity(), 1);
         q.push(1, 0).unwrap();
         assert_eq!(q.push(2, 0), Err(2));
@@ -164,7 +115,7 @@ mod tests {
 
     #[test]
     fn wait_is_saturating_on_clock_skew() {
-        let mut q = AdmissionQueue::new(1, ShedPolicy::RejectNewest);
+        let mut q = AdmissionQueue::new(1);
         q.push(1, 100).unwrap();
         // A caller-supplied earlier timestamp must not underflow.
         assert_eq!(q.pop(50).unwrap().1, 0);

@@ -7,7 +7,7 @@ use odt_core::{Dot, DotConfig};
 use odt_roadnet::LngLat;
 use odt_serve::{
     dot_frontend, dot_frontend_cached, BreakerState, CacheConfig, ChaosConfig, DotFrontendConfig,
-    EstimateCache, FrontendConfig, HotTracker, Response, Rung, ShedPolicy, ShedReason,
+    EstimateCache, FrontendConfig, HotTracker, Response, Rung, ShedReason,
 };
 use odt_traj::{Dataset, OdtInput};
 
@@ -105,7 +105,6 @@ fn admission_deadlines_and_overload() {
         DotFrontendConfig::default(),
         FrontendConfig {
             queue_capacity: 4,
-            shed_policy: ShedPolicy::RejectNewest,
             ..FrontendConfig::default()
         },
         ChaosConfig::quiet(7),
@@ -203,11 +202,18 @@ fn cached_frontend_serves_repeat_queries_from_the_cache() {
     let qs = queries(&data, 5);
     let first = fe.process_wave(qs.clone().into_iter().map(|q| (q, None)));
     let mut model_answers = Vec::new();
+    let mut cold_min_us = u64::MAX;
     for r in &first {
         match r {
-            Response::Served { rung, seconds, .. } => {
+            Response::Served {
+                rung,
+                seconds,
+                service_us,
+                ..
+            } => {
                 assert!(!rung.is_cache(), "cold cache cannot serve {rung:?}");
                 model_answers.push(*seconds);
+                cold_min_us = cold_min_us.min(*service_us);
             }
             other => panic!("cold pass shed: {other:?}"),
         }
@@ -217,14 +223,17 @@ fn cached_frontend_serves_repeat_queries_from_the_cache() {
     // Second pass, same queries: every answer serves from the cached rung
     // and is bit-identical to the model answer that filled it.
     let second = fe.process_wave(qs.into_iter().map(|q| (q, None)));
+    let mut warm_max_us = 0;
     for (r, expected) in second.iter().zip(&model_answers) {
         match r {
             Response::Served {
                 rung,
                 seconds,
+                service_us,
                 downgraded,
                 ..
             } => {
+                warm_max_us = warm_max_us.max(*service_us);
                 assert_eq!(*rung, Rung::Cached);
                 assert_eq!(
                     seconds.to_bits(),
@@ -236,6 +245,12 @@ fn cached_frontend_serves_repeat_queries_from_the_cache() {
             other => panic!("warm pass shed: {other:?}"),
         }
     }
+    // The point of the cache: the slowest hit costs under a tenth of the
+    // fastest model answer.
+    assert!(
+        warm_max_us * 10 < cold_min_us,
+        "slowest hit {warm_max_us} us vs fastest model answer {cold_min_us} us"
+    );
     let stats = cache.stats();
     assert_eq!(stats.hits, 5);
     assert!(stats.hit_rate() > 0.0);
