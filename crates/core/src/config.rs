@@ -1,10 +1,8 @@
 //! DOT configuration: the paper's hyper-parameters (Table 2) and the
 //! ablation switches of Table 7.
 
-use serde::{Deserialize, Serialize};
-
 /// Which stage-2 estimator to use.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum EstimatorKind {
     /// The Masked Vision Transformer (the DOT default).
     MVit,
@@ -15,7 +13,7 @@ pub enum EstimatorKind {
 }
 
 /// The Table 7 ablation switches. Defaults are the full DOT model.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct AblationOptions {
     /// Include origin/destination coordinates in the conditioning
     /// (`false` = *No-od*).
@@ -45,7 +43,7 @@ impl Default for AblationOptions {
 
 /// Fault-tolerance knobs for training and serving (the robustness layer;
 /// DESIGN.md "Failure modes and recovery").
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct RobustnessOptions {
     /// A stage loss counts as a spike when it exceeds this multiple of the
     /// running loss EMA (after warmup). Non-finite losses always trip.
@@ -73,7 +71,7 @@ impl Default for RobustnessOptions {
 }
 
 /// Full DOT configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DotConfig {
     /// Grid side length `L_G` (Table 2 optimum: 20).
     pub lg: usize,
@@ -117,9 +115,8 @@ pub struct DotConfig {
     pub infer_candidates: usize,
     /// Ablation switches.
     pub ablation: AblationOptions,
-    /// Fault-tolerance knobs (`#[serde(default)]` keeps older configs
-    /// loadable).
-    #[serde(default)]
+    /// Fault-tolerance knobs (a checkpoint older than them reads as the
+    /// defaults).
     pub robustness: RobustnessOptions,
     /// RNG seed for initialization, batching and sampling.
     pub seed: u64,

@@ -26,7 +26,6 @@
 
 use odt_roadnet::LngLat;
 use odt_traj::{GridSpec, OdtInput, Pit};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters for every defensive action the robustness layer takes.
@@ -134,7 +133,7 @@ impl RobustnessStats {
 
 /// A plain-value view of [`RobustnessStats`], serializable into checkpoints
 /// and reports.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct RobustnessSnapshot {
     /// Stage-1/2 watchdog activations (non-finite or spiking loss).
     pub watchdog_trips: u64,
@@ -144,9 +143,8 @@ pub struct RobustnessSnapshot {
     pub rollbacks: u64,
     /// Queries whose coordinates or departure time needed clamping.
     pub queries_clamped: u64,
-    /// Queries rejected outright by strict sanitization (`#[serde(default)]`
-    /// keeps pre-existing checkpoints loadable).
-    #[serde(default)]
+    /// Queries rejected outright by strict sanitization (0 when read from a
+    /// checkpoint older than the counter).
     pub queries_rejected: u64,
     /// Inferred PiTs rejected as degenerate (empty or saturated).
     pub degenerate_pits: u64,

@@ -24,13 +24,12 @@ use odt_diffusion::{ConditionedDenoiser, Ddpm, DenoiserConfig, NoiseSchedule};
 use odt_estimator::MVitConfig as EstimatorMVitConfig;
 use odt_estimator::{CnnEstimator, EmbedderConfig, MVit, PitEstimator, VanillaVit};
 use odt_nn::serialize::StateDict;
-use odt_nn::{load_state_dict, state_dict, Adam, HasParams};
+use odt_nn::{check_state_dict, load_state_dict, state_dict, try_load_state_dict, Adam, HasParams};
 use odt_obs::{event, Level};
 use odt_tensor::{Graph, Param, Tensor, Var};
 use odt_traj::{Dataset, GridSpec, OdtInput, Pit, Split, Trajectory};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::time::Instant;
 
@@ -311,12 +310,11 @@ const STAGE2_SALT: u64 = 0x51A6_E002;
 const VAL_SALT: u64 = 0x51A6_E003;
 
 /// Magic tag of in-training checkpoints.
-const TRAIN_MAGIC: &str = "DOTTRN";
+pub(crate) const TRAIN_MAGIC: &str = "DOTTRN";
 
 /// A crash-recovery snapshot of an in-flight training run, written
 /// periodically by [`Dot::train_resumable`] (atomic write, CRC-framed like
-/// model checkpoints).
-#[derive(Serialize, Deserialize)]
+/// model checkpoints; [`crate::persist`] spells the payload).
 pub struct TrainCheckpoint {
     /// Which stage was training: 1 or 2.
     pub stage: u8,
@@ -514,14 +512,23 @@ impl Dot {
         };
         let cfg = model.cfg.clone();
 
-        // Restore an interrupted run's parameters and counters.
+        // Restore an interrupted run's parameters, all or none: a set that does
+        // not fit this architecture or is not finite is reported, and the run
+        // starts fresh. Then its counters.
+        let resume = resume.filter(|tc| {
+            let s2 = model.estimator.estimator_params();
+            let mut stage2_sets = tc.stage2.iter().chain(&tc.best_state);
+            let restored = stage2_sets
+                .try_for_each(|set| check_state_dict(&s2, set))
+                .and_then(|()| try_load_state_dict(&model.denoiser.params(), &tc.stage1));
+            match &restored {
+                Ok(()) => tc.stage2.iter().for_each(|set| load_state_dict(&s2, set)),
+                Err(e) => emit_ckpt_issue(&mut progress, CkptIssue::Unusable(&e.clone().into())),
+            }
+            restored.is_ok()
+        });
         let (stage1_start, stage2_resume) = match resume {
             Some(tc) => {
-                let s1 = model.denoiser.params();
-                load_state_dict(&s1, &tc.stage1);
-                if let Some(s2) = &tc.stage2 {
-                    load_state_dict(&model.estimator.estimator_params(), s2);
-                }
                 model.stats = crate::guard::RobustnessStats::from_snapshot(tc.robustness);
                 model.report.stage1_seconds = tc.stage1_seconds;
                 model.report.stage2_seconds = tc.stage2_seconds;
@@ -1226,6 +1233,60 @@ mod tests {
             let est = m.estimate(&odt, &mut rng);
             assert!(est.seconds.is_finite() && est.seconds >= 0.0);
         }
+    }
+
+    /// A checkpoint that passes the CRC and parses, but holds a stage-1
+    /// value beyond `f32`: resume must refuse to install it.
+    #[test]
+    fn resumable_training_refuses_a_checkpoint_with_non_finite_parameters() {
+        let data = tiny_dataset(8);
+        let cfg = tiny_config(8);
+        let path =
+            std::env::temp_dir().join(format!("odt_train_poison_{}.ckpt", std::process::id()));
+        let probe = Dot::train(cfg.clone(), &data, |_| {});
+        let tc = TrainCheckpoint {
+            stage: 1,
+            next_iter: 6,
+            cfg: cfg.clone(),
+            grid: data.grid,
+            tt_mean: probe.tt_mean,
+            tt_std: probe.tt_std,
+            stage1: state_dict(&probe.denoiser.params()),
+            stage2: None,
+            best_state: None,
+            best_val_mae: f64::INFINITY,
+            stage1_seconds: 1.0,
+            stage2_seconds: 0.0,
+            stage1_final_loss: probe.report().stage1_final_loss,
+            robustness: Default::default(),
+        };
+        tc.save(&path).unwrap();
+        crate::persist::tests::poison_first_stage1_value(&path, TRAIN_MAGIC);
+        assert!(
+            TrainCheckpoint::load(&path).is_ok(),
+            "only the values are bad"
+        );
+
+        let mut messages = Vec::new();
+        let model = Dot::train_resumable(cfg, &data, &path, |m| messages.push(m.to_string()));
+        let issue = messages.iter().find(|m| m.contains("checkpoint unusable"));
+        let issue = issue.expect("the refusal is reported");
+        assert!(
+            issue.contains("non-finite") && issue.contains("starting fresh"),
+            "{issue}"
+        );
+        // Fresh start: stage 1 ran from iteration 0, not from the snapshot's 6.
+        assert!(
+            messages.iter().any(|m| m.contains("iters 0..")),
+            "{messages:?}"
+        );
+        for p in model.denoiser.params() {
+            assert!(p.value().is_finite(), "non-finite param {}", p.name());
+        }
+        let odt = OdtInput::from_trajectory(&data.split(Split::Test)[0]);
+        let est = model.estimate(&odt, &mut StdRng::seed_from_u64(5));
+        assert!(est.seconds.is_finite() && est.seconds >= 0.0);
+        assert!(!path.exists());
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! The DDPM noise schedule (paper Eqs. 2–5).
 
-use serde::{Deserialize, Serialize};
-
 /// Precomputed β, α and ᾱ sequences for an `N`-step diffusion.
 ///
 /// Steps are 1-indexed as in the paper (`n ∈ {1, …, N}`); accessors take the
 /// paper's `n`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NoiseSchedule {
     betas: Vec<f32>,
     alphas: Vec<f32>,

@@ -9,7 +9,7 @@ use odt_serve::{
     DotSwapHostConfig, FrontendConfig, ModelSlot, Response, ServeFrontend, SwapConfig,
     SwapController, SwapError, SwapOutcome,
 };
-use odt_traj::OdtInput;
+use odt_traj::{Dataset, OdtInput};
 
 type SlotFrontend = ServeFrontend<ChaosExecutor<DotExecutor<'static>>>;
 
@@ -58,9 +58,9 @@ pub(super) fn cluster_corrupt_swap(ctx: &DrillCtx) -> DrillOutcome {
     std::fs::create_dir_all(&dir).expect("swap drill temp dir");
     let registry = ModelRegistry::open(dir.join("registry")).expect("swap drill registry");
     // Serve a *loaded* copy so the drill also exercises the load path. A
-    // build that cannot write a checkpoint (the offline stand-in codec
-    // returns `Err`) has nothing to swap; that fails this drill and leaves
-    // the drills after it their run.
+    // registry that cannot be written (a full or read-only temp dir) leaves
+    // nothing to swap; that fails this drill and leaves the drills after it
+    // their run.
     let published = registry
         .publish(&ctx.oracle.model)
         .and_then(|v1| Ok((v1, registry.load_current()?)));
@@ -152,7 +152,9 @@ pub(super) fn cluster_corrupt_swap(ctx: &DrillCtx) -> DrillOutcome {
         early_stop_every: 2,
         ..DotConfig::tiny()
     };
-    Dot::train(misshapen, &ctx.oracle.data, |_| {})
+    let data = &ctx.oracle.data;
+    let coarse = Dataset::from_trips("coarse", data.trips.clone(), data.proj, misshapen.lg);
+    Dot::train(misshapen, &coarse, |_| {})
         .save(&shape_path)
         .expect("saving the misshapen candidate");
     ctrl.request(shape_path.to_str().expect("utf8 path"), None)

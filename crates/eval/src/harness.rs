@@ -422,16 +422,15 @@ pub fn run_dot(
     (result, model, pits)
 }
 
-/// The PiT cache document: `{"lg":L,"pits":[[3·L·L values],…]}`. An `f32`
-/// widened to `f64` is written with the digits that read back to the same
-/// `f64`, so the cache returns every value bit for bit.
+/// The PiT cache document: `{"lg":L,"pits":[[3·L·L values],…]}`, each array
+/// spelled the way a checkpoint spells a tensor's `data`, so the cache
+/// returns every value bit for bit.
 fn pits_to_json(pits: &[Pit]) -> String {
     json::object_string(|o| {
         o.field("lg", pits.first().map_or(0, Pit::lg));
         o.array("pits", |a| {
             for pit in pits {
-                let values: Vec<f64> = pit.tensor().data().iter().map(|&v| v.into()).collect();
-                a.item(&values[..]);
+                a.item(pit.tensor().data());
             }
         });
     })
@@ -447,11 +446,7 @@ fn pits_from_json(text: &str) -> Result<Vec<Pit>, String> {
         .ok_or("no `pits`")?;
     pits.iter()
         .map(|pit| {
-            let values: Vec<f32> = pit
-                .as_arr()?
-                .iter()
-                .map(|v| v.as_f64().map(|v| v as f32))
-                .collect::<Option<_>>()?;
+            let values = odt_nn::serialize::f32s_from_json(pit)?;
             (values.len() == 3 * lg * lg)
                 .then(|| Pit::from_tensor(Tensor::from_vec(values, vec![3, lg, lg])))
         })

@@ -4,33 +4,13 @@
 
 use odt_eval::drill::{Drill, DrillCtx, DrillOutcome, DRILLS};
 use odt_obs::json;
-use std::sync::{Mutex, MutexGuard, Once};
-
-/// The one row that saves and loads checkpoints (its own `#[test]`, so a
-/// build whose `serde_json` is the offline stand-in can skip it by name).
-const NEEDS_CHECKPOINTS: &str = "cluster_corrupt_swap";
-
-/// The flight recorder, the trace sampler and the panic hook are
-/// process-global: drills run one at a time, armed as `chaos_drill` arms them.
-fn armed() -> MutexGuard<'static, ()> {
-    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-    static ARM: Once = Once::new();
-    let guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    ARM.call_once(|| {
-        let dumps = format!("odt_drills_flightrec_{}", std::process::id());
-        odt_obs::trace::set_sample_every(1);
-        odt_obs::flightrec::enable(std::env::temp_dir().join(dumps));
-        odt_obs::flightrec::install_panic_hook();
-    });
-    guard
-}
 
 /// Which evidence blocks a row's outcome carries, by family.
 fn blocks_of(name: &str) -> &'static str {
     match name {
         "quality_drift" => "quality",
         "cache_drift_invalidation" => "frontend,quality,cache,flush",
-        NEEDS_CHECKPOINTS => "frontend,swap,candidates",
+        "cluster_corrupt_swap" => "frontend,swap,candidates",
         _ if name.starts_with("net_") => "frontend,adopted_traces,replies,conns,drain",
         _ if name.starts_with("cluster_") => "replies,conns,drain,cluster",
         _ => "frontend",
@@ -58,23 +38,19 @@ fn complaint(drill: &Drill, o: &DrillOutcome) -> Option<String> {
 }
 
 #[test]
-fn every_drill_that_needs_no_checkpoint_holds() {
-    let _armed = armed();
+fn every_drill_holds() {
+    // Armed as `chaos_drill` arms them: the flight recorder, the trace
+    // sampler and the panic hook are process-global.
+    let dumps = format!("odt_drills_flightrec_{}", std::process::id());
+    odt_obs::trace::set_sample_every(1);
+    odt_obs::flightrec::enable(std::env::temp_dir().join(dumps));
+    odt_obs::flightrec::install_panic_hook();
     let ctx = DrillCtx::new(7, true);
     let complaints: Vec<String> = DRILLS
         .iter()
-        .filter(|drill| drill.name != NEEDS_CHECKPOINTS)
         .filter_map(|drill| complaint(drill, &(drill.run)(&ctx)))
         .collect();
     assert!(complaints.is_empty(), "{complaints:#?}");
-}
-
-#[test]
-fn cluster_corrupt_swap_holds() {
-    let _armed = armed();
-    let ctx = DrillCtx::new(7, true);
-    let drill = DRILLS.iter().find(|d| d.name == NEEDS_CHECKPOINTS).unwrap();
-    assert_eq!(complaint(drill, &(drill.run)(&ctx)), None);
 }
 
 #[test]

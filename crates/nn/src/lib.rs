@@ -43,7 +43,9 @@ pub use linear::Linear;
 pub use norm::{GroupNorm, LayerNorm};
 pub use pe::{positional_encoding, positional_encoding_row};
 pub use rnn::{Gru, GruCell};
-pub use serialize::{load_state_dict, state_dict, try_load_state_dict, StateDictError};
+pub use serialize::{
+    check_state_dict, load_state_dict, state_dict, try_load_state_dict, StateDictError,
+};
 pub use transformer::{EncoderLayer, FeedForward};
 
 use odt_tensor::Param;

@@ -3,9 +3,13 @@
 //! The two DOT stages are trained separately (paper §5: stage 1's parameters
 //! are frozen before stage 2 trains), so being able to snapshot and restore a
 //! parameter set is part of the pipeline, not just a convenience.
+//!
+//! This file is the one place that knows how a parameter set is spelled:
+//! `{"entries":{"<name>":{"shape":[…],"data":[…]},…}}`, names in order, through
+//! [`odt_obs::json`]. Every finite `f32` reads back bit for bit.
 
+use odt_obs::json::{self, JsonValue, ToJson};
 use odt_tensor::{Param, Tensor};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Why a [`StateDict`] could not be restored into a parameter set.
@@ -57,7 +61,7 @@ impl std::fmt::Display for StateDictError {
 impl std::error::Error for StateDictError {}
 
 /// A serializable snapshot of named parameter values.
-#[derive(Serialize, Deserialize, Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateDict {
     entries: BTreeMap<String, Tensor>,
 }
@@ -83,30 +87,66 @@ impl StateDict {
         self.entries.get(name)
     }
 
-    /// Verify every stored tensor is finite; the error names the first
-    /// offending parameter.
-    pub fn validate_finite(&self) -> Result<(), StateDictError> {
-        for (name, t) in &self.entries {
-            let count = t.count_non_finite();
-            if count > 0 {
-                return Err(StateDictError::NonFinite {
-                    name: name.clone(),
-                    count,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Serialize to a JSON string.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("state dict serialization cannot fail")
+        let mut out = String::new();
+        let _ = self.write_json(&mut out); // a `String` sink cannot fail
+        out
     }
 
-    /// Deserialize from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+    /// Deserialize from JSON; the error is [`StateDict::from_value`]'s, or
+    /// the parser's.
+    pub fn from_json(s: &str) -> Result<Self, String> {
+        Self::from_value(&JsonValue::parse(s).map_err(|e| e.to_string())?)
     }
+
+    /// Read a parsed document back. Members other than `entries`, `shape`
+    /// and `data` are ignored; the error is the dotted path of the member
+    /// that is missing or malformed, a `data` that does not fill its
+    /// `shape` included.
+    pub fn from_value(doc: &JsonValue) -> Result<Self, String> {
+        let Some(JsonValue::Obj(members)) = doc.get("entries") else {
+            return Err("entries".into());
+        };
+        let mut entries = BTreeMap::new();
+        for (name, tensor) in members {
+            let at = |member: &str| format!("entries.{name}.{member}");
+            let dims = tensor.get("shape").and_then(JsonValue::as_arr);
+            let dim = |d: &JsonValue| usize::try_from(d.as_u64()?).ok();
+            let shape: Option<Vec<usize>> = dims.and_then(|dims| dims.iter().map(dim).collect());
+            let shape = shape.ok_or_else(|| at("shape"))?;
+            let data = tensor.get("data").and_then(f32s_from_json);
+            let data = data.ok_or_else(|| at("data"))?;
+            if shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d)) != Some(data.len()) {
+                let n = data.len();
+                return Err(format!("{} ({n} values for shape {shape:?})", at("data")));
+            }
+            entries.insert(name.clone(), Tensor::from_vec(data, shape));
+        }
+        Ok(StateDict { entries })
+    }
+}
+
+impl ToJson for StateDict {
+    fn write_json<W: std::fmt::Write>(&self, out: &mut W) -> std::fmt::Result {
+        json::object(out, |o| {
+            o.object("entries", |o| {
+                for (name, tensor) in &self.entries {
+                    o.object(name, |o| {
+                        o.field("shape", tensor.shape())
+                            .field("data", tensor.data());
+                    });
+                }
+            });
+        })
+    }
+}
+
+/// Read back an `f32` array that [`ToJson`] wrote from a `[f32]`, bit for
+/// bit. A non-finite value was written as `null`, which is not a number:
+/// the array is refused (`None`).
+pub fn f32s_from_json(v: &JsonValue) -> Option<Vec<f32>> {
+    v.as_arr()?.iter().map(JsonValue::as_f32).collect()
 }
 
 /// Capture the current values of `params` keyed by parameter name.
@@ -133,11 +173,9 @@ pub fn load_state_dict(params: &[Param], dict: &StateDict) {
     }
 }
 
-/// Fallible [`load_state_dict`]: validates presence, shape and finiteness of
-/// every entry *before* mutating any parameter, so a failed load leaves the
-/// model untouched. This is what checkpoint loading uses to turn file
-/// corruption into a typed error instead of a panic or a poisoned model.
-pub fn try_load_state_dict(params: &[Param], dict: &StateDict) -> Result<(), StateDictError> {
+/// What [`try_load_state_dict`] checks: every parameter is present in the
+/// dict with its shape and holds only finite values. Mutates nothing.
+pub fn check_state_dict(params: &[Param], dict: &StateDict) -> Result<(), StateDictError> {
     for p in params {
         let name = p.name();
         let value = dict
@@ -157,10 +195,16 @@ pub fn try_load_state_dict(params: &[Param], dict: &StateDict) -> Result<(), Sta
             return Err(StateDictError::NonFinite { name, count });
         }
     }
-    for p in params {
-        let value = dict.entries.get(&p.name()).expect("validated above");
-        p.set_value(value.clone());
-    }
+    Ok(())
+}
+
+/// Fallible [`load_state_dict`]: [`check_state_dict`] *before* mutating any
+/// parameter, so a failed load leaves the model untouched. This is what
+/// checkpoint loading uses to turn file corruption into a typed error
+/// instead of a panic or a poisoned model.
+pub fn try_load_state_dict(params: &[Param], dict: &StateDict) -> Result<(), StateDictError> {
+    check_state_dict(params, dict)?;
+    load_state_dict(params, dict);
     Ok(())
 }
 
@@ -188,10 +232,94 @@ mod tests {
     fn json_format_is_pinned() {
         let a = Param::new(Tensor::from_vec(vec![1.0, -2.5], vec![2]), "a");
         let b = Param::new(Tensor::from_vec(vec![0.5; 2], vec![1, 2]), "b");
+        let dict = state_dict(&[a, b]);
         assert_eq!(
-            state_dict(&[a, b]).to_json(),
-            r#"{"entries":{"a":{"shape":[2],"data":[1.0,-2.5]},"b":{"shape":[1,2],"data":[0.5,0.5]}}}"#
+            dict.to_json(),
+            r#"{"entries":{"a":{"shape":[2],"data":[1,-2.5]},"b":{"shape":[1,2],"data":[0.5,0.5]}}}"#
         );
+        // What `serde_json` wrote for the same dict (`1.0`, not `1`).
+        let serde_era = r#"{"entries":{"a":{"shape":[2],"data":[1.0,-2.5]},"b":{"shape":[1,2],"data":[0.5,0.5]}}}"#;
+        assert_eq!(StateDict::from_json(serde_era).unwrap(), dict);
+    }
+
+    /// A hand-typed document in `serde_json`'s spelling: shortest `f32`
+    /// digits, exponents, a member this reader does not know.
+    #[test]
+    fn serde_era_document_still_loads() {
+        let doc = r#"{"entries":{"w":{"shape":[2,2],"data":[0.1,-1e-5,3.4028235e38,0.0],"dtype":"f32"}},"note":1}"#;
+        let w = Tensor::from_vec(vec![0.1, -1e-5, f32::MAX, 0.0], vec![2, 2]);
+        assert_eq!(
+            StateDict::from_json(doc).unwrap(),
+            state_dict(&[Param::new(w, "w")])
+        );
+    }
+
+    #[test]
+    fn every_finite_f32_round_trips_bit_for_bit() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            f32::EPSILON,
+            f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            0.1,
+            16_777_217.0,
+        ];
+        let mut rng = odt_obs::SplitMix64::new(24);
+        while values.len() < 10_010 {
+            let v = f32::from_bits(rng.next_u64() as u32);
+            if v.is_finite() {
+                values.push(v);
+            }
+        }
+        let n = values.len();
+        let dict = state_dict(&[Param::new(Tensor::from_vec(values, vec![n]), "sweep")]);
+        let back = StateDict::from_json(&dict.to_json()).unwrap();
+        let bits = |d: &StateDict| -> Vec<u32> {
+            let t = d.get("sweep").unwrap();
+            t.data().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&back), bits(&dict));
+    }
+
+    #[test]
+    fn malformed_tensors_are_refused_and_named() {
+        // A non-finite value has no JSON number: it is written `null`, and
+        // `null` is not read back as one.
+        let nan = Param::new(Tensor::from_vec(vec![1.0, f32::NAN], vec![2]), "p");
+        let json = state_dict(&[nan]).to_json();
+        assert_eq!(json, r#"{"entries":{"p":{"shape":[2],"data":[1,null]}}}"#);
+        assert_eq!(StateDict::from_json(&json).unwrap_err(), "entries.p.data");
+
+        // Data that does not fill the shape, in either direction.
+        for data in ["[1,2,3,4,5]", "[1,2,3,4,5,6,7]"] {
+            let doc = format!(r#"{{"entries":{{"p":{{"shape":[2,3],"data":{data}}}}}}}"#);
+            let err = StateDict::from_json(&doc).unwrap_err();
+            assert!(err.starts_with("entries.p.data ("), "{err}");
+            assert!(err.contains("shape [2, 3]"), "{err}");
+        }
+        let huge = r#"{"entries":{"p":{"shape":[9223372036854775808,2],"data":[]}}}"#;
+        assert!(StateDict::from_json(huge).is_err());
+
+        for (doc, path) in [
+            (
+                r#"{"entries":{"p":{"shape":[1.5],"data":[1]}}}"#,
+                "entries.p.shape",
+            ),
+            (r#"{"entries":{"p":{"data":[1]}}}"#, "entries.p.shape"),
+            (
+                r#"{"entries":{"p":{"shape":[1],"data":"x"}}}"#,
+                "entries.p.data",
+            ),
+            (r#"{"entries":[]}"#, "entries"),
+            (r#"{}"#, "entries"),
+        ] {
+            assert_eq!(StateDict::from_json(doc).unwrap_err(), path, "{doc}");
+        }
+        assert!(StateDict::from_json("{").unwrap_err().contains("byte"));
     }
 
     #[test]
@@ -234,7 +362,6 @@ mod tests {
         // Non-finite payload.
         let nan = Param::new(Tensor::from_vec(vec![f32::NAN, 1.0], vec![2]), "a");
         let bad = state_dict(&[nan]);
-        assert!(bad.validate_finite().is_err());
         let tgt = Param::new(Tensor::zeros(vec![2]), "a");
         assert!(matches!(
             try_load_state_dict(std::slice::from_ref(&tgt), &bad),

@@ -97,6 +97,15 @@ impl ToJson for f64 {
     }
 }
 
+/// An `f32` is written widened to `f64`: those digits read back
+/// ([`JsonValue::as_f32`]) to the same bits, which the shortest `f32` digits
+/// read through an `f64` do not always.
+impl ToJson for f32 {
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        write_f64(out, f64::from(*self))
+    }
+}
+
 impl ToJson for str {
     fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         write_str_escaped(out, self)
@@ -300,8 +309,10 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (always carried as f64; wire ids fit exactly below
-    /// 2^53, far beyond what a single connection can issue).
+    /// A number written as bare digits that fits `u64`, kept exact (a seed
+    /// or a counter above 2^53 has no `f64`).
+    Int(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string, unescaped.
     Str(String),
@@ -356,14 +367,22 @@ impl JsonValue {
     /// The number, if this is one.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Int(n) => Some(*n as f64),
             JsonValue::Num(n) => Some(*n),
             _ => None,
         }
     }
 
+    /// The number narrowed to `f32` (what [`ToJson`] for `f32` wrote, bit
+    /// for bit; a magnitude beyond `f32` becomes an infinity).
+    pub fn as_f32(&self) -> Option<f32> {
+        self.as_f64().map(|n| n as f32)
+    }
+
     /// The number as a u64, if this is a non-negative integer that fits.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            JsonValue::Int(n) => Some(*n),
             JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
                 Some(*n as u64)
             }
@@ -402,14 +421,15 @@ impl JsonValue {
     }
 }
 
-/// Lossless re-serialization: integers that fit `i64` render without a
-/// fraction, non-finite numbers as `null`, object keys in document order.
+/// Lossless re-serialization: integers render without a fraction (exactly,
+/// where the document spelled a `u64`), object keys in document order.
 /// The federation roll-up embeds scraped `/varz` sub-objects through this.
 impl ToJson for JsonValue {
     fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
             JsonValue::Null => out.write_str("null"),
             JsonValue::Bool(b) => b.write_json(out),
+            JsonValue::Int(n) => n.write_json(out),
             JsonValue::Num(n) if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) => {
                 (*n as i64).write_json(out)
             }
@@ -641,6 +661,10 @@ impl<'a> Parser<'a> {
         }
         let s = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
+        // Bare digits parse as `u64` unless they overflow it.
+        if let Ok(n) = s.parse::<u64>() {
+            return Ok(JsonValue::Int(n));
+        }
         let n: f64 = s.parse().map_err(|_| self.err("invalid number"))?;
         if !n.is_finite() {
             return Err(self.err("number out of range"));
@@ -779,13 +803,13 @@ mod tests {
 
     /// One random document member: scalars, and containers while `depth`
     /// lasts. Numbers are drawn where the writer and [`JsonValue::render`]
-    /// spell them alike (no `-0`, integers below 2^53).
+    /// spell them alike (no `-0`, negative integers below 2^53).
     fn random_member(rng: &mut crate::SplitMix64, o: &mut Obj<'_, String>, depth: u32) {
         const KEYS: [&str; 6] = ["a", "key", "k\"q", "é", "tab\t", ""];
         let key = KEYS[rng.next_below(KEYS.len() as u64) as usize];
         match rng.next_below(if depth == 0 { 6 } else { 8 }) {
             0 => {
-                o.field(key, rng.next_below(1 << 53));
+                o.field(key, rng.next_u64());
             }
             1 => {
                 o.field(key, -(rng.next_below(1 << 40) as i64) - 1);
@@ -904,6 +928,35 @@ mod tests {
         assert_eq!(a[2].as_f64(), Some(300.0));
         assert_eq!(a[3].as_u64(), Some(1u64 << 53));
         assert_eq!(a[4].as_u64(), None);
+
+        // Bare digits that fit a u64 are exact above 2^53; past it they
+        // are an f64 like any other number.
+        let v = JsonValue::parse("[18446744073709551615, 9007199254740993, 18446744073709551616]")
+            .unwrap();
+        let a = v.as_arr().unwrap();
+        assert_eq!(a[0].as_u64(), Some(u64::MAX));
+        assert_eq!(a[1].as_u64(), Some((1 << 53) + 1));
+        assert_eq!((a[2].as_u64(), a[2].as_f64()), (None, Some(2f64.powi(64))));
+
+        // An f32 is written widened, so it reads back to the same bits.
+        for x in [
+            0.1f32,
+            -0.0,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+            1.0e-45,
+            16_777_217.0,
+        ] {
+            let back = JsonValue::parse(&object_string(|o| {
+                o.field("x", x);
+            }));
+            let back = back.unwrap().get("x").and_then(JsonValue::as_f32).unwrap();
+            assert_eq!(back.to_bits(), x.to_bits(), "{x:e}");
+        }
+        assert_eq!(
+            JsonValue::parse("1e39").unwrap().as_f32(),
+            Some(f32::INFINITY)
+        );
     }
 
     #[test]

@@ -6,11 +6,9 @@
 //! equirectangular approximation, which is accurate to well under a meter
 //! over the ~15–19 km city extents in Table 1.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in the local planar frame, meters east (`x`) and north (`y`) of
 /// the frame origin.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Point {
     /// Meters east of the frame origin.
     pub x: f64,
@@ -33,7 +31,7 @@ impl Point {
 }
 
 /// A GPS coordinate in degrees.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct LngLat {
     /// Longitude, degrees.
     pub lng: f64,
@@ -42,7 +40,7 @@ pub struct LngLat {
 }
 
 /// Equirectangular projection anchored at a reference coordinate.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct Projection {
     origin: LngLat,
     meters_per_deg_lat: f64,

@@ -1,7 +1,6 @@
 //! The road-network graph.
 
 use crate::geo::Point;
-use serde::{Deserialize, Serialize};
 
 /// Index of an intersection node.
 pub type NodeId = usize;
@@ -9,7 +8,7 @@ pub type NodeId = usize;
 pub type EdgeId = usize;
 
 /// A directed road segment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Edge {
     /// Tail node.
     pub from: NodeId,
@@ -32,7 +31,7 @@ impl Edge {
 }
 
 /// A directed road network with planar node positions.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RoadNetwork {
     positions: Vec<Point>,
     edges: Vec<Edge>,

@@ -8,11 +8,10 @@
 //! PiT channels for routing-based variants (§6.5.4 observation 1).
 
 use crate::graph::{EdgeId, RoadNetwork};
-use serde::{Deserialize, Serialize};
 
 /// Historical average travel time per directed edge, seconds. Edges never
 /// observed fall back to their free-flow time.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EdgeWeights {
     avg: Vec<f64>,
 }
@@ -64,7 +63,7 @@ impl EdgeWeights {
 }
 
 /// Average edge travel times bucketed by time-of-day slot.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TimeDependentWeights {
     slots: usize,
     /// `table[e * slots + s]` = average seconds in slot `s`.

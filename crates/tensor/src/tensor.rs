@@ -14,44 +14,14 @@
 
 use crate::shape::{broadcast_shapes, broadcast_strides, next_index, numel, strides_for};
 use crate::TensorError;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A dense, row-major, contiguous `f32` tensor. Cloning shares the element
 /// storage; see the [module docs](self).
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
-#[serde(from = "TensorRepr", into = "TensorRepr")]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Arc<Vec<f32>>,
-}
-
-/// What a [`Tensor`] is serialized as: its shape and a flat data array,
-/// the checkpoint format since before the storage was shared. (serde only
-/// implements its traits for `Arc` behind its `rc` feature.)
-#[derive(Serialize, Deserialize)]
-#[serde(rename = "Tensor")]
-struct TensorRepr {
-    shape: Vec<usize>,
-    data: Vec<f32>,
-}
-
-impl From<TensorRepr> for Tensor {
-    fn from(repr: TensorRepr) -> Self {
-        Tensor {
-            shape: repr.shape,
-            data: Arc::new(repr.data),
-        }
-    }
-}
-
-impl From<Tensor> for TensorRepr {
-    fn from(t: Tensor) -> Self {
-        TensorRepr {
-            data: t.data.to_vec(),
-            shape: t.shape,
-        }
-    }
 }
 
 impl std::fmt::Debug for Tensor {

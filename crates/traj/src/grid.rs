@@ -3,10 +3,9 @@
 
 use crate::types::Trajectory;
 use odt_roadnet::LngLat;
-use serde::{Deserialize, Serialize};
 
 /// An `L_G × L_G` grid over a geographic bounding box.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct GridSpec {
     /// South-west corner of the area of interest.
     pub min: LngLat,

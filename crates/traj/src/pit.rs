@@ -15,7 +15,6 @@
 use crate::grid::GridSpec;
 use crate::types::Trajectory;
 use odt_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Number of PiT feature channels.
 pub const CHANNELS: usize = 3;
@@ -27,7 +26,7 @@ pub const CH_TOD: usize = 1;
 pub const CH_OFFSET: usize = 2;
 
 /// A Pixelated Trajectory: a `[3, L_G, L_G]` image.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Pit {
     tensor: Tensor,
     lg: usize,

@@ -1,10 +1,9 @@
 //! Core trajectory types (paper Definitions 1 and 3).
 
 use odt_roadnet::{LngLat, Projection};
-use serde::{Deserialize, Serialize};
 
 /// A timestamped GPS fix.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct GpsPoint {
     /// Position in degrees.
     pub loc: LngLat,
@@ -13,7 +12,7 @@ pub struct GpsPoint {
 }
 
 /// A trajectory: a time-ordered sequence of GPS fixes (Definition 1).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Trajectory {
     /// The fixes, ordered by time.
     pub points: Vec<GpsPoint>,
@@ -78,7 +77,7 @@ impl Trajectory {
 }
 
 /// The ODT-Input of Definition 3: origin, destination, departure time.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct OdtInput {
     /// Origin coordinate.
     pub origin: LngLat,

@@ -1,30 +1,8 @@
 #!/usr/bin/env bash
 # `cargo test --workspace` with no crate registry: scripts/offline.toml points
-# rand / serde / serde_json at the stand-ins under benchmark/shims. Arguments
-# replace `--workspace` (`scripts/offline_test.sh -p odt-nn`). Release profile:
+# `rand` at the stand-in under benchmark/shims. Arguments replace `--workspace`
+# (`scripts/offline_test.sh -p odt-nn`). Release profile:
 # crates/serve/tests/frontend_dot.rs holds deadlines a debug build misses.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-# The stand-in serde_json returns Err from every call, so these twelve tests, each
-# saving or loading a checkpoint, fail here; CI's `test` job runs them for real.
-skips=(
-    serialize::tests::round_trip
-    serialize::tests::json_format_is_pinned
-    persist::tests::bit_flipped_payload_is_rejected_by_crc
-    persist::tests::future_version_and_legacy_json_are_version_mismatches
-    persist::tests::nan_parameter_payload_is_rejected_before_model_construction
-    persist::tests::save_is_atomic_no_temp_left_behind
-    persist::tests::save_load_round_trip_preserves_predictions
-    persist::tests::shape_mismatch_is_typed
-    persist::tests::truncated_checkpoint_is_rejected_as_corrupt
-    train::tests::resumable_training_continues_from_checkpoint
-    checkpoint_round_trip_through_disk
-    cluster_corrupt_swap_holds
-)
-cargo_test=(cargo --config scripts/offline.toml test --release --offline)
-# A renamed test must not hide behind a stale skip: each name is one test.
-listed=$("${cargo_test[@]}" --workspace -- --list)
-for name in "${skips[@]}"; do
-    [ "$(grep -cx "$name: test" <<<"$listed")" = 1 ] || { echo "skip list: '$name' is not exactly one test" >&2; exit 1; }
-done
-"${cargo_test[@]}" "${@:---workspace}" -- "${skips[@]/#/--skip=}"
+cargo --config scripts/offline.toml test --release --offline "${@:---workspace}"
